@@ -1,8 +1,11 @@
 #include "src/libfs/client.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/obs/trace.h"
@@ -50,37 +53,87 @@ Result<std::unique_ptr<LibFs>> LibFs::Mount(Transport* transport,
     }
   });
   if (options.flush_interval_ms != 0 && !options.eager_ship) {
+    fs->flusher_running_ = true;  // no other thread sees fs yet
     fs->flusher_ = std::thread([raw] { raw->FlusherLoop(); });
   }
   return fs;
+}
+
+bool LibFs::ShipDueLocked() const {
+  if (abandoned_.load()) {
+    return false;  // ships are no-ops; the batch never drains
+  }
+  return batch_.size() >= std::max<uint64_t>(1, options_.max_pending_ops / 2) ||
+         batch_bytes_ >= options_.batch_max_bytes;
 }
 
 void LibFs::FlusherLoop() {
   if (obs::SpansOn()) {
     obs::SetThreadTraceName("libfs.flusher");
   }
+  using Clock = std::chrono::steady_clock;
+  const auto period = std::chrono::milliseconds(options_.flush_interval_ms);
+  auto deadline = Clock::now() + period;
+  // True after a pass that shipped or refilled. Ops logged during that work
+  // ship straight away rather than at the soft mark: while the TFS is the
+  // bottleneck the flusher never idles, and each batch is what the caller
+  // logged during the previous ship.
+  bool busy = false;
   std::unique_lock lock(batch_mu_);
-  while (!flusher_stop_) {
-    flush_cv_.wait_for(lock,
-                       std::chrono::milliseconds(options_.flush_interval_ms));
-    if (flusher_stop_) {
-      break;
+  while (flusher_running_) {
+    // The predicate catches wake-ups sent while this thread was busy.
+    flush_cv_.wait_until(lock, deadline, [this, busy] {
+      return !flusher_running_ || !refill_queue_.empty() ||
+             ShipDueLocked() || (busy && !batch_.empty());
+    });
+    const bool chained = busy;
+    busy = false;
+    // Refills first: a taker may be close to finding its pool empty.
+    while (flusher_running_ && !refill_queue_.empty()) {
+      const PoolKey key = refill_queue_.front();
+      refill_queue_.erase(refill_queue_.begin());
+      lock.unlock();
+      RefillInBackground(key);
+      lock.lock();
+      busy = true;
     }
-    if (!batch_.empty()) {
-      (void)ShipBatchLocked(&lock);
+    if (flusher_running_ && (chained || busy || ShipDueLocked() ||
+                             Clock::now() >= deadline)) {
+      if (!batch_.empty() && !abandoned_.load()) {
+        (void)ShipBatchLocked(&lock);
+        busy = true;
+      }
+      deadline = Clock::now() + period;
     }
+  }
+  // Refills that never ran: their takers must not wait for them.
+  std::vector<PoolKey> dropped;
+  dropped.swap(refill_queue_);
+  lock.unlock();
+  if (!dropped.empty()) {
+    {
+      std::lock_guard pool_lock(pool_mu_);
+      for (const PoolKey& key : dropped) {
+        pools_[key].refilling = false;
+      }
+    }
+    pool_cv_.notify_all();
   }
 }
 
-LibFs::~LibFs() {
+void LibFs::StopFlusher() {
   {
     std::lock_guard lock(batch_mu_);
-    flusher_stop_ = true;
+    flusher_running_ = false;
   }
   flush_cv_.notify_all();
   if (flusher_.joinable()) {
     flusher_.join();
   }
+}
+
+LibFs::~LibFs() {
+  StopFlusher();
   // Best-effort final ship; lock teardown happens via clerk destructor.
   (void)Sync();
 }
@@ -98,52 +151,35 @@ void LibFs::RemoveReleaseHook(uint64_t token) {
 }
 
 uint64_t LibFs::pending_ops() const {
-  std::lock_guard lock(const_cast<std::mutex&>(batch_mu_));
+  std::lock_guard lock(batch_mu_);
   return batch_.size();
 }
 
-Status LibFs::LogOps(std::vector<MetaOp> ops) {
+Status LibFs::LogOps(std::span<MetaOp> ops) {
   std::unique_lock lock(batch_mu_);
   for (MetaOp& op : ops) {
+    // Rough wire size: fixed fields + names.
     batch_bytes_ += 96 + op.name.size() + op.name2.size();
     batch_.push_back(std::move(op));
   }
   ops_logged_.Add(ops.size());
   pending_ops_gauge_.Set(static_cast<int64_t>(batch_.size()));
-  if (batch_.size() >= options_.max_pending_ops) {
-    return ShipBatchLocked(&lock);  // backpressure: producer pays the ship
-  }
-  if (batch_bytes_ >= options_.batch_max_bytes) {
-    if (flusher_.joinable()) {
-      flush_cv_.notify_all();  // background ship; don't stall the caller
-      return OkStatus();
-    }
-    return ShipBatchLocked(&lock);
-  }
   if (options_.eager_ship) {
     return ShipBatchLocked(&lock);
   }
-  return OkStatus();
-}
-
-Status LibFs::LogOp(MetaOp op) {
-  std::unique_lock lock(batch_mu_);
-  // Rough wire size: fixed fields + names.
-  batch_bytes_ += 96 + op.name.size() + op.name2.size();
-  batch_.push_back(std::move(op));
-  ops_logged_.Add(1);
-  pending_ops_gauge_.Set(static_cast<int64_t>(batch_.size()));
   if (batch_.size() >= options_.max_pending_ops) {
-    return ShipBatchLocked(&lock);  // backpressure: producer pays the ship
-  }
-  if (batch_bytes_ >= options_.batch_max_bytes) {
-    if (flusher_.joinable()) {
-      flush_cv_.notify_all();  // background ship; don't stall the caller
-      return OkStatus();
-    }
+    // Backpressure: the producer pays the ship itself.
+    inline_ships_.Add(1);
     return ShipBatchLocked(&lock);
   }
-  if (options_.eager_ship) {
+  if (flusher_running_) {
+    if (ShipDueLocked()) {
+      flush_cv_.notify_one();  // background ship; don't stall the caller
+    }
+    return OkStatus();
+  }
+  if (batch_bytes_ >= options_.batch_max_bytes) {
+    inline_ships_.Add(1);
     return ShipBatchLocked(&lock);
   }
   return OkStatus();
@@ -256,30 +292,21 @@ void LibFs::ClearDirectCache() {
 }
 
 Status LibFs::SyncAndReleaseLocks() {
+  // No background ship or pool fill may outlive the session.
+  StopFlusher();
   AERIE_RETURN_IF_ERROR(Sync());
   clerk_->ReleaseAllGlobals();
   return OkStatus();
 }
 
-Result<Oid> LibFs::TakePooled(ObjType type, uint64_t capacity) {
-  pool_takes_.Add(1);
-  const auto key = std::make_pair(static_cast<uint8_t>(type), capacity);
-  {
-    std::lock_guard lock(pool_mu_);
-    auto& pool = pools_[key];
-    if (!pool.empty()) {
-      Oid oid = pool.back();
-      pool.pop_back();
-      return oid;
-    }
-  }
-  // Refill over RPC (paper: 1000 objects per refill keeps this rare).
+Result<std::vector<Oid>> LibFs::FillPool(PoolKey key) {
+  // Paper: 1000 objects per refill keeps this RPC rare.
   AERIE_SPAN("libfs", "pool_refill");
   pool_refills_.Add(1);
   WireBuffer req;
-  req.AppendU8(static_cast<uint8_t>(type));
+  req.AppendU8(key.first);
   req.AppendU32(options_.pool_refill);
-  req.AppendU64(capacity);
+  req.AppendU64(key.second);
   auto resp = transport_->Call(kTfsRpcPoolFill, req.data());
   if (!resp.ok()) {
     return resp.status();
@@ -289,17 +316,70 @@ Result<Oid> LibFs::TakePooled(ObjType type, uint64_t capacity) {
   if (!count.ok() || *count == 0) {
     return Status(ErrorCode::kOutOfSpace, "pool refill returned nothing");
   }
-  std::lock_guard lock(pool_mu_);
-  auto& pool = pools_[key];
+  std::vector<Oid> oids;
+  oids.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
     auto oid = r.ReadU64();
     if (!oid.ok()) {
       return Status(ErrorCode::kUnavailable, "bad pool response");
     }
-    pool.push_back(Oid(*oid));
+    oids.push_back(Oid(*oid));
   }
-  Oid oid = pool.back();
-  pool.pop_back();
+  return oids;
+}
+
+void LibFs::RefillInBackground(PoolKey key) {
+  auto oids = FillPool(key);
+  {
+    std::lock_guard lock(pool_mu_);
+    Pool& pool = pools_[key];
+    if (oids.ok()) {
+      pool.free.insert(pool.free.end(), oids->begin(), oids->end());
+    } else {
+      pool.error = oids.status();
+    }
+    pool.refilling = false;
+  }
+  pool_cv_.notify_all();
+}
+
+Result<Oid> LibFs::TakePooled(ObjType type, uint64_t capacity) {
+  pool_takes_.Add(1);
+  const PoolKey key{static_cast<uint8_t>(type), capacity};
+  std::unique_lock lock(pool_mu_);
+  Pool& pool = pools_[key];  // map nodes are stable across unlock
+  if (pool.free.empty()) {
+    pool_refill_stalls_.Add(1);
+    if (pool.refilling) {
+      // The refill-ahead fell behind: wait for the one in flight.
+      obs::ScopedWait stalled(obs::WaitKind::kRpc);
+      pool_cv_.wait(lock, [&pool] { return !pool.refilling; });
+    }
+  }
+  if (pool.free.empty()) {
+    if (!pool.error.ok()) {
+      return std::exchange(pool.error, OkStatus());
+    }
+    lock.unlock();
+    auto oids = FillPool(key);
+    lock.lock();
+    if (!oids.ok()) {
+      return oids.status();
+    }
+    pool.free.insert(pool.free.end(), oids->begin(), oids->end());
+  }
+  const Oid oid = pool.free.back();
+  pool.free.pop_back();
+  // Refill ahead on the flusher once the pool is below half a refill.
+  if (!pool.refilling && pool.error.ok() &&
+      pool.free.size() < options_.pool_refill / 2) {
+    std::lock_guard flusher_lock(batch_mu_);
+    if (flusher_running_) {
+      pool.refilling = true;
+      refill_queue_.push_back(key);
+      flush_cv_.notify_one();
+    }
+  }
   return oid;
 }
 

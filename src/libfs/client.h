@@ -10,6 +10,14 @@
 //   * object pools: pre-allocated collections, mFiles and extents so create
 //     and append paths never RPC synchronously (paper §5.3.7: pools of 1000).
 //
+// With the flusher thread running (flush_interval_ms != 0), both RPCs leave
+// the caller's thread: the flusher ships once the batch reaches half of
+// max_pending_ops (the soft mark), and keeps shipping what was logged during
+// its last ship or refill until it finds the batch empty; it refills a pool
+// once a take leaves it below half of pool_refill. The caller ships inline
+// only at max_pending_ops (backpressure) and waits on a pool only when it
+// finds it empty.
+//
 // Interface layers (PXFS, FlatFS) sit on top of this class.
 #ifndef AERIE_SRC_LIBFS_CLIENT_H_
 #define AERIE_SRC_LIBFS_CLIENT_H_
@@ -41,14 +49,17 @@ class LibFs {
  public:
   struct Options {
     uint64_t batch_max_bytes = 8ull << 20;  // paper: optimum batch ~8MB
-    uint32_t pool_low_water = 16;
+    // Objects per pool refill. With the flusher running, a take that leaves
+    // the pool below half of this queues a background refill, so a client
+    // holds up to ~1.5x this many pooled objects per type.
     uint32_t pool_refill = 1000;  // paper: pools of 1000 objects
     bool eager_ship = false;      // ship every op immediately (ablation)
     // Background shipping period (paper §5.3.5: clients send their buffered
     // updates "periodically (similar to delayed writes)"); the flusher also
-    // wakes when the batch crosses batch_max_bytes, so foreground ops never
-    // absorb a multi-megabyte apply pause. 0 disables the flusher (ships
-    // synchronously at the threshold instead).
+    // wakes when the batch reaches batch_max_bytes or half of
+    // max_pending_ops, so the caller fills the next batch while the flusher
+    // ships this one. 0 disables the flusher (ships and refills
+    // synchronously at the thresholds instead).
     uint64_t flush_interval_ms = 50;
     // Backpressure: once this many ops are buffered, producers ship inline
     // instead of racing ahead of the service. Bounds the storage "float"
@@ -78,14 +89,17 @@ class LibFs {
   Oid flat_root() const { return flat_root_; }
 
   // --- Metadata batching ---
-  // Buffers `op`; ships the batch if it crossed the threshold.
-  Status LogOp(MetaOp op);
-  // Buffers several ops under one lock (multi-extent writes).
-  Status LogOps(std::vector<MetaOp> ops);
+  // Buffers `ops` (moved from) under one lock; wakes the flusher or ships
+  // inline if the batch crossed a threshold.
+  Status LogOps(std::span<MetaOp> ops);
+  Status LogOp(MetaOp op) { return LogOps({&op, 1}); }
   // Ships all buffered ops now (the library's fsync-equivalent,
   // libfs_sync in the paper).
   Status Sync();
-  // Ships the batch and releases every cached global lock.
+  // Teardown step before the session disconnects: stops the flusher (it
+  // finishes a ship or refill in flight and drops queued refills, so no pool
+  // fill reaches the TFS after ClientDisconnected), ships the batch, then
+  // releases every cached global lock.
   Status SyncAndReleaseLocks();
 
   uint64_t batches_shipped() const { return batches_shipped_.value(); }
@@ -104,8 +118,9 @@ class LibFs {
   void AbandonForCrashTest() { abandoned_ = true; }
 
   // --- Pools (paper §5.3.7) ---
-  // Takes one pre-allocated object, refilling over RPC when low. capacity
-  // selects single-extent mFiles (FlatFS).
+  // Takes one pre-allocated object. capacity selects single-extent mFiles
+  // (FlatFS). A take that finds the pool empty waits for the background
+  // refill in flight, or refills over RPC itself if there is none.
   Result<Oid> TakePooled(ObjType type, uint64_t capacity = 0);
 
   // --- Open-file notifications (paper §6.1) ---
@@ -150,17 +165,40 @@ class LibFs {
   uint64_t direct_write_bytes() const { return direct_write_bytes_.value(); }
   uint64_t direct_fallbacks() const { return direct_fallbacks_.value(); }
   uint64_t batches_ship_failed() const { return batches_ship_failed_.value(); }
+  // Foreground stalls: ships run on the caller's thread because the batch
+  // hit a threshold, and takes that found their pool empty and waited.
+  uint64_t inline_ships() const { return inline_ships_.value(); }
+  uint64_t pool_refill_stalls() const { return pool_refill_stalls_.value(); }
 
  private:
+  // (type, capacity): one pool per object type, with single-extent mFiles
+  // pooled separately per capacity.
+  using PoolKey = std::pair<uint8_t, uint64_t>;
+  struct Pool {
+    std::vector<Oid> free;
+    bool refilling = false;  // a background refill is queued or running
+    Status error;            // failed background refill, for the next taker
+  };
+
   LibFs(Transport* transport, ScmRegion* region, Options options)
       : transport_(transport), region_(region), options_(options) {
     obs_registration_.AddAll(batches_shipped_, batches_ship_failed_,
-                             ops_logged_, pool_takes_, pool_refills_,
+                             inline_ships_, ops_logged_, pool_takes_,
+                             pool_refills_, pool_refill_stalls_,
                              direct_read_bytes_, direct_write_bytes_,
                              direct_fallbacks_, pending_ops_gauge_);
   }
 
   Status ShipBatchLocked(std::unique_lock<std::mutex>* lock);
+  // True once the batch reaches the soft mark (half of max_pending_ops) or
+  // batch_max_bytes: time for the flusher to ship it.
+  bool ShipDueLocked() const;
+  void FlusherLoop();
+  // Stops and joins the flusher; refills still queued are dropped.
+  void StopFlusher();
+  // One pool_fill RPC for options_.pool_refill objects.
+  Result<std::vector<Oid>> FillPool(PoolKey key);
+  void RefillInBackground(PoolKey key);
 
   Transport* transport_;
   ScmRegion* region_;
@@ -171,12 +209,13 @@ class LibFs {
   Oid pxfs_root_;
   Oid flat_root_;
 
-  void FlusherLoop();
-
   std::atomic<bool> abandoned_{false};
-  std::mutex batch_mu_;
+  // Guards the batch and the flusher's state (running flag, refill queue).
+  // Lock order: ship_mu_ -> batch_mu_ and pool_mu_ -> batch_mu_.
+  mutable std::mutex batch_mu_;
   std::condition_variable flush_cv_;
-  bool flusher_stop_ = false;
+  bool flusher_running_ = false;
+  std::vector<PoolKey> refill_queue_;
   std::thread flusher_;
   // Serializes batch shipment so concurrently-triggered ships (flusher vs
   // Sync vs release hook) cannot reorder ops at the server.
@@ -189,9 +228,11 @@ class LibFs {
   // with the rejection, so telemetry must show it even when the shipper
   // (flusher, release hook) has no caller to report to.
   obs::Counter batches_ship_failed_{"libfs.batch.ship_failed"};
+  obs::Counter inline_ships_{"libfs.batch.inline_ship"};
   obs::Counter ops_logged_{"libfs.batch.ops"};
   obs::Counter pool_takes_{"libfs.pool.take"};
   obs::Counter pool_refills_{"libfs.pool.refill"};
+  obs::Counter pool_refill_stalls_{"libfs.pool.refill_stall"};
   obs::Counter direct_read_bytes_{"libfs.direct.read_bytes"};
   obs::Counter direct_write_bytes_{"libfs.direct.write_bytes"};
   obs::Counter direct_fallbacks_{"libfs.direct.fallback"};
@@ -203,8 +244,8 @@ class LibFs {
   std::map<uint64_t, std::function<void(LockId)>> release_hooks_;
 
   std::mutex pool_mu_;
-  // (type, capacity) -> available oids
-  std::map<std::pair<uint8_t, uint64_t>, std::vector<Oid>> pools_;
+  std::condition_variable pool_cv_;  // a background refill finished
+  std::map<PoolKey, Pool> pools_;
 
   // Direct-path extent-map cache (oid offset -> snapshot). Read-mostly:
   // lookups take the lock shared and copy only the shared_ptr.

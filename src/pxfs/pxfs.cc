@@ -697,7 +697,7 @@ Result<uint64_t> Pxfs::WriteAt(FdEntry* entry, uint64_t offset,
       *structural = true;
     }
     fs_->InvalidateDirect(entry->oid);
-    AERIE_RETURN_IF_ERROR(fs_->LogOps(std::move(attach_ops)));
+    AERIE_RETURN_IF_ERROR(fs_->LogOps(attach_ops));
   }
   AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
   return data.size();

@@ -139,7 +139,6 @@ TEST_P(CrashRandomTest, LineGranularityCrashStatesRecoverCleanly) {
   LibFs::Options copts;
   copts.eager_ship = true;
   copts.flush_interval_ms = 0;
-  copts.pool_low_water = 4;
   copts.pool_refill = 64;
   auto client = (*sys)->NewClient(copts);
   ASSERT_TRUE(client.ok());

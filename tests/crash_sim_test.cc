@@ -47,7 +47,6 @@ LibFs::Options EagerClientOptions() {
   LibFs::Options options;
   options.eager_ship = true;      // every op round-trips before returning
   options.flush_interval_ms = 0;  // no background flusher thread
-  options.pool_low_water = 4;
   options.pool_refill = 64;
   return options;
 }

@@ -40,7 +40,6 @@ LibFs::Options EagerClientOptions() {
   LibFs::Options options;
   options.eager_ship = true;
   options.flush_interval_ms = 0;
-  options.pool_low_water = 4;
   options.pool_refill = 64;
   return options;
 }
@@ -526,7 +525,6 @@ TEST(DirectPathCrashTest, DetectsSuppressedDirectWriteBFlush) {
 TEST(DirectPathCrashTest, CleanSweepCrashDuringRevokeShip) {
   LibFs::Options lazy;
   lazy.flush_interval_ms = 0;  // buffer until shipped by revoke or sync
-  lazy.pool_low_water = 4;
   lazy.pool_refill = 64;
   CrashRig t = BootPrimedRig(lazy);
   // Ship the priming ops (the /w mkdir) so the simulator's budget is spent

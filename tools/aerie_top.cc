@@ -407,14 +407,14 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
     }
   }
 
+  auto counter = [&cur](const char* name) -> uint64_t {
+    auto it = cur.counters.find(name);
+    return it == cur.counters.end() ? 0 : it->second;
+  };
   // Zero-RPC direct data path (DESIGN.md §10): bytes served straight from
   // mapped SCM under the clerk's direct-access epoch, plus how often a
   // stale epoch or in-flight revoke pushed an op back onto the locked path.
   {
-    auto counter = [&cur](const char* name) -> uint64_t {
-      auto it = cur.counters.find(name);
-      return it == cur.counters.end() ? 0 : it->second;
-    };
     const uint64_t read_bytes = counter("libfs.direct.read_bytes");
     const uint64_t write_bytes = counter("libfs.direct.write_bytes");
     const uint64_t grants = counter("clerk.direct.grant");
@@ -436,6 +436,25 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
           PrettyCount(static_cast<double>(counter("clerk.direct.fallback")))
               .c_str());
     }
+  }
+
+  // libFS foreground stalls (DESIGN.md §6 items 5-6): batches the caller
+  // shipped itself under backpressure, and takes that found their pool
+  // empty. Both stay near zero while the flusher keeps up.
+  if (counter("libfs.batch.shipped") != 0 || counter("libfs.pool.take") != 0) {
+    std::printf(
+        "\nlibfs stalls: inline ships %s (%s/s) of %s batches, "
+        "pool refill stalls %s (%s/s) of %s refills\n",
+        PrettyCount(static_cast<double>(counter("libfs.batch.inline_ship")))
+            .c_str(),
+        PrettyCount(RatePerSec(prev, cur, "libfs.batch.inline_ship")).c_str(),
+        PrettyCount(static_cast<double>(counter("libfs.batch.shipped")))
+            .c_str(),
+        PrettyCount(static_cast<double>(counter("libfs.pool.refill_stall")))
+            .c_str(),
+        PrettyCount(RatePerSec(prev, cur, "libfs.pool.refill_stall")).c_str(),
+        PrettyCount(static_cast<double>(counter("libfs.pool.refill")))
+            .c_str());
   }
 
   const obs::WriteAmpReport amp = obs::ComputeWriteAmp(CounterPairs(cur));

@@ -60,8 +60,11 @@ def main():
             [args.bench], env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
-            # Wait for the bench's segment to appear and accumulate a little
-            # work, then sample while it is still running.
+            # Wait for the bench's segment to appear, then for the first
+            # (one-client) point to finish, and sample while the two-client
+            # point runs, where clients contend for locks. A lone client
+            # seldom waits on a lock: its flusher ships the batches, so its
+            # workload thread never queues behind a ship in flight.
             pattern = os.path.join(shm, "aerie.obs.*")
             while not glob.glob(pattern):
                 if bench.poll() is not None:
@@ -72,7 +75,7 @@ def main():
                     print("FAIL: no telemetry segment within the deadline")
                     return 1
                 time.sleep(0.05)
-            time.sleep(1.0)
+            time.sleep(args.seconds + 1.5)
 
             if bench.poll() is not None:
                 print("FAIL: bench exited before aerie_top could attach")
