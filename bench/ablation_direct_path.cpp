@@ -2,9 +2,10 @@
 //
 // A/B of the SplitFS-style lease-guarded fast path: warmed sequential 4KB
 // reads, aligned in-place 4KB overwrites (PXFS), and cached-value gets
-// (FlatFS), each with the direct path enabled and disabled via the interface
-// options (the AERIE_DIRECT environment variable gates the same code in
-// stock binaries — the CI A/B lane uses it on fig1/table1).
+// (FlatFS), each with the pinned way in enabled and disabled via the
+// interface options' direct_data, the only switch. Off, every PXFS call
+// takes the file lock and maps just the pages it touches; the CI
+// direct-path lane gates each *.direct_on row against its *.direct_off row.
 //
 // With the path on, warmed reads and overwrites are a userspace memcpy
 // guarded by the clerk's direct-access epoch: no lock RPC, no clerk mutex,

@@ -85,7 +85,7 @@ Result<std::pair<Oid, uint64_t>> FlatFs::Find(const Collection& coll,
 
 bool FlatFs::TryDirectGet(std::string_view key, std::span<char> out,
                           uint64_t* n) {
-  if (!DirectUsable()) {
+  if (!options_.direct_data) {
     return false;
   }
   DirectValue v;
@@ -112,7 +112,7 @@ bool FlatFs::TryDirectGet(std::string_view key, std::span<char> out,
 
 void FlatFs::StoreDirectValue(std::string_view key, LockId lock, Oid file,
                               uint64_t size) {
-  if (!DirectUsable()) {
+  if (!options_.direct_data) {
     return;
   }
   auto epoch = fs_->clerk()->DirectGrant(lock, LockMode::kShared);

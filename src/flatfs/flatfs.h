@@ -41,7 +41,7 @@ class FlatFs {
     bool flush_data_on_write = true;
     // Direct data path (DESIGN.md §10): gets served from a cached value
     // location under the clerk's direct-access epoch, skipping the bucket
-    // lock + collection lookup. Also gated by AERIE_DIRECT.
+    // lock + collection lookup. false is the ablation configuration.
     bool direct_data = true;
   };
 
@@ -98,9 +98,6 @@ class FlatFs {
   };
   static constexpr size_t kDirectValuesMax = 1 << 16;
 
-  bool DirectUsable() const {
-    return options_.direct_data && LibFs::DirectEnabled();
-  }
   bool TryDirectGet(std::string_view key, std::span<char> out, uint64_t* n);
   // Caller holds `lock` (the bucket or collection lock covering `key`).
   void StoreDirectValue(std::string_view key, LockId lock, Oid file,

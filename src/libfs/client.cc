@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -254,31 +253,18 @@ Status LibFs::Sync() {
 
 // --- Direct data path (DESIGN.md §10) ---
 
-bool LibFs::DirectEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("AERIE_DIRECT");
-    if (v == nullptr) {
-      return true;
-    }
-    return !(std::string_view(v) == "off" || std::string_view(v) == "0" ||
-             std::string_view(v) == "false");
-  }();
-  return enabled;
-}
-
 std::shared_ptr<const LibFs::DirectMap> LibFs::LookupDirect(Oid file) {
   std::shared_lock lock(direct_mu_);
   auto it = direct_maps_.find(file.offset());
   return it == direct_maps_.end() ? nullptr : it->second;
 }
 
-void LibFs::StoreDirect(Oid file, DirectMap map) {
+void LibFs::StoreDirect(Oid file, std::shared_ptr<const DirectMap> map) {
   std::unique_lock lock(direct_mu_);
   if (direct_maps_.size() >= kDirectCacheMax) {
     direct_maps_.clear();  // coarse cap: rebuilt on demand via slow paths
   }
-  direct_maps_[file.offset()] =
-      std::make_shared<const DirectMap>(std::move(map));
+  direct_maps_[file.offset()] = std::move(map);
 }
 
 void LibFs::InvalidateDirect(Oid file) {

@@ -131,30 +131,30 @@ class LibFs {
   Result<uint64_t> ServiceRead(Oid file, uint64_t offset, std::span<char> out);
   Status ServiceWrite(Oid file, uint64_t offset, std::span<const char> data);
 
-  // --- Direct data path (DESIGN.md §10) ---
-  // Process-wide gate: true unless AERIE_DIRECT is "off"/"0" (read once).
-  static bool DirectEnabled();
-
+  // --- Extent-map cache (DESIGN.md §10) ---
   // A cached extent-map snapshot plus the clerk direct-access epoch it was
-  // validated under. Interface layers fill one on the locked path (lock
-  // held, so the snapshot is coherent) and later reuse it lock-free: pin
-  // the clerk epoch, memcpy, unpin. `writable` records whether the snapshot
-  // was validated with exclusive authority (required for WriteDirect).
+  // validated under. Interface layers build one with the file lock held (so
+  // the snapshot is coherent) and reuse it either under the lock again or
+  // lock-free: pin the clerk epoch, memcpy, unpin. `writable` records
+  // whether the snapshot was validated with exclusive authority (required
+  // for writes).
   struct DirectMap {
     MFile::DirectExtentMap map;
-    uint64_t epoch = 0;
+    uint64_t epoch = 0;  // 0: built for one locked call, never cached
     bool writable = false;
   };
 
   // Shared-lock lookup returning the cached snapshot (no deep copy), or
-  // nullptr. A hit is only *usable* after clerk()->TryEnterDirect(epoch).
+  // nullptr. A hit is only *usable* with the file lock held or after
+  // clerk()->TryEnterDirect(epoch).
   std::shared_ptr<const DirectMap> LookupDirect(Oid file);
   // Inserts/replaces the snapshot for `file`. The cache is size-capped:
   // at the cap it is cleared wholesale (rebuilt on demand) rather than
   // growing without bound.
-  void StoreDirect(Oid file, DirectMap map);
-  // Drops one file's snapshot (any local structural change: attach,
-  // set-size, truncate) or all of them (lock release hooks).
+  void StoreDirect(Oid file, std::shared_ptr<const DirectMap> map);
+  // Drops one file's snapshot (a local change the layer does not fold into
+  // a stored map: truncate, oid recycling) or all of them (lock release
+  // hooks).
   void InvalidateDirect(Oid file);
   void ClearDirectCache();
 

@@ -204,31 +204,56 @@ Result<uint64_t> MFile::Read(uint64_t offset, std::span<char> out) const {
   return done;
 }
 
-Result<MFile::DirectExtentMap> MFile::SnapshotExtents(
-    uint64_t max_pages) const {
+void MFile::DirectExtentMap::Own(uint64_t first, uint64_t last) {
+  if (end_page < last) {
+    end_page = last;
+    chunks.resize((end_page - first_page + kChunkPages - 1) / kChunkPages);
+  }
+  for (uint64_t c = 0; c < chunks.size(); ++c) {
+    const uint64_t begin = first_page + c * kChunkPages;
+    const uint64_t pages = std::min(kChunkPages, end_page - begin);
+    if (chunks[c] == nullptr) {
+      chunks[c] = std::make_shared<Chunk>(pages, 0);
+    } else if (chunks[c]->size() != pages ||
+               (begin < last && first < begin + kChunkPages)) {
+      auto copy = std::make_shared<Chunk>(*chunks[c]);
+      copy->resize(pages, 0);
+      chunks[c] = std::move(copy);
+    }
+  }
+}
+
+MFile::DirectExtentMap MFile::SnapshotExtents(uint64_t first_page,
+                                              uint64_t end_page) const {
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   DirectExtentMap map;
   map.size = hdr->size;
-  const uint64_t pages = (map.size + kScmPageSize - 1) / kScmPageSize;
-  if (pages > max_pages) {
-    return Status(ErrorCode::kNotSupported, "file too large for direct map");
-  }
-  map.pages.resize(pages, 0);
+  map.first_page = map.end_page = first_page;
+  map.Own(first_page, end_page);
+  const uint64_t mapped_end =
+      std::min(end_page, (map.size + kScmPageSize - 1) / kScmPageSize);
   if (hdr->flags & kFlagSingleExtent) {
     const uint64_t base = RootOffset(hdr->root);
-    for (uint64_t p = 0; p < pages; ++p) {
-      map.pages[p] = base + p * kScmPageSize;
+    for (uint64_t p = first_page; p < mapped_end; ++p) {
+      map.set_extent(p, base + p * kScmPageSize);
     }
-    return map;
+  } else if (first_page == 0) {
+    // One tree walk, in page order, stopping at the snapshot's end.
+    (void)ForEachExtent([&](uint64_t page, uint64_t extent) {
+      if (page >= mapped_end) {
+        return false;
+      }
+      map.set_extent(page, extent);
+      return true;
+    });
+  } else {
+    for (uint64_t p = first_page; p < mapped_end; ++p) {
+      auto extent = ExtentForPage(p);
+      if (extent.ok()) {
+        map.set_extent(p, *extent);
+      }
+    }
   }
-  // One tree walk fills every mapped page <= the snapshot's own size; pages
-  // beyond it stay holes (irrelevant: Read/WriteDirect are size-clamped).
-  (void)ForEachExtent([&](uint64_t page, uint64_t extent) {
-    if (page < pages) {
-      map.pages[page] = extent;
-    }
-    return true;
-  });
   return map;
 }
 
@@ -244,7 +269,7 @@ uint64_t MFile::ReadDirect(ScmRegion* region, const DirectExtentMap& map,
     const uint64_t page = pos / kScmPageSize;
     const uint64_t in_page = pos % kScmPageSize;
     const uint64_t chunk = std::min(want - done, kScmPageSize - in_page);
-    const uint64_t extent = map.pages[page];
+    const uint64_t extent = map.extent(page);
     if (extent != 0) {
       std::memcpy(out.data() + done, region->PtrAt(extent) + in_page, chunk);
     } else {
@@ -258,7 +283,6 @@ uint64_t MFile::ReadDirect(ScmRegion* region, const DirectExtentMap& map,
 Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
                           uint64_t offset, std::span<const char> data,
                           bool flush) {
-  AERIE_SCM_LAYER("osd");
   if (data.empty()) {
     return OkStatus();
   }
@@ -268,7 +292,7 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
   const uint64_t first_page = offset / kScmPageSize;
   const uint64_t last_page = (offset + data.size() - 1) / kScmPageSize;
   for (uint64_t p = first_page; p <= last_page; ++p) {
-    if (map.pages[p] == 0) {
+    if (map.extent(p) == 0) {
       return Status(ErrorCode::kNotFound, "hole");
     }
   }
@@ -279,14 +303,14 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
     const uint64_t in_page = pos % kScmPageSize;
     const uint64_t chunk =
         std::min<uint64_t>(data.size() - done, kScmPageSize - in_page);
-    region->StreamWrite(region->PtrAt(map.pages[page]) + in_page,
+    region->StreamWrite(region->PtrAt(map.extent(page)) + in_page,
                         data.data() + done, chunk);
     done += chunk;
   }
   if (flush) {
-    // The direct path has no later locked-path BFlush to piggyback on: this
-    // drain is the overwrite's entire durability story, so it is a
-    // registered mutation target (suppressing it must fail crash_sim).
+    // Every PXFS data write, pinned or locked, ends here: this drain is its
+    // entire durability story, so it is a registered mutation target
+    // (suppressing it must fail crash_sim).
     static const int kSite = RegisterPersistSite("libfs.direct.write.bflush");
     region->BFlush(kSite);
     region->CrashPoint("libfs.direct.write");
@@ -352,7 +376,7 @@ Status MFile::AttachExtent(uint64_t page_index, uint64_t extent_offset) {
   AERIE_SCM_LAYER("osd");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
-                  "structural mFile mutation requires the allocator");
+                  "mFile mapping changes require the allocator");
   }
   MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   if (hdr->flags & kFlagSingleExtent) {

@@ -8,7 +8,7 @@
 // Responsibility split mirrors the paper:
 //   * clients read file data directly (ExtentForPage + memcpy, no service);
 //   * clients write data in place directly when the extent exists;
-//   * structural changes (attaching extents a client pre-allocated, growing
+//   * mapping changes (attaching extents a client pre-allocated, growing
 //     the tree, truncation, setting the size) are metadata and are applied
 //     by the TFS after validation.
 //
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,33 +61,59 @@ class MFile {
   // read (clamped by size()).
   Result<uint64_t> Read(uint64_t offset, std::span<char> out) const;
 
-  // --- Direct data path (DESIGN.md §10) ---
+  // --- Extent maps: PXFS's one data path (DESIGN.md §10) ---
   // Immutable snapshot of the offset -> extent map, taken while the caller
   // holds lock authority on the file. Region offsets of 4KB pages; 0 = hole.
   // A snapshot stays safe to use after the lock is released *only* under a
   // valid direct-access epoch from the clerk (extents are never reclaimed
   // while any client could still hold authority over them).
+  //
+  // The pages are held in chunks that copies of a map share, so an edited
+  // copy of a large map costs one pointer per chunk plus the chunks it
+  // edits. A chunk is written only by the map that made it private (Own),
+  // and only before that map is shared.
   struct DirectExtentMap {
-    uint64_t size = 0;            // file size when snapped
-    std::vector<uint64_t> pages;  // pages[i] = region offset of page i
+    static constexpr uint64_t kChunkPages = 512;
+    using Chunk = std::vector<uint64_t>;
+
+    uint64_t size = 0;        // file size when snapped
+    uint64_t first_page = 0;  // the map covers pages [first_page, end_page)
+    uint64_t end_page = 0;
+    std::vector<std::shared_ptr<Chunk>> chunks;  // last one may be short
+
+    // Region offset backing `page`; 0 = hole.
+    uint64_t extent(uint64_t page) const {
+      const uint64_t i = page - first_page;
+      return (*chunks[i / kChunkPages])[i % kChunkPages];
+    }
+    // Grows the map to cover [first, last) (new pages are holes) and gives
+    // it private copies of the chunks holding those pages; set_extent may
+    // then write them.
+    void Own(uint64_t first, uint64_t last);
+    void set_extent(uint64_t page, uint64_t extent) {
+      const uint64_t i = page - first_page;
+      (*chunks[i / kChunkPages])[i % kChunkPages] = extent;
+    }
   };
 
-  // Snapshots size + per-page extents. Fails kNotSupported when the file
-  // spans more than `max_pages` pages, so callers cache a bounded map and
-  // fall back to the locked path for huge files.
-  Result<DirectExtentMap> SnapshotExtents(uint64_t max_pages) const;
+  // Snapshots the size and the extents backing pages [first_page, end_page).
+  // Pages at or past the size stay holes. A snapshot from page 0 walks the
+  // tree once; others look each page up.
+  DirectExtentMap SnapshotExtents(uint64_t first_page,
+                                  uint64_t end_page) const;
 
   // Copies out of the snapped extents without touching the mFile header
   // (no Open, no size load — the snapshot is the truth the lease froze).
-  // Holes read as zeros; returns bytes read, clamped to map.size.
+  // Holes read as zeros; returns bytes read, clamped to map.size. The map
+  // must cover every page of the clamped range.
   static uint64_t ReadDirect(ScmRegion* region, const DirectExtentMap& map,
                              uint64_t offset, std::span<char> out);
 
-  // In-place overwrite strictly within [0, map.size) over mapped pages;
-  // kNotFound if any touched page is a hole (caller falls back to the
-  // locked path, which allocates + logs an attach). Streams the bytes and,
-  // when `flush` is set, drains write-combining buffers at the registered
-  // "libfs.direct.write.bflush" persist site so the overwrite is durable
+  // In-place write strictly within [0, map.size) over mapped pages;
+  // kNotFound if the write extends the file or touches a hole (the caller
+  // allocates and logs the attach first). Streams the bytes and, when
+  // `flush` is set, drains write-combining buffers at the registered
+  // "libfs.direct.write.bflush" persist site so the write is durable
   // before the caller acknowledges it.
   static Status WriteDirect(ScmRegion* region, const DirectExtentMap& map,
                             uint64_t offset, std::span<const char> data,

@@ -1,7 +1,7 @@
 // Shared context handed to storage-object code (collections, mFiles).
 //
 // Clients get a read-mostly context (alloc == nullptr): they can read any
-// object directly from SCM but cannot perform structural allocation. The TFS
+// object directly from SCM but cannot allocate metadata storage. The TFS
 // gets the full context. Object code checks `alloc` before any mutation that
 // needs fresh storage, which keeps the client/server capability split honest
 // at the type level.

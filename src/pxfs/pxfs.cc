@@ -43,6 +43,10 @@ Result<std::vector<std::string>> SplitPath(std::string_view path) {
   return parts;
 }
 
+uint64_t PagesFor(uint64_t bytes) {
+  return (bytes + kScmPageSize - 1) / kScmPageSize;
+}
+
 std::string CanonicalPath(const std::vector<std::string>& parts) {
   std::string out = "/";
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -249,11 +253,6 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
   return out;
 }
 
-uint64_t Pxfs::FileSizeNoShadow(Oid file) {
-  auto mfile = MFile::Open(ctx_, file);
-  return mfile.ok() ? mfile->size() : 0;
-}
-
 uint64_t Pxfs::FileSize(Oid file) {
   auto shadow = ShadowFor(file, /*create=*/false);
   if (shadow != nullptr && shadow->has_size) {
@@ -321,15 +320,19 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
   const LockMode mode =
       (flags & kOpenWrite) ? LockMode::kExclusive : LockMode::kShared;
   AERIE_RETURN_IF_ERROR(clerk->Acquire(r.target.lock_id(), mode, chain));
-  clerk->Release(r.target.lock_id());
-
   if (flags & kOpenTrunc) {
+    // Still under the file lock, so no locked call on another fd can store
+    // a map of the extents the truncate frees.
     MetaOp op;
     op.type = MetaOpType::kTruncate;
     op.authority = clerk->GlobalAuthorityOf(r.target.lock_id());
     op.obj = r.target;
     op.a = 0;
-    AERIE_RETURN_IF_ERROR(fs_->LogOp(std::move(op)));
+    Status st = fs_->LogOp(std::move(op));
+    if (!st.ok()) {
+      clerk->Release(r.target.lock_id());
+      return st;
+    }
     auto shadow = ShadowFor(r.target, /*create=*/true);
     {
       std::lock_guard lock(overlay_mu_);
@@ -340,14 +343,15 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
     }
     fs_->InvalidateDirect(r.target);
   }
+  clerk->Release(r.target.lock_id());
 
-  std::lock_guard lock(fds_mu_);
-  auto entry = std::make_unique<FdEntry>();
+  auto entry = std::make_shared<FdEntry>();
   entry->oid = r.target;
   entry->dir = r.parent;
   entry->flags = flags;
   entry->ancestors = std::move(chain);
   entry->offset = (flags & kOpenAppend) ? FileSize(r.target) : 0;
+  std::lock_guard lock(fds_mu_);
   open_counts_[r.target.raw()]++;
 
   int fd;
@@ -362,17 +366,25 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
   return fd;
 }
 
+Result<std::shared_ptr<Pxfs::FdEntry>> Pxfs::LookupFd(int fd) {
+  std::lock_guard lock(fds_mu_);
+  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
+      fds_[static_cast<size_t>(fd)] == nullptr) {
+    return Status(ErrorCode::kBadHandle, "bad fd");
+  }
+  return fds_[static_cast<size_t>(fd)];
+}
+
 Status Pxfs::Close(int fd) {
   AERIE_SPAN("pxfs", "close");
-  std::unique_ptr<FdEntry> entry;
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
   bool notify_closed = false;
   {
     std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
+    if (fds_[static_cast<size_t>(fd)] != entry) {
+      return Status(ErrorCode::kBadHandle, "bad fd");  // closed meanwhile
     }
-    entry = std::move(fds_[static_cast<size_t>(fd)]);
+    fds_[static_cast<size_t>(fd)] = nullptr;
     free_fds_.push_back(fd);
     auto it = open_counts_.find(entry->oid.raw());
     if (it != open_counts_.end() && --it->second == 0) {
@@ -387,484 +399,309 @@ Status Pxfs::Close(int fd) {
   return OkStatus();
 }
 
-// --- Direct data path (DESIGN.md §10) ---------------------------------------
+// --- Data path (DESIGN.md §10) -----------------------------------------------
 
-bool Pxfs::TryDirectRead(const FdEntry& entry, uint64_t offset,
-                         std::span<char> out, uint64_t* n) {
+std::shared_ptr<const LibFs::DirectMap> Pxfs::PinMap(Oid file, bool write,
+                                                     uint64_t end) {
   if (!DirectUsable()) {
-    return false;
+    return nullptr;
   }
-  auto map = fs_->LookupDirect(entry.oid);
-  if (map == nullptr) {
-    return false;
+  auto map = fs_->LookupDirect(file);
+  // Growing the file is metadata, so an extending write goes the locked way
+  // without counting as a fallback.
+  if (map == nullptr || (write && (!map->writable || end > map->map.size))) {
+    return nullptr;
   }
-  LockClerk* clerk = fs_->clerk();
-  if (!clerk->TryEnterDirect(map->epoch)) {
+  if (!fs_->clerk()->TryEnterDirect(map->epoch)) {
     fs_->CountDirectFallback();
-    return false;
+    return nullptr;
   }
-  *n = MFile::ReadDirect(ctx_.region, map->map, offset, out);
-  clerk->ExitDirect();
-  fs_->CountDirectRead(*n);
-  return true;
+  return map;
 }
 
-bool Pxfs::TryDirectWrite(const FdEntry& entry, uint64_t offset,
-                          std::span<const char> data, uint64_t* n) {
-  if (!DirectUsable() || data.empty()) {
-    return false;
-  }
-  if ((entry.flags & kOpenWrite) == 0) {
-    return false;  // locked path owns the error
-  }
-  auto map = fs_->LookupDirect(entry.oid);
-  if (map == nullptr || !map->writable) {
-    return false;
-  }
-  // Cheap pre-checks outside the pin: an extending write or a hole is an
-  // allocation — metadata — and belongs to the locked path.
-  if (offset + data.size() > map->map.size) {
-    return false;
-  }
+Result<std::shared_ptr<const LibFs::DirectMap>> Pxfs::LockedMap(
+    Oid file, LockMode mode, uint64_t offset, uint64_t end, bool cache) {
+  const bool writable = mode == LockMode::kExclusive;
   LockClerk* clerk = fs_->clerk();
-  if (!clerk->TryEnterDirect(map->epoch)) {
-    fs_->CountDirectFallback();
-    return false;
+  cache = cache && DirectUsable();
+  if (cache) {
+    auto cached = fs_->LookupDirect(file);
+    if (cached != nullptr && cached->epoch == clerk->direct_epoch() &&
+        (!writable || (cached->writable && PagesFor(end) <= kDirectMaxPages))) {
+      return cached;
+    }
   }
-  Status st = MFile::WriteDirect(ctx_.region, map->map, offset, data,
-                                 options_.flush_data_on_write);
-  clerk->ExitDirect();
-  if (!st.ok()) {
-    fs_->CountDirectFallback();
-    return false;  // hole: locked path allocates + logs the attach
-  }
-  fs_->CountDirectWrite(data.size());
-  AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
-  *n = data.size();
-  return true;
-}
-
-void Pxfs::RefreshDirectMap(Oid file, LockMode mode) {
-  if (!DirectUsable()) {
-    return;
-  }
-  LockClerk* clerk = fs_->clerk();
-  // Validated under the clerk mutex while we still hold the local grant; a
-  // failure (drain in flight, authority gone) just means no cache entry.
-  auto epoch = clerk->DirectGrant(file.lock_id(), mode);
-  if (!epoch.ok()) {
-    return;
-  }
-  auto mfile = MFile::Open(ctx_, file);
-  if (!mfile.ok()) {
-    return;
-  }
-  LibFs::DirectMap dm;
-  dm.epoch = *epoch;
-  dm.writable = mode == LockMode::kExclusive;
-
-  // Fold this client's unshipped shadow state into the snapshot, exactly as
-  // ReadAt would resolve it: shadow extents override the persistent mapping,
-  // pages at/above a pending-truncate floor are holes, the shadow size wins.
-  uint64_t size = mfile->size();
-  uint64_t floor = ~0ull;
-  std::map<uint64_t, uint64_t> shadow_extents;
+  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
   auto shadow = ShadowFor(file, /*create=*/false);
+  uint64_t size = mfile.size();
   if (shadow != nullptr) {
     std::lock_guard lock(overlay_mu_);
     if (shadow->has_size) {
       size = shadow->size;
     }
-    floor = shadow->mfile_floor;
-    shadow_extents = shadow->extents;
   }
-  const uint64_t pages = (size + kScmPageSize - 1) / kScmPageSize;
-  if (pages > kDirectMaxPages) {
-    return;  // unbounded map: such files stay on the locked path
+  auto map = std::make_shared<LibFs::DirectMap>();
+  map->writable = writable;
+  const uint64_t pages = PagesFor(writable ? std::max(size, end) : size);
+  if (cache && pages <= kDirectMaxPages) {
+    // Validated under the clerk mutex while we hold the local grant; a
+    // failure (drain in flight, authority gone) leaves the map uncached.
+    map->epoch = clerk->DirectGrant(file.lock_id(), mode).value_or(0);
   }
-  dm.map.size = size;
-  dm.map.pages.assign(pages, 0);
-  (void)mfile->ForEachExtent([&](uint64_t page, uint64_t extent) {
-    if (page < pages && page < floor) {
-      dm.map.pages[page] = extent;
+  map->map = map->epoch != 0
+                 ? mfile.SnapshotExtents(0, pages)
+                 : mfile.SnapshotExtents(offset / kScmPageSize, PagesFor(end));
+  map->map.size = size;
+  if (shadow != nullptr) {
+    // Fold this client's unshipped state in: pages at or above a pending
+    // truncate's floor are holes (the apply frees their extents), and shadow
+    // extents override the persistent mapping.
+    MFile::DirectExtentMap& m = map->map;
+    std::lock_guard lock(overlay_mu_);
+    for (uint64_t p = std::max(m.first_page, shadow->mfile_floor);
+         p < m.end_page; ++p) {
+      m.set_extent(p, 0);
     }
-    return true;
-  });
-  for (const auto& [page, extent] : shadow_extents) {
-    if (page < pages) {
-      dm.map.pages[page] = extent;
+    for (auto it = shadow->extents.lower_bound(m.first_page);
+         it != shadow->extents.end() && it->first < m.end_page; ++it) {
+      m.set_extent(it->first, it->second);
     }
   }
-  fs_->StoreDirect(file, std::move(dm));
+  return std::shared_ptr<const LibFs::DirectMap>(std::move(map));
 }
 
-void Pxfs::MaybeRefreshDirect(Oid file, bool writable) {
-  if (!DirectUsable()) {
-    return;
-  }
-  auto cur = fs_->LookupDirect(file);
-  if (cur != nullptr && cur->epoch == fs_->clerk()->direct_epoch() &&
-      (cur->writable || !writable)) {
-    return;  // still usable as-is
-  }
-  RefreshDirectMap(file,
-                   writable ? LockMode::kExclusive : LockMode::kShared);
-}
-
-// --- Data path ---------------------------------------------------------------
-
-Result<uint64_t> Pxfs::ReadAt(const FdEntry& entry, uint64_t offset,
-                              std::span<char> out) {
-  if (options_.enforce_memory_protection) {
-    auto mfile = MFile::Open(ctx_, entry.oid);
-    if (mfile.ok()) {
-      const uint32_t rights = AclRights(mfile->acl());
-      if (rights != 0 && (rights & kAclRightRead) == 0) {
-        // Write-only file: memory protection cannot express it, so the
-        // hardware maps it no-access and reads are denied at the FS level
-        // (paper §5.3.3).
-        return Status(ErrorCode::kPermissionDenied,
-                      "file is write-only");
-      }
-    }
-  }
-  const uint64_t file_size = FileSize(entry.oid);
-  if (offset >= file_size) {
+uint32_t Pxfs::ProtectedRights(Oid file) {
+  if (!options_.enforce_memory_protection) {
     return 0;
   }
-  const uint64_t want = std::min<uint64_t>(out.size(), file_size - offset);
-  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, entry.oid));
-  auto shadow = ShadowFor(entry.oid, /*create=*/false);
-
-  uint64_t done = 0;
-  while (done < want) {
-    const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
-    const uint64_t in_page = pos % kScmPageSize;
-    const uint64_t chunk = std::min(want - done, kScmPageSize - in_page);
-    uint64_t extent = 0;
-    uint64_t floor = ~0ull;
-    if (shadow != nullptr) {
-      std::lock_guard lock(overlay_mu_);
-      floor = shadow->mfile_floor;
-      auto it = shadow->extents.find(page);
-      if (it != shadow->extents.end()) {
-        extent = it->second;
-      }
-    }
-    // Pages past a pending truncate read as holes: their SCM mapping is
-    // scheduled to be freed when the batch applies.
-    if (extent == 0 && page < floor) {
-      auto found = mfile.ExtentForPage(page);
-      if (found.ok()) {
-        extent = *found;
-      }
-    }
-    if (extent != 0) {
-      std::memcpy(out.data() + done, ctx_.region->PtrAt(extent) + in_page,
-                  chunk);
-    } else {
-      std::memset(out.data() + done, 0, chunk);
-    }
-    done += chunk;
-  }
-  return done;
+  auto mfile = MFile::Open(ctx_, file);
+  return mfile.ok() ? AclRights(mfile->acl()) : 0;
 }
 
-Result<uint64_t> Pxfs::WriteAt(FdEntry* entry, uint64_t offset,
-                               std::span<const char> data, bool* structural) {
-  AERIE_SCM_LAYER("pxfs");
-  if (structural != nullptr) {
-    *structural = false;
+Result<uint64_t> Pxfs::ReadFile(const FdEntry& entry, uint64_t offset,
+                                std::span<char> out) {
+  LockClerk* clerk = fs_->clerk();
+  if (auto map = PinMap(entry.oid, /*write=*/false, 0)) {
+    const uint64_t n = MFile::ReadDirect(ctx_.region, map->map, offset, out);
+    clerk->ExitDirect();
+    fs_->CountDirectRead(n);
+    return n;
   }
-  if ((entry->flags & kOpenWrite) == 0) {
+  AERIE_RETURN_IF_ERROR(clerk->Acquire(entry.oid.lock_id(), LockMode::kShared,
+                                       entry.ancestors));
+  auto n = ReadLocked(entry.oid, offset, out);
+  clerk->Release(entry.oid.lock_id());
+  return n;
+}
+
+Result<uint64_t> Pxfs::ReadLocked(Oid file, uint64_t offset,
+                                  std::span<char> out) {
+  const uint32_t rights = ProtectedRights(file);
+  if (rights != 0 && (rights & kAclRightRead) == 0) {
+    // Write-only file: memory protection cannot express it, so the hardware
+    // maps it no-access and reads are denied at the FS level (paper §5.3.3).
+    return Status(ErrorCode::kPermissionDenied, "file is write-only");
+  }
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<const LibFs::DirectMap> map,
+                         LockedMap(file, LockMode::kShared, offset,
+                                   offset + out.size(), /*cache=*/true));
+  const uint64_t n = MFile::ReadDirect(ctx_.region, map->map, offset, out);
+  if (map->epoch != 0) {
+    fs_->StoreDirect(file, std::move(map));
+  }
+  return n;
+}
+
+Result<uint64_t> Pxfs::WriteFile(const FdEntry& entry, uint64_t offset,
+                                 std::span<const char> data) {
+  AERIE_SCM_LAYER("pxfs");
+  if ((entry.flags & kOpenWrite) == 0) {
     return Status(ErrorCode::kPermissionDenied, "fd not open for write");
   }
   if (data.empty()) {
     return 0;
   }
-  if (options_.enforce_memory_protection) {
-    auto mfile = MFile::Open(ctx_, entry->oid);
-    if (mfile.ok()) {
-      const uint32_t rights = AclRights(mfile->acl());
-      if (rights != 0 && (rights & kAclRightRead) == 0) {
-        // Write-only: FS-level permissions allow the write, but memory
-        // protection maps the extents no-access — route the data through
-        // the trusted service (paper §5.3.3: "the library calls into the
-        // TFS for any operations allowed by file system level permissions
-        // but prevented by memory protection").
-        AERIE_RETURN_IF_ERROR(fs_->ServiceWrite(entry->oid, offset, data));
-        auto shadow = ShadowFor(entry->oid, /*create=*/true);
-        std::lock_guard lock(overlay_mu_);
-        if (!shadow->has_size || offset + data.size() > shadow->size) {
-          shadow->size = offset + data.size();
-          shadow->has_size = true;
-        }
-        AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
-        return data.size();
-      }
-      if (rights != 0 && (rights & kAclRightWrite) == 0) {
-        return Status(ErrorCode::kPermissionDenied, "file is read-only");
-      }
+  LockClerk* clerk = fs_->clerk();
+  bool pinned = false;
+  if (auto map = PinMap(entry.oid, /*write=*/true, offset + data.size())) {
+    pinned = MFile::WriteDirect(ctx_.region, map->map, offset, data,
+                                options_.flush_data_on_write)
+                 .ok();
+    clerk->ExitDirect();
+    if (pinned) {
+      fs_->CountDirectWrite(data.size());
+    } else {
+      fs_->CountDirectFallback();  // a hole: the locked way allocates it
     }
   }
-  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, entry->oid));
-  LockClerk* clerk = fs_->clerk();
-  auto shadow = ShadowFor(entry->oid, /*create=*/true);
+  Result<uint64_t> n = data.size();
+  if (!pinned) {
+    AERIE_RETURN_IF_ERROR(clerk->Acquire(
+        entry.oid.lock_id(), LockMode::kExclusive, entry.ancestors));
+    n = WriteLocked(entry.oid, offset, data);
+    clerk->Release(entry.oid.lock_id());
+  }
+  if (n.ok()) {
+    AERIE_COUNT_N("pxfs.api.logical_write_bytes", *n);
+  }
+  return n;
+}
 
-  // One overlay critical section for the whole call; attach ops are logged
-  // in bulk afterwards (a 128KB write is 32 pages — per-page locking and
-  // logging would dominate).
-  const uint64_t authority =
-      clerk->GlobalAuthorityOf(entry->oid.lock_id());
-  std::vector<MetaOp> attach_ops;
-  {
+Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
+                                   std::span<const char> data) {
+  const uint64_t end = offset + data.size();
+  const uint32_t rights = ProtectedRights(file);
+  if (rights != 0 && (rights & kAclRightRead) == 0) {
+    // Write-only: FS-level permissions allow the write, but memory
+    // protection maps the extents no-access — route the data through the
+    // trusted service (paper §5.3.3: "the library calls into the TFS for any
+    // operations allowed by file system level permissions but prevented by
+    // memory protection").
+    AERIE_RETURN_IF_ERROR(fs_->ServiceWrite(file, offset, data));
+    auto shadow = ShadowFor(file, /*create=*/true);
     std::lock_guard lock(overlay_mu_);
-    const uint64_t floor = shadow->mfile_floor;
-    uint64_t done = 0;
-    while (done < data.size()) {
-      const uint64_t pos = offset + done;
-      const uint64_t page = pos / kScmPageSize;
-      const uint64_t in_page = pos % kScmPageSize;
-      const uint64_t chunk =
-          std::min<uint64_t>(data.size() - done, kScmPageSize - in_page);
-
-      uint64_t extent = 0;
-      auto it = shadow->extents.find(page);
-      if (it != shadow->extents.end()) {
-        extent = it->second;
-      }
-      if (extent == 0 && page < floor) {
-        // The persistent mapping is only trustworthy below any pending
-        // truncate point (the truncate will free those extents at apply).
-        auto found = mfile.ExtentForPage(page);
-        if (found.ok()) {
-          extent = *found;
-        }
-      }
-      if (extent != 0) {
-        // Data writes go straight to SCM; no service involvement (§4.2).
-        ctx_.region->StreamWrite(ctx_.region->PtrAt(extent) + in_page,
-                                 data.data() + done, chunk);
-      } else {
-        // Hole: take a pre-allocated extent, fill it, and log the attach
-        // (paper §5.3.5: the server only verifies and attaches).
-        auto pooled = fs_->TakePooled(ObjType::kExtent);
-        if (!pooled.ok()) {
-          return pooled.status();
-        }
-        extent = pooled->offset();
-        char* dst = ctx_.region->PtrAt(extent);
-        if (chunk != kScmPageSize) {
-          std::memset(dst, 0, kScmPageSize);
-        }
-        // Streaming stores, drained by the BFlush below (same charged path
-        // as overwrites).
-        ctx_.region->StreamWrite(dst + in_page, data.data() + done, chunk);
-
-        MetaOp op;
-        op.type = MetaOpType::kAttachExtent;
-        op.authority = authority;
-        op.obj = entry->oid;
-        op.a = page;
-        op.b = extent;
-        attach_ops.push_back(std::move(op));
-        shadow->extents[page] = extent;
-      }
-      done += chunk;
+    if (!shadow->has_size || end > shadow->size) {
+      shadow->size = end;
+      shadow->has_size = true;
     }
-    const uint64_t new_end = offset + data.size();
-    const uint64_t old_size =
-        shadow->has_size ? shadow->size : mfile.size();
-    if (new_end > old_size) {
+    return data.size();
+  }
+  if (rights != 0 && (rights & kAclRightWrite) == 0) {
+    return Status(ErrorCode::kPermissionDenied, "file is read-only");
+  }
+  AERIE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const LibFs::DirectMap> map,
+      LockedMap(file, LockMode::kExclusive, offset, end, /*cache=*/true));
+
+  // Holes and growth are metadata: fill holes with pooled extents and log
+  // their attach plus the new size (paper §5.3.5: the server only verifies
+  // and attaches), on a copy of the map the copy loop then runs against.
+  const uint64_t first = offset / kScmPageSize;
+  const uint64_t last = PagesFor(end);
+  bool edit = end > map->map.size;
+  for (uint64_t p = first; !edit && p < last; ++p) {
+    edit = map->map.extent(p) == 0;
+  }
+  std::vector<MetaOp> ops;
+  if (edit) {
+    // The copy shares every chunk of pages the write does not touch.
+    auto edited = std::make_shared<LibFs::DirectMap>(*map);
+    MFile::DirectExtentMap& m = edited->map;
+    m.Own(first, last);
+    const uint64_t authority =
+        fs_->clerk()->GlobalAuthorityOf(file.lock_id());
+    for (uint64_t p = first; p < last; ++p) {
+      if (m.extent(p) != 0) {
+        continue;
+      }
+      AERIE_ASSIGN_OR_RETURN(Oid pooled, fs_->TakePooled(ObjType::kExtent));
+      const uint64_t extent = pooled.offset();
+      m.set_extent(p, extent);
+      if (p * kScmPageSize < offset || (p + 1) * kScmPageSize > end) {
+        // The unwritten rest of the page must read as zeros.
+        std::memset(ctx_.region->PtrAt(extent), 0, kScmPageSize);
+      }
+      MetaOp op;
+      op.type = MetaOpType::kAttachExtent;
+      op.authority = authority;
+      op.obj = file;
+      op.a = p;
+      op.b = extent;
+      ops.push_back(std::move(op));
+    }
+    if (end > m.size) {
+      m.size = end;
       MetaOp op;
       op.type = MetaOpType::kSetSize;
       op.authority = authority;
-      op.obj = entry->oid;
-      op.a = new_end;
-      attach_ops.push_back(std::move(op));
-      shadow->size = new_end;
-      shadow->has_size = true;
+      op.obj = file;
+      op.a = end;
+      ops.push_back(std::move(op));
     }
+    map = std::move(edited);
   }
-  if (options_.flush_data_on_write) {
-    ctx_.region->BFlush();
-  }
-  if (!attach_ops.empty()) {
-    // Structural change: any cached extent map for this file is now stale
-    // (new pages attached and/or a new size).
-    if (structural != nullptr) {
-      *structural = true;
+
+  // Data writes go straight to SCM; no service involvement (§4.2).
+  AERIE_RETURN_IF_ERROR(MFile::WriteDirect(ctx_.region, map->map, offset,
+                                           data,
+                                           options_.flush_data_on_write));
+  if (!ops.empty()) {
+    {
+      auto shadow = ShadowFor(file, /*create=*/true);
+      std::lock_guard lock(overlay_mu_);
+      for (const MetaOp& op : ops) {
+        if (op.type == MetaOpType::kAttachExtent) {
+          shadow->extents[op.a] = op.b;
+        } else {
+          shadow->size = op.a;
+          shadow->has_size = true;
+        }
+      }
     }
-    fs_->InvalidateDirect(entry->oid);
-    AERIE_RETURN_IF_ERROR(fs_->LogOps(attach_ops));
+    AERIE_RETURN_IF_ERROR(fs_->LogOps(ops));
   }
-  AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
+  if (map->epoch != 0) {
+    fs_->StoreDirect(file, std::move(map));
+  } else if (!ops.empty()) {
+    fs_->InvalidateDirect(file);  // a cached map no longer matches the file
+  }
   return data.size();
 }
 
 Result<uint64_t> Pxfs::Read(int fd, std::span<char> out) {
   AERIE_SPAN("pxfs", "read");
-  FdEntry* entry;
-  uint64_t offset;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-    entry = fds_[static_cast<size_t>(fd)].get();
-    offset = entry->offset;
-  }
-  uint64_t direct_n = 0;
-  if (TryDirectRead(*entry, offset, out, &direct_n)) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + direct_n;
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kShared,
-                     entry->ancestors));
-  auto n = ReadAt(*entry, offset, out);
-  if (n.ok()) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/false);
-  }
-  clerk->Release(entry->oid.lock_id());
-  if (n.ok()) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + *n;
-  }
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
+  const uint64_t offset = entry->offset.load();
+  AERIE_ASSIGN_OR_RETURN(uint64_t n, ReadFile(*entry, offset, out));
+  entry->offset = offset + n;
   return n;
 }
 
 Result<uint64_t> Pxfs::Write(int fd, std::span<const char> data) {
   AERIE_SPAN("pxfs", "write");
-  FdEntry* entry;
-  uint64_t offset;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-    entry = fds_[static_cast<size_t>(fd)].get();
-    offset = (entry->flags & kOpenAppend) ? FileSize(entry->oid)
-                                          : entry->offset;
-  }
-  uint64_t direct_n = 0;
-  if ((entry->flags & kOpenAppend) == 0 &&
-      TryDirectWrite(*entry, offset, data, &direct_n)) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + direct_n;
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kExclusive,
-                     entry->ancestors));
-  bool structural = false;
-  auto n = WriteAt(entry, offset, data, &structural);
-  // Appends mutate the map every call; caching after one would thrash. A
-  // non-structural (overwrite) slow path is the signal the file's map is
-  // worth caching for the direct path.
-  if (n.ok() && !structural) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/true);
-  }
-  clerk->Release(entry->oid.lock_id());
-  if (n.ok()) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + *n;
-  }
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
+  const uint64_t offset =
+      (entry->flags & kOpenAppend) ? FileSize(entry->oid) : entry->offset.load();
+  AERIE_ASSIGN_OR_RETURN(uint64_t n, WriteFile(*entry, offset, data));
+  entry->offset = offset + n;
   return n;
 }
 
 Result<uint64_t> Pxfs::Pread(int fd, uint64_t offset, std::span<char> out) {
   AERIE_SPAN("pxfs", "pread");
-  std::unique_lock lock(fds_mu_);
-  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-      fds_[static_cast<size_t>(fd)] == nullptr) {
-    return Status(ErrorCode::kBadHandle, "bad fd");
-  }
-  FdEntry* entry = fds_[static_cast<size_t>(fd)].get();
-  lock.unlock();
-  uint64_t direct_n = 0;
-  if (TryDirectRead(*entry, offset, out, &direct_n)) {
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kShared,
-                     entry->ancestors));
-  auto n = ReadAt(*entry, offset, out);
-  if (n.ok()) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/false);
-  }
-  clerk->Release(entry->oid.lock_id());
-  return n;
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
+  return ReadFile(*entry, offset, out);
 }
 
 Result<uint64_t> Pxfs::Pwrite(int fd, uint64_t offset,
                               std::span<const char> data) {
   AERIE_SPAN("pxfs", "pwrite");
-  std::unique_lock lock(fds_mu_);
-  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-      fds_[static_cast<size_t>(fd)] == nullptr) {
-    return Status(ErrorCode::kBadHandle, "bad fd");
-  }
-  FdEntry* entry = fds_[static_cast<size_t>(fd)].get();
-  lock.unlock();
-  uint64_t direct_n = 0;
-  if (TryDirectWrite(*entry, offset, data, &direct_n)) {
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kExclusive,
-                     entry->ancestors));
-  bool structural = false;
-  auto n = WriteAt(entry, offset, data, &structural);
-  if (n.ok() && !structural) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/true);
-  }
-  clerk->Release(entry->oid.lock_id());
-  return n;
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
+  return WriteFile(*entry, offset, data);
 }
 
 Result<uint64_t> Pxfs::Seek(int fd, uint64_t offset) {
   AERIE_SPAN("pxfs", "seek");
-  std::lock_guard lock(fds_mu_);
-  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-      fds_[static_cast<size_t>(fd)] == nullptr) {
-    return Status(ErrorCode::kBadHandle, "bad fd");
-  }
-  fds_[static_cast<size_t>(fd)]->offset = offset;
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
+  entry->offset = offset;
   return offset;
 }
 
 Status Pxfs::Ftruncate(int fd, uint64_t size) {
   AERIE_SPAN("pxfs", "ftruncate");
   AERIE_SCM_LAYER("pxfs");
-  Oid oid;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-    if ((fds_[static_cast<size_t>(fd)]->flags & kOpenWrite) == 0) {
-      return Status(ErrorCode::kPermissionDenied, "fd not open for write");
-    }
-    oid = fds_[static_cast<size_t>(fd)]->oid;
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
+  if ((entry->flags & kOpenWrite) == 0) {
+    return Status(ErrorCode::kPermissionDenied, "fd not open for write");
   }
+  const Oid oid = entry->oid;
   LockClerk* clerk = fs_->clerk();
-  std::vector<LockId> chain;
-  {
-    std::lock_guard lock(fds_mu_);
-    chain = fds_[static_cast<size_t>(fd)]->ancestors;
-  }
   AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(oid.lock_id(), LockMode::kExclusive, chain));
+      clerk->Acquire(oid.lock_id(), LockMode::kExclusive, entry->ancestors));
+  // The boundary page as it stands before the truncate, with the old size:
+  // an uncached map of that one page.
+  auto boundary = LockedMap(oid, LockMode::kExclusive, size, size + 1,
+                            /*cache=*/false);
   MetaOp op;
   op.type = MetaOpType::kTruncate;
   op.authority = clerk->GlobalAuthorityOf(oid.lock_id());
@@ -872,37 +709,24 @@ Status Pxfs::Ftruncate(int fd, uint64_t size) {
   op.a = size;
   Status st = fs_->LogOp(std::move(op));
   if (st.ok()) {
+    const uint64_t keep = PagesFor(size);
     auto shadow = ShadowFor(oid, /*create=*/true);
-    std::lock_guard lock(overlay_mu_);
-    const uint64_t old_size = shadow->has_size
-                                  ? shadow->size
-                                  : FileSizeNoShadow(oid);
-    shadow->size = size;
-    shadow->has_size = true;
-    const uint64_t keep = (size + kScmPageSize - 1) / kScmPageSize;
-    shadow->mfile_floor = std::min(shadow->mfile_floor, keep);
-    for (auto it = shadow->extents.lower_bound(keep);
-         it != shadow->extents.end();) {
-      it = shadow->extents.erase(it);
+    {
+      std::lock_guard lock(overlay_mu_);
+      shadow->size = size;
+      shadow->has_size = true;
+      shadow->mfile_floor = std::min(shadow->mfile_floor, keep);
+      for (auto it = shadow->extents.lower_bound(keep);
+           it != shadow->extents.end();) {
+        it = shadow->extents.erase(it);
+      }
     }
     // POSIX zero-fill: the boundary page's tail must not resurface if the
     // file is extended later. The server's apply does the same for the
     // persistent mapping; this covers the client's pending-extent view.
-    if (size < old_size && size % kScmPageSize != 0) {
-      const uint64_t page = size / kScmPageSize;
-      uint64_t extent = 0;
-      auto sit = shadow->extents.find(page);
-      if (sit != shadow->extents.end()) {
-        extent = sit->second;
-      } else {
-        auto mfile = MFile::Open(ctx_, oid);
-        if (mfile.ok()) {
-          auto found = mfile->ExtentForPage(page);
-          if (found.ok()) {
-            extent = *found;
-          }
-        }
-      }
+    if (boundary.ok() && size < (*boundary)->map.size &&
+        size % kScmPageSize != 0) {
+      const uint64_t extent = (*boundary)->map.extent(size / kScmPageSize);
       if (extent != 0) {
         char* data = ctx_.region->PtrAt(extent);
         const uint64_t in_page = size % kScmPageSize;
@@ -910,8 +734,6 @@ Status Pxfs::Ftruncate(int fd, uint64_t size) {
         ctx_.region->WlFlush(data + in_page, kScmPageSize - in_page);
       }
     }
-  }
-  if (st.ok()) {
     fs_->InvalidateDirect(oid);
   }
   clerk->Release(oid.lock_id());
@@ -921,28 +743,15 @@ Status Pxfs::Ftruncate(int fd, uint64_t size) {
 Status Pxfs::Fsync(int fd) {
   AERIE_SPAN("pxfs", "fsync");
   AERIE_SCM_LAYER("pxfs");
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-  }
+  AERIE_RETURN_IF_ERROR(LookupFd(fd).status());
   ctx_.region->BFlush();
   return fs_->Sync();
 }
 
 Result<PxfsStat> Pxfs::Fstat(int fd) {
   AERIE_SPAN("pxfs", "fstat");
-  Oid oid;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-    oid = fds_[static_cast<size_t>(fd)]->oid;
-  }
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
+  const Oid oid = entry->oid;
   AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, oid));
   PxfsStat st;
   st.oid = oid;

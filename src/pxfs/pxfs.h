@@ -27,6 +27,7 @@
 #ifndef AERIE_SRC_PXFS_PXFS_H_
 #define AERIE_SRC_PXFS_PXFS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -77,10 +78,11 @@ class Pxfs {
     // (e.g. write-only files), data access goes through the trusted service
     // instead of direct loads/stores.
     bool enforce_memory_protection = false;
-    // Direct data path (DESIGN.md §10): reads and aligned in-place
-    // overwrites bypass the clerk's locked path via cached extent maps
-    // validated against the clerk's direct-access epoch. Also gated by the
-    // AERIE_DIRECT environment variable.
+    // Pinned way into the data path (DESIGN.md §10): reads and in-place
+    // overwrites copy through the cached extent map under a pinned clerk
+    // direct-access epoch, without taking the file lock. false (the
+    // ablation configuration) sends every call the locked way and caches
+    // no maps.
     bool direct_data = true;
   };
 
@@ -151,7 +153,7 @@ class Pxfs {
   struct FdEntry {
     Oid oid;
     Oid dir;  // containing directory at open time
-    uint64_t offset = 0;
+    std::atomic<uint64_t> offset{0};
     int flags = 0;
     std::vector<LockId> ancestors;  // lock chain root..parent (incl parent)
   };
@@ -187,38 +189,49 @@ class Pxfs {
                                            : LockMode::kExclusive;
   }
 
-  Result<uint64_t> ReadAt(const FdEntry& entry, uint64_t offset,
-                          std::span<char> out);
-  // `structural` (optional) reports whether the write attached extents or
-  // changed the size — i.e. whether cached extent maps went stale.
-  Result<uint64_t> WriteAt(FdEntry* entry, uint64_t offset,
-                           std::span<const char> data,
-                           bool* structural = nullptr);
+  // The entry behind `fd`, or kBadHandle. The returned reference keeps the
+  // entry alive across a concurrent Close.
+  Result<std::shared_ptr<FdEntry>> LookupFd(int fd);
 
-  // --- Direct data path (DESIGN.md §10) ---
+  // --- Data path (DESIGN.md §10) ---
+  // One read and one write routine, each with two ways in: *pinned* (the
+  // cached extent map under a pinned clerk epoch, no lock) and *locked*
+  // (the file lock, then a map reused or rebuilt under it). Both ways run
+  // the same copy loop, MFile::ReadDirect / MFile::WriteDirect.
+  Result<uint64_t> ReadFile(const FdEntry& entry, uint64_t offset,
+                            std::span<char> out);
+  Result<uint64_t> WriteFile(const FdEntry& entry, uint64_t offset,
+                             std::span<const char> data);
+  // The locked way's bodies; the caller holds the file lock.
+  Result<uint64_t> ReadLocked(Oid file, uint64_t offset, std::span<char> out);
+  Result<uint64_t> WriteLocked(Oid file, uint64_t offset,
+                               std::span<const char> data);
+
   // Upper bound on cacheable file size: one map entry per 4KB page.
   static constexpr uint64_t kDirectMaxPages = 1 << 16;  // 256MB
 
   bool DirectUsable() const {
-    return options_.direct_data && !options_.enforce_memory_protection &&
-           LibFs::DirectEnabled();
+    return options_.direct_data && !options_.enforce_memory_protection;
   }
-  // Lock-free fast paths: true (with *n set) when the op completed against
-  // a cached extent map under a pinned direct epoch; false means the caller
-  // must run the locked path (which refreshes the cache).
-  bool TryDirectRead(const FdEntry& entry, uint64_t offset,
-                     std::span<char> out, uint64_t* n);
-  bool TryDirectWrite(const FdEntry& entry, uint64_t offset,
-                      std::span<const char> data, uint64_t* n);
-  // Caller holds the file lock in at least `mode`. Snapshots the extent map
-  // (persistent mapping + this client's shadow state) and caches it under
-  // the current direct epoch.
-  void RefreshDirectMap(Oid file, LockMode mode);
-  // RefreshDirectMap only when the cached entry is missing, stale, or not
-  // writable when a writable one is needed.
-  void MaybeRefreshDirect(Oid file, bool writable);
+  // The pinned way: the cached map for `file` with the clerk epoch pinned
+  // (the caller copies, then calls ExitDirect), or nullptr. A write needs
+  // a writable map that already covers [0, end).
+  std::shared_ptr<const LibFs::DirectMap> PinMap(Oid file, bool write,
+                                                 uint64_t end);
+  // The locked way's map; the caller holds the file lock in `mode`. With
+  // `cache`, reuses the cached map when its epoch is current (and it is
+  // writable for kExclusive); it may stop short of an extending write's new
+  // pages. Otherwise snapshots the mFile and folds this client's shadow
+  // state in, covering the whole file (for kExclusive, up to `end`) under a
+  // grant epoch so the caller may cache it — unless `cache` is false, that
+  // would exceed kDirectMaxPages, the pinned way is off, or the grant
+  // fails: then it covers only [offset, end) and has epoch 0.
+  Result<std::shared_ptr<const LibFs::DirectMap>> LockedMap(
+      Oid file, LockMode mode, uint64_t offset, uint64_t end, bool cache);
+  // Rights from `file`'s ACL that memory protection must enforce (paper
+  // §5.3.3), or 0 (unrestricted) without enforce_memory_protection.
+  uint32_t ProtectedRights(Oid file);
   uint64_t FileSize(Oid file);
-  uint64_t FileSizeNoShadow(Oid file);  // callable under overlay_mu_
 
   Status UnlinkLocked(const Resolved& r);
 
@@ -228,7 +241,7 @@ class Pxfs {
   uint64_t hook_token_ = 0;
 
   std::mutex fds_mu_;
-  std::vector<std::unique_ptr<FdEntry>> fds_;
+  std::vector<std::shared_ptr<FdEntry>> fds_;
   std::vector<int> free_fds_;
   std::unordered_map<uint64_t, uint32_t> open_counts_;  // oid -> local opens
   // Files the TFS has been told are open here (paper §6.1 open-file table).

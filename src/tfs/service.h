@@ -3,7 +3,7 @@
 // The TFS is the trusted user-mode process that mutually-distrustful clients
 // cooperate through. It owns every metadata *mutation*:
 //
-//   validate  — each batched op is checked structurally (untrusted bytes),
+//   validate  — each batched op is bounds-checked (untrusted bytes),
 //               against the lock service (the client must hold the claimed
 //               authority lock in a write mode with a live lease), and
 //               against file-system invariants (unique names, empty-dir

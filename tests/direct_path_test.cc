@@ -4,17 +4,21 @@
 //    in-place overwrites run against the cached extent map (counters
 //    advance, results match the locked path), appends/extends fall back,
 //    revocation by a second client bumps the direct epoch and forces the
-//    locked path, and a concurrent reader never observes a torn page.
+//    locked path, a concurrent reader never observes a torn page, files
+//    past the map cap work through call-sized maps, an extend's stored map
+//    shares the chunks it does not touch, and data calls racing a Close of
+//    their fd never touch a freed fd entry.
 //  * DirectPathCrashTest.CleanSweep*: the crash simulator enumerates states
 //    across a direct overwrite and across a revoke-triggered batch ship on a
 //    shared directory; every image must recover consistently.
-//  * DirectPathCrashTest.Detects*: mutation mode — suppressing the direct
+//  * DirectPathCrashTest.Detects*: mutation mode — suppressing the data
 //    write's registered BFlush site must be caught by a commit-marker
-//    content oracle (acknowledged direct overwrites whose bytes never left
-//    the WC buffers).
+//    content oracle (acknowledged overwrites or extends whose bytes never
+//    left the WC buffers).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -308,6 +312,170 @@ TEST_F(DirectPathTest, FlatFsGetsGoDirectAndStayCoherent) {
   EXPECT_EQ(flat.Get("k").status().code(), ErrorCode::kNotFound);
 }
 
+// One thread recycles an fd number (Close hands it back, the next Open
+// reuses it) while another issues data calls on that number. Every call
+// must either work on whichever file is open there or report kBadHandle;
+// none may touch the freed entry.
+TEST_F(DirectPathTest, FdReuseRacesWithDataCalls) {
+  MakeFile("/d/fa", 2, 'a');
+  MakeFile("/d/fb", 2, 'b');
+  auto opened = fs_->Open("/d/fa", kOpenRead | kOpenWrite);
+  ASSERT_TRUE(opened.ok());
+  const int fd = *opened;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> reopens{0};
+  std::thread churn([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      const bool closed = fs_->Close(fd).ok();
+      auto again =
+          fs_->Open(i % 2 ? "/d/fa" : "/d/fb", kOpenRead | kOpenWrite);
+      if (!closed || !again.ok() || *again != fd) {
+        bad.fetch_add(1);
+        break;
+      }
+      reopens.fetch_add(1);
+    }
+  });
+
+  auto acceptable = [](const Status& st) {
+    return st.ok() || st.code() == ErrorCode::kBadHandle;
+  };
+  // Run until both sides have done plenty of work; the split between calls
+  // that find the fd open and ones that find it closed varies run to run.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::string buf(kPage, '\0');
+  int served = 0;
+  while ((served < 500 || reopens.load() < 500) && bad.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    auto n = fs_->Pread(fd, 0, std::span<char>(buf.data(), kPage));
+    served += n.ok() ? 1 : 0;
+    if (!acceptable(n.status()) ||
+        !acceptable(fs_->Ftruncate(fd, 2 * kPage)) ||
+        !acceptable(fs_->Fstat(fd).status())) {
+      bad.fetch_add(1);
+    }
+  }
+  stop.store(true);
+  churn.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(served, 0);
+  EXPECT_GT(reopens.load(), 0);
+  ASSERT_TRUE(fs_->Close(fd).ok());
+}
+
+// A file spanning more than the map cap (kDirectMaxPages) is never cached:
+// every call maps just the pages it touches, so no call goes pinned.
+TEST_F(DirectPathTest, SparseFileBeyondMapCapUsesCallSizedMaps) {
+  constexpr uint64_t kFar = 1ull << 30;
+  auto fd = fs_->Open("/d/sparse", kOpenCreate | kOpenRead | kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  const std::string page(kPage, 's');
+  auto n = fs_->Pwrite(*fd, kFar, Bytes(page));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, kPage);
+  auto st = fs_->Fstat(*fd);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, kFar + kPage);
+
+  const uint64_t direct_before = libfs()->direct_read_bytes();
+  std::string buf(kPage, '\0');
+  for (int pass = 0; pass < 2; ++pass) {
+    n = fs_->Pread(*fd, kFar, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, kPage);
+    EXPECT_EQ(buf, page);
+    // A hole before the page reads as zeros.
+    n = fs_->Pread(*fd, kFar / 2, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, kPage);
+    EXPECT_EQ(buf, std::string(kPage, '\0'));
+  }
+  EXPECT_EQ(libfs()->direct_read_bytes(), direct_before);
+
+  // Truncating below the page drops it, before and after the batch applies.
+  const uint64_t cut = kFar - 100;
+  ASSERT_TRUE(fs_->Ftruncate(*fd, cut).ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    st = fs_->Fstat(*fd);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st->size, cut);
+    n = fs_->Pread(*fd, kFar, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, 0u);
+    n = fs_->Pread(*fd, cut - kPage, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, kPage);
+    EXPECT_EQ(buf, std::string(kPage, '\0'));
+    ASSERT_TRUE(fs_->SyncAll().ok());
+  }
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+TEST_F(DirectPathTest, ExtendsShareUntouchedMapChunks) {
+  // A locked extend stores an edited copy of the cached map. The copy shares
+  // the chunks the write does not touch, and the map it replaced (which a
+  // pinned reader may still hold) stays as it was.
+  constexpr uint64_t kChunk = MFile::DirectExtentMap::kChunkPages;
+  auto fd = fs_->Open("/d/big", kOpenCreate | kOpenRead | kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  const std::string head((kChunk - 1) * kPage, 'a');
+  ASSERT_TRUE(fs_->Pwrite(*fd, 0, Bytes(head)).ok());
+  auto st = fs_->Fstat(*fd);
+  ASSERT_TRUE(st.ok());
+  const Oid oid = st->oid;
+  auto before = libfs()->LookupDirect(oid);
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->map.chunks.size(), 1u);
+
+  // Two pages across the first chunk boundary.
+  const std::string mid(2 * kPage, 'b');
+  ASSERT_TRUE(fs_->Pwrite(*fd, (kChunk - 1) * kPage, Bytes(mid)).ok());
+  auto after = libfs()->LookupDirect(oid);
+  ASSERT_NE(after, nullptr);
+  ASSERT_EQ(after->map.chunks.size(), 2u);
+  EXPECT_NE(after->map.chunks[0], before->map.chunks[0]);
+  EXPECT_EQ(before->map.size, head.size());
+  EXPECT_EQ(before->map.end_page, kChunk - 1);
+  ASSERT_EQ(before->map.chunks[0]->size(), kChunk - 1);
+  for (uint64_t p = 0; p < kChunk - 1; ++p) {
+    ASSERT_EQ(before->map.extent(p), after->map.extent(p)) << p;
+  }
+
+  // One page inside the second chunk, past a one-page hole, leaves the
+  // first chunk shared.
+  const std::string tail(kPage, 'c');
+  ASSERT_TRUE(fs_->Pwrite(*fd, (kChunk + 2) * kPage, Bytes(tail)).ok());
+  auto extended = libfs()->LookupDirect(oid);
+  ASSERT_NE(extended, nullptr);
+  EXPECT_EQ(extended->map.chunks[0], after->map.chunks[0]);
+  EXPECT_NE(extended->map.chunks[1], after->map.chunks[1]);
+
+  // Filling the hole edits a copy of the second chunk, not the chunk the
+  // replaced map still reads.
+  const std::string fill(kPage, 'd');
+  ASSERT_TRUE(fs_->Pwrite(*fd, (kChunk + 1) * kPage, Bytes(fill)).ok());
+  auto filled = libfs()->LookupDirect(oid);
+  ASSERT_NE(filled, nullptr);
+  EXPECT_EQ(extended->map.extent(kChunk + 1), 0u);
+  EXPECT_NE(filled->map.extent(kChunk + 1), 0u);
+  EXPECT_EQ(filled->map.chunks[0], extended->map.chunks[0]);
+
+  const std::string want = head + mid + fill + tail;
+  std::string buf(want.size() + kPage, '\0');
+  for (int pass = 0; pass < 2; ++pass) {
+    // Through the stored copy, then through a map rebuilt under the lock.
+    auto n = fs_->Pread(*fd, 0, std::span<char>(buf.data(), buf.size()));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(*n, want.size());
+    EXPECT_EQ(buf.substr(0, want.size()), want);
+    libfs()->InvalidateDirect(oid);
+  }
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
 // --- Crash simulation -----------------------------------------------------
 
 constexpr uint64_t kCrashRegionBytes = 8ull << 20;
@@ -516,6 +684,102 @@ TEST(DirectPathCrashTest, CleanSweepDirectOverwriteIsDurableOnAck) {
 TEST(DirectPathCrashTest, DetectsSuppressedDirectWriteBFlush) {
   RunDirectOverwriteSweep("mut_bflush", "libfs.direct.write.bflush",
                           /*expect_detect=*/true);
+}
+
+// Locked-way writes end in the same copy loop and seal their data at the
+// same registered site. A lazy client extends a file by one page (a pooled
+// extent plus a logged attach and set-size), the write is acknowledged,
+// then Sync ships the batch. From the ack on, every enumerated image must
+// hold the new page at the extent the write filled.
+void RunLockedExtendSweep(const char* tag, const char* suppress_site,
+                          bool expect_detect) {
+  LibFs::Options lazy;
+  lazy.flush_interval_ms = 0;  // the attach stays buffered until Sync
+  lazy.pool_refill = 64;
+  CrashRig t = BootPrimedRig(lazy);
+  ASSERT_TRUE(t.fs->Create("/w/e").ok());
+  auto fd = t.fs->Open("/w/e", kOpenRead | kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(t.fs->Pwrite(*fd, 0, Bytes(std::string(kPage, 'A'))).ok());
+  ASSERT_TRUE(t.fs->SyncAll().ok());
+  auto st = t.fs->Stat("/w/e");
+  ASSERT_TRUE(st.ok());
+
+  // Region offset of the new page; 0 until the extend is acknowledged.
+  auto page_off = std::make_shared<std::atomic<uint64_t>>(0);
+  auto checker = [page_off](const std::string& image_path) -> Status {
+    const uint64_t off = page_off->load();
+    if (off == 0) {
+      return OkStatus();  // pre-ack tearing is legal: the app has no claim
+    }
+    std::ifstream in(image_path, std::ios::binary);
+    if (!in) {
+      return Status(ErrorCode::kIoError, "cannot open crash image");
+    }
+    in.seekg(static_cast<std::streamoff>(off));
+    std::string page(kPage, '\0');
+    in.read(page.data(), static_cast<std::streamsize>(kPage));
+    if (!in) {
+      return Status(ErrorCode::kIoError, "short read from crash image");
+    }
+    if (page != std::string(kPage, 'B')) {
+      return Status(ErrorCode::kCorrupted, "acknowledged extend lost");
+    }
+    return OkStatus();
+  };
+
+  CrashSimOptions options;
+  options.seed = 779;
+  options.max_images = 300;
+  options.random_draws_per_point = 3;
+  options.stop_on_failure = expect_detect;
+  options.image_path = UniqueImagePath(tag);
+  options = CrashSimOptions::FromEnv(options);
+
+  CrashSimulator sim(t.sys->scm_region(), options, checker);
+  if (suppress_site != nullptr) {
+    const int site = RegisterPersistSite(suppress_site);
+    ASSERT_GE(site, 0);
+    sim.SuppressSite(site);
+  }
+
+  const uint64_t direct_before = t.client->fs()->direct_write_bytes();
+  auto n = t.fs->Pwrite(*fd, kPage, Bytes(std::string(kPage, 'B')));
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, kPage);
+  ASSERT_EQ(t.client->fs()->direct_write_bytes(), direct_before)
+      << "the extend must take the locked way";
+  // The locked way stored the map it extended; its page 1 is the new
+  // extent.
+  auto map = t.client->fs()->LookupDirect(st->oid);
+  ASSERT_NE(map, nullptr);
+  ASSERT_GE(map->map.end_page, 2u);
+  ASSERT_NE(map->map.extent(1), 0u);
+  page_off->store(map->map.extent(1));
+  t.sys->scm_region()->CrashPoint("test.locked_extend.acked");
+  ASSERT_TRUE(t.fs->SyncAll().ok());
+  t.sys->scm_region()->CrashPoint("test.locked_extend.synced");
+
+  if (expect_detect) {
+    EXPECT_FALSE(sim.ok())
+        << "suppressing " << suppress_site
+        << " was not detected by any enumerated crash state\n"
+        << sim.Report();
+  } else {
+    EXPECT_TRUE(sim.ok()) << sim.Report();
+    EXPECT_GT(sim.images_checked(), 0u);
+  }
+  ASSERT_TRUE(t.fs->Close(*fd).ok());
+  ::unlink(options.image_path.c_str());
+}
+
+TEST(DirectPathCrashTest, CleanSweepLockedExtendIsDurableOnAck) {
+  RunLockedExtendSweep("extend_clean", nullptr, /*expect_detect=*/false);
+}
+
+TEST(DirectPathCrashTest, DetectsSuppressedBFlushOnLockedExtend) {
+  RunLockedExtendSweep("extend_mut_bflush", "libfs.direct.write.bflush",
+                       /*expect_detect=*/true);
 }
 
 // Crash states enumerated while a revoke forces a lazy client to ship its

@@ -20,18 +20,18 @@ listed but never gate — benches come and go across PRs.
 
 Stdlib only. Usage:
   tools/bench_diff.py OLD.json NEW.json [--tput-band 0.15] [--lat-band 0.35]
-                                        [--metrics REGEX]
+  tools/bench_diff.py RECORD.json --pair OLD_TAG NEW_TAG [bands as above]
 
---metrics restricts the comparison to "bench/metric" keys matching REGEX
-(re.search). Use it when OLD and NEW differ by a knob that only touches a
-subset of the metrics — e.g. the CI direct-path A/B lane gates only the
-Aerie-side rows, because the kernelsim baselines in the same records can't
-be affected by AERIE_DIRECT and would only contribute flake surface.
+--pair compares rows within one aggregate: every metric whose name contains
+OLD_TAG is the baseline for its twin with NEW_TAG in its place, under the
+same bands. The CI direct-path lane gates ablation_direct_path's
+*.direct_on rows against its own *.direct_off rows this way, so "the
+direct path is never slower than the locked path" is checked from a single
+sweep. A record with no such pairs is an error (exit 2), not a pass.
 """
 
 import argparse
 import json
-import re
 import sys
 
 # Values below these floors are pure noise at any band (empty quick-mode
@@ -54,6 +54,17 @@ def metric_map(aggregate):
         for row in record.get("metrics", []):
             out["%s/%s" % (bench, row["name"])] = row
     return out
+
+
+def pair_maps(metrics, old_tag, new_tag):
+    """Splits one record's rows into {key: OLD_TAG row} and {key: twin}."""
+    old_map, new_map = {}, {}
+    for key, row in metrics.items():
+        twin = key.replace(old_tag, new_tag)
+        if old_tag in key and twin in metrics:
+            old_map[key] = row
+            new_map[key] = metrics[twin]
+    return old_map, new_map
 
 
 def pct(old, new):
@@ -127,7 +138,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Diff two BENCH_*.json files with noise bands")
     parser.add_argument("old", help="baseline aggregate")
-    parser.add_argument("new", help="candidate aggregate")
+    parser.add_argument("new", nargs="?", help="candidate aggregate "
+                        "(omitted with --pair)")
     parser.add_argument("--tput-band", type=float, default=None,
                         help="allowed fractional throughput drop "
                              "(default 0.15; 0.60 when either file is a "
@@ -136,13 +148,16 @@ def main(argv=None):
                         help="allowed fractional p50/time increase "
                              "(default 0.35; 1.0 when either file is a "
                              "--quick sweep)")
-    parser.add_argument("--metrics", default=None, metavar="REGEX",
-                        help="compare only bench/metric keys matching "
-                             "REGEX (default: all)")
+    parser.add_argument("--pair", nargs=2, metavar=("OLD_TAG", "NEW_TAG"),
+                        help="compare rows of one aggregate: OLD_TAG rows "
+                             "against their NEW_TAG twins")
     args = parser.parse_args(argv)
+    if (args.pair is None) == (args.new is None):
+        parser.error("give either NEW.json or --pair, not both or neither")
 
     try:
-        old_agg, new_agg = load(args.old), load(args.new)
+        old_agg = load(args.old)
+        new_agg = old_agg if args.pair else load(args.new)
     except (OSError, ValueError) as e:
         print("bench_diff: %s" % e, file=sys.stderr)
         return 2
@@ -154,21 +169,20 @@ def main(argv=None):
         else (1.0 if quick else 0.35)
 
     old_map, new_map = metric_map(old_agg), metric_map(new_agg)
-    if args.metrics:
-        try:
-            pattern = re.compile(args.metrics)
-        except re.error as e:
-            print("bench_diff: bad --metrics regex: %s" % e, file=sys.stderr)
+    if args.pair:
+        old_map, new_map = pair_maps(old_map, *args.pair)
+        if not old_map:
+            print("bench_diff: no %s/%s metric pairs in %s" %
+                  (args.pair[0], args.pair[1], args.old), file=sys.stderr)
             return 2
-        old_map = {k: v for k, v in old_map.items() if pattern.search(k)}
-        new_map = {k: v for k, v in new_map.items() if pattern.search(k)}
     regressions, improvements, infos = compare(
         old_map, new_map, tput_band, lat_band)
 
     print("bench_diff: %s (%s) vs %s (%s), %d shared metrics, "
           "bands tput=%.0f%% lat=%.0f%%%s" %
           (args.old, old_agg.get("git_sha", "?"),
-           args.new, new_agg.get("git_sha", "?"),
+           args.new or "%s -> %s" % tuple(args.pair),
+           new_agg.get("git_sha", "?"),
            len(set(old_map) & set(new_map)),
            100 * tput_band, 100 * lat_band,
            " (quick)" if quick else ""))

@@ -132,6 +132,21 @@ class BenchDiffTest(unittest.TestCase):
         self.metrics(new)[0]["name"] = "fileserver.renamed"
         self.assertEqual(self.run_diff(new), 0)
 
+    def test_pair_mode_gates_new_tag_rows_against_old_tag_rows(self):
+        agg = copy.deepcopy(self.base)
+        self.metrics(agg).extend([
+            {"name": "seq_read.direct_off", "ops_per_sec": 1000.0},
+            {"name": "seq_read.direct_on", "ops_per_sec": 2000.0},
+        ])
+        pair = ["--pair", "direct_off", "direct_on"]
+        self.assertEqual(
+            bench_diff.main([write_tmp(agg, self.tmp.name)] + pair), 0)
+        self.metrics(agg)[-1]["ops_per_sec"] = 500.0  # on slower than off
+        self.assertEqual(
+            bench_diff.main([write_tmp(agg, self.tmp.name)] + pair), 1)
+        # A record without any pair must not pass silently.
+        self.assertEqual(bench_diff.main([self.base_path] + pair), 2)
+
     def test_improvement_passes(self):
         new = copy.deepcopy(self.base)
         self.metrics(new)[0]["ops_per_sec"] *= 1.5

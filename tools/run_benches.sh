@@ -9,8 +9,8 @@
 # Options:
 #   --quick        reduced scales/windows for CI and smoke runs
 #   --only REGEX   run only benches whose name matches REGEX (the aggregate
-#                  then contains just those records; used by the CI
-#                  direct-path A/B lane to sweep fig1/table1 twice)
+#                  then contains just those records; the CI direct-path
+#                  lane runs ablation_direct_path alone this way)
 #   --out FILE     aggregate output path (default BENCH_<YYYYMMDD>.json)
 #   --build-dir D  build tree containing bench/ (default <repo>/build)
 #   --skip-traces  skip the Perfetto trace passes (full mode only)
