@@ -58,6 +58,7 @@ class BuddyAllocator {
 
   uint64_t pages_free() const;
   uint64_t pages_total() const { return page_count_; }
+  uint64_t data_start() const { return data_start_; }
 
  private:
   BuddyAllocator(ScmRegion* region, uint64_t bitmap_offset,

@@ -1,7 +1,7 @@
 #include "src/osd/collection.h"
 
+#include <atomic>
 #include <cstring>
-#include <set>
 
 #include "src/common/check.h"
 #include "src/common/hash.h"
@@ -70,8 +70,17 @@ HeaderRep* HeaderAt(const OsdContext& ctx, Oid oid) {
   return reinterpret_cast<HeaderRep*>(ctx.region->PtrAt(oid.offset()));
 }
 
+// Clients read collections while the TFS applies their batches, so words it
+// publishes with PersistU64 are loaded with acquire: the bytes it staged
+// before a publish are then visible.
+uint64_t LoadPublished(const void* word) {
+  return static_cast<const std::atomic<uint64_t>*>(word)->load(
+      std::memory_order_acquire);
+}
+
 TableRep* TableAt(const OsdContext& ctx, const HeaderRep* hdr) {
-  return reinterpret_cast<TableRep*>(ctx.region->PtrAt(hdr->table_ptr));
+  return reinterpret_cast<TableRep*>(
+      ctx.region->PtrAt(LoadPublished(&hdr->table_ptr)));
 }
 
 BucketRep* BucketAt(const OsdContext& ctx, const TableRep* table,
@@ -244,10 +253,9 @@ Result<Collection::EntryRef> Collection::FindLive(std::string_view key) const {
   const BucketRep* bucket = BucketAt(ctx_, table, index);
 
   uint64_t pos = 0;
-  const uint64_t committed = bucket->committed;
+  const uint64_t committed = LoadPublished(&bucket->committed);
   while (pos + 16 <= committed) {
-    uint64_t word0;
-    std::memcpy(&word0, bucket->data + pos, 8);
+    const uint64_t word0 = LoadPublished(bucket->data + pos);
     const uint32_t key_len = EntryKeyLen(word0);
     const uint64_t entry_size = EntryBytes(key_len);
     if (pos + entry_size > committed) {
@@ -294,10 +302,9 @@ Status Collection::InsertIntoBucket(std::string_view key, uint64_t value,
   // (e.g. a FlatFS log object rewritten per append) from ever filling the
   // bucket with tombstones.
   uint64_t pos = 0;
-  const uint64_t committed = bucket->committed;
+  const uint64_t committed = LoadPublished(&bucket->committed);
   while (pos + 16 <= committed) {
-    uint64_t word0;
-    std::memcpy(&word0, bucket->data + pos, 8);
+    const uint64_t word0 = LoadPublished(bucket->data + pos);
     const uint32_t key_len = EntryKeyLen(word0);
     const uint64_t entry_size = EntryBytes(key_len);
     if (pos + entry_size > committed) {
@@ -397,72 +404,6 @@ Status Collection::Erase(std::string_view key) {
   return OkStatus();
 }
 
-Status Collection::InsertManyUnchecked(
-    const std::vector<std::pair<std::string, uint64_t>>& items) {
-  AERIE_SCM_LAYER("osd");
-  if (!ctx_.can_allocate()) {
-    return Status(ErrorCode::kPermissionDenied,
-                  "collection mutation requires the allocator");
-  }
-  HeaderRep* hdr = HeaderAt(ctx_, oid_);
-  {
-    // Grow once to fit the whole batch.
-    const TableRep* table = TableAt(ctx_, hdr);
-    uint64_t nbuckets = table->nbuckets;
-    while (hdr->live_count + items.size() >
-           static_cast<uint64_t>(kMaxLoad * static_cast<double>(nbuckets))) {
-      nbuckets *= 2;
-    }
-    if (nbuckets != table->nbuckets) {
-      AERIE_RETURN_IF_ERROR(Rehash(nbuckets));
-      hdr = HeaderAt(ctx_, oid_);
-    }
-  }
-
-  TableRep* table = TableAt(ctx_, hdr);
-  std::set<uint64_t> touched;  // bucket indexes flushed once at the end
-  uint64_t since_rehash = 0;   // entries not yet folded into live_count
-  for (const auto& [key, value] : items) {
-    if (key.empty() || key.size() > kMaxKeyLen) {
-      return Status(ErrorCode::kInvalidArgument, "bad key length");
-    }
-    bool appended = false;
-    for (int attempt = 0; attempt < 4 && !appended; ++attempt) {
-      const uint64_t index = BucketIndexFor(table, key);
-      BucketRep* bucket = BucketAt(ctx_, table, index);
-      if (AppendEntryRaw(ctx_, bucket, key, value, /*publish=*/false)) {
-        touched.insert(index);
-        since_rehash++;
-        appended = true;
-        break;
-      }
-      // Bucket overflow: flush what we have, grow, retry. Rehash folds the
-      // already-appended entries into live_count.
-      for (uint64_t tidx : touched) {
-        ctx_.region->WlFlush(BucketAt(ctx_, table, tidx), kBucketSize);
-      }
-      ctx_.region->Fence();
-      touched.clear();
-      since_rehash = 0;
-      // Compact first; double only if a same-size rehash did not help.
-      AERIE_RETURN_IF_ERROR(
-          Rehash(attempt == 0 ? table->nbuckets : table->nbuckets * 2));
-      hdr = HeaderAt(ctx_, oid_);
-      table = TableAt(ctx_, hdr);
-    }
-    if (!appended) {
-      return Status(ErrorCode::kOutOfSpace, "bucket overflow persists");
-    }
-  }
-  // One flush per touched bucket, then a single count publish.
-  for (uint64_t index : touched) {
-    ctx_.region->WlFlush(BucketAt(ctx_, table, index), kBucketSize);
-  }
-  ctx_.region->Fence();
-  ctx_.region->PersistU64(&hdr->live_count, hdr->live_count + since_rehash);
-  return OkStatus();
-}
-
 Status Collection::Put(std::string_view key, uint64_t value) {
   Status st = Insert(key, value);
   if (st.code() == ErrorCode::kAlreadyExists) {
@@ -479,10 +420,9 @@ Status Collection::Scan(
   for (uint64_t b = 0; b < table->nbuckets; ++b) {
     const BucketRep* bucket = BucketAt(ctx_, table, b);
     uint64_t pos = 0;
-    const uint64_t committed = bucket->committed;
+    const uint64_t committed = LoadPublished(&bucket->committed);
     while (pos + 16 <= committed) {
-      uint64_t word0;
-      std::memcpy(&word0, bucket->data + pos, 8);
+      const uint64_t word0 = LoadPublished(bucket->data + pos);
       const uint32_t key_len = EntryKeyLen(word0);
       const uint64_t entry_size = EntryBytes(key_len);
       if (pos + entry_size > committed) {

@@ -65,13 +65,6 @@ class Collection {
   // Insert-or-overwrite.
   Status Put(std::string_view key, uint64_t value);
 
-  // Bulk insert of keys the caller guarantees are fresh (no duplicate
-  // checks). Entries are appended per bucket and each touched bucket is
-  // flushed/published once — the pool-fill fast path (paper §5.3.7). A
-  // crash mid-bulk may leave a prefix visible; pool recovery tolerates it.
-  Status InsertManyUnchecked(
-      const std::vector<std::pair<std::string, uint64_t>>& items);
-
   // --- Reads (safe from untrusted clients holding a read lock) ---
   Result<uint64_t> Lookup(std::string_view key) const;
   // Visits every live pair. Return false from the visitor to stop early.

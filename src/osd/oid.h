@@ -29,7 +29,7 @@ enum class ObjType : uint8_t {
   kCollection = 2,  // associative key->OID table (directories, namespaces)
   kMFile = 3,       // offset->extent map (file data)
   kSuperblock = 4,
-  kPoolTable = 5,   // per-client pre-allocation tracking (paper §5.3.7)
+  kPoolTable = 5,   // the TFS's pool map (paper §5.3.7)
 };
 
 class Oid {

@@ -6,6 +6,7 @@
 
 #include "src/osd/collection.h"
 #include "src/osd/mfile.h"
+#include "src/tfs/pool_map.h"
 
 namespace aerie {
 
@@ -27,7 +28,7 @@ class Checker {
     const Oid pxfs_root = LookupOid(*sys, "root");
     const Oid flat_root = LookupOid(*sys, "flat");
     const Oid orphans = LookupOid(*sys, "orphans");
-    const Oid pools = LookupOid(*sys, "pools");
+    const Oid pool_map = LookupOid(*sys, "pool_map");
 
     if (!pxfs_root.IsNull()) {
       WalkDirectory(pxfs_root, "/", 0);
@@ -39,8 +40,8 @@ class Checker {
     if (!orphans.IsNull()) {
       CheckOrphans(orphans);
     }
-    if (!pools.IsNull()) {
-      CheckPools(pools);
+    if (!pool_map.IsNull()) {
+      CheckPoolMap(pool_map);
     }
     return report_;
   }
@@ -193,49 +194,23 @@ class Checker {
     });
   }
 
-  void CheckPools(Oid pools_oid) {
-    auto pools = Collection::Open(ctx_, pools_oid);
-    if (!pools.ok()) {
-      Problem("pool master unreadable: " + pools.status().ToString());
+  // Every marked entry must head a live object of the recorded type.
+  void CheckPoolMap(Oid map_oid) {
+    auto map = PoolMap::Open(ctx_, map_oid);
+    if (!map.ok()) {
+      Problem("pool map unreadable: " + map.status().ToString());
       return;
     }
-    (void)pools->Scan([&](std::string_view, uint64_t table_raw) {
-      auto table = Collection::Open(ctx_, Oid(table_raw));
-      if (!table.ok()) {
-        Problem("pool table unreadable");
-        return true;
+    map->ForEach([&](Oid oid) {
+      const bool live = oid.type() == ObjType::kExtent ||
+                        MFile::Open(ctx_, oid).ok() ||
+                        Collection::Open(ctx_, oid).ok();
+      if (!live) {
+        Problem("pool map entry is not a live extent, mFile or collection");
+        return;
       }
-      (void)table->Scan([&](std::string_view, uint64_t value) {
-        const Oid oid(value);
-        switch (oid.type()) {
-          case ObjType::kMFile:
-            if (!MFile::Open(ctx_, oid).ok()) {
-              Problem("pooled mFile unreadable");
-            } else {
-              report_.pool_objects++;
-            }
-            break;
-          case ObjType::kCollection:
-            if (!Collection::Open(ctx_, oid).ok()) {
-              Problem("pooled collection unreadable");
-            } else {
-              report_.pool_objects++;
-            }
-            break;
-          case ObjType::kExtent:
-            if (ctx_.alloc != nullptr &&
-                !ctx_.alloc->IsAllocated(oid.offset())) {
-              Problem("pooled extent not allocated");
-            } else {
-              report_.pool_objects++;
-            }
-            break;
-          default:
-            Problem("pool entry with unexpected type");
-        }
-        return true;
-      });
-      return true;
+      CheckAllocated(oid, "pooled object");
+      report_.pool_objects++;
     });
   }
 

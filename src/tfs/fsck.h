@@ -1,7 +1,7 @@
 // File-system integrity checker ("fsck" for an Aerie volume).
 //
 // Walks every namespace reachable from the volume's system collection — the
-// PXFS tree, the FlatFS namespace, the orphan table, the pool tables — and
+// PXFS tree, the FlatFS namespace, the orphan table, the pool map — and
 // validates structure the way the TFS's validator reasons about invariants
 // (paper §5.3.5): object types match their use, on-SCM structures pass
 // their own validation, directory trees are acyclic, mFile link counts

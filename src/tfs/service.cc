@@ -4,20 +4,16 @@
 
 #include "src/common/check.h"
 #include "src/obs/trace.h"
+#include "src/scm/crash_sim.h"
 
 namespace aerie {
 
 namespace {
 
-// 8-byte binary key for oid-keyed system collections (pools, orphans).
+// 8-byte binary key for the oid-keyed orphan table.
 std::string OidKey(Oid oid) {
   const uint64_t raw = oid.raw();
   return std::string(reinterpret_cast<const char*>(&raw), sizeof(raw));
-}
-
-std::string ClientKey(uint64_t client_id) {
-  return std::string(reinterpret_cast<const char*>(&client_id),
-                     sizeof(client_id));
 }
 
 constexpr uint64_t kMaxFileBytes = 1ull << 46;
@@ -31,7 +27,8 @@ TrustedFsService::TrustedFsService(Volume* volume, LockService* locks,
       scm_(scm),
       options_(options),
       ctx_(volume->context()) {
-  obs_registration_.AddAll(batches_applied_, ops_applied_, ops_rejected_);
+  obs_registration_.AddAll(batches_applied_, ops_applied_, ops_rejected_,
+                           pool_objects_);
   AERIE_CHECK(ctx_.can_allocate());
   if (!volume_->root_oid().IsNull()) {
     // Existing volume: load system collection.
@@ -44,7 +41,10 @@ TrustedFsService::TrustedFsService(Volume* volume, LockService* locks,
       roots_.pxfs_root = get("root");
       roots_.flat_root = get("flat");
       orphans_oid_ = get("orphans");
-      pools_oid_ = get("pools");
+      if (auto map = PoolMap::Open(ctx_, get("pool_map")); map.ok()) {
+        pool_map_ = *map;
+        pool_map_.ForEach([this](Oid) { pool_marked_++; });  // until Recover
+      }
     }
   }
 }
@@ -58,32 +58,20 @@ Status TrustedFsService::Bootstrap() {
   AERIE_ASSIGN_OR_RETURN(Collection root, Collection::Create(ctx_, 0));
   AERIE_ASSIGN_OR_RETURN(Collection flat, Collection::Create(ctx_, 0));
   AERIE_ASSIGN_OR_RETURN(Collection orphans, Collection::Create(ctx_, 0));
-  AERIE_ASSIGN_OR_RETURN(Collection pools, Collection::Create(ctx_, 0));
+  AERIE_ASSIGN_OR_RETURN(PoolMap pool_map, PoolMap::Create(ctx_));
   root.SetParentOid(root.oid());  // "/.." == "/"
   root.SetLinkCount(1);
   flat.SetLinkCount(1);
   AERIE_RETURN_IF_ERROR(sys.Insert("root", root.oid().raw()));
   AERIE_RETURN_IF_ERROR(sys.Insert("flat", flat.oid().raw()));
   AERIE_RETURN_IF_ERROR(sys.Insert("orphans", orphans.oid().raw()));
-  AERIE_RETURN_IF_ERROR(sys.Insert("pools", pools.oid().raw()));
+  AERIE_RETURN_IF_ERROR(sys.Insert("pool_map", pool_map.oid().raw()));
   volume_->SetRootOid(sys.oid());
   roots_.pxfs_root = root.oid();
   roots_.flat_root = flat.oid();
   orphans_oid_ = orphans.oid();
-  pools_oid_ = pools.oid();
+  pool_map_ = pool_map;
   return OkStatus();
-}
-
-Result<Collection> TrustedFsService::OpenSystem(const char* key) const {
-  auto sys = Collection::Open(ctx_, volume_->root_oid());
-  if (!sys.ok()) {
-    return sys.status();
-  }
-  auto oid = sys->Lookup(key);
-  if (!oid.ok()) {
-    return oid.status();
-  }
-  return Collection::Open(ctx_, Oid(*oid));
 }
 
 // --- Lock / lease checks -----------------------------------------------
@@ -342,8 +330,7 @@ Status TrustedFsService::Validate(uint64_t client_id, MetaOp* op) {
 
 // --- Apply ---------------------------------------------------------------
 
-Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
-                               bool replay) {
+Status TrustedFsService::Apply(const MetaOp& op, bool replay) {
   AERIE_SCM_LAYER("tfs");
   // Already-applied effects surface as kAlreadyExists / kNotFound during
   // replay; those are successes for an idempotent redo log.
@@ -361,7 +348,7 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
                                      ErrorCode::kAlreadyExists));
       AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, op.obj));
       file.SetLinkCount(op.obj_links);
-      return PoolRemove(client_id, op.obj);
+      return OkStatus();
     }
 
     case MetaOpType::kCreateDir: {
@@ -372,7 +359,7 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
                              Collection::Open(ctx_, op.obj));
       child.SetParentOid(op.dir);
       child.SetLinkCount(op.obj_links);
-      return PoolRemove(client_id, op.obj);
+      return OkStatus();
     }
 
     case MetaOpType::kLink: {
@@ -447,9 +434,8 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
 
     case MetaOpType::kAttachExtent: {
       AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, op.obj));
-      AERIE_RETURN_IF_ERROR(tolerate(file.AttachExtent(op.a, op.b),
-                                     ErrorCode::kAlreadyExists));
-      return PoolRemove(client_id, Oid::Make(ObjType::kExtent, op.b));
+      return tolerate(file.AttachExtent(op.a, op.b),
+                      ErrorCode::kAlreadyExists);
     }
 
     case MetaOpType::kSetSize: {
@@ -503,7 +489,7 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
       AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, op.obj));
       AERIE_RETURN_IF_ERROR(file.SetSize(op.a));
       file.SetLinkCount(op.obj_links);
-      return PoolRemove(client_id, op.obj);
+      return OkStatus();
     }
 
     case MetaOpType::kFlatErase: {
@@ -552,12 +538,16 @@ Status TrustedFsService::ApplyBatch(uint64_t client_id,
   // batch see the effects of earlier ones), WAL-logged, committed, then
   // applied in place (paper §5.3.6: log, flush, fence, then mutate). A
   // validation failure rejects the remainder of the batch; prior ops stand,
-  // matching the paper's "individual metadata updates" semantics.
+  // matching the paper's "individual metadata updates" semantics. Pooled
+  // objects the committed ops link are retired from the pool map once per
+  // batch, before it stops counting as in flight: until then no checkpoint
+  // can truncate the records whose replay re-clears them.
   RedoLog* log = volume_->log();
   {
     std::lock_guard lock(log_mu_);
     applies_in_flight_++;
   }
+  std::vector<Oid> consumed;
   Status result = OkStatus();
   for (MetaOp& op : *ops) {
     Status st = Validate(client_id, &op);
@@ -567,15 +557,23 @@ Status TrustedFsService::ApplyBatch(uint64_t client_id,
       break;
     }
     {
-      std::lock_guard lock(log_mu_);
+      std::unique_lock lock(log_mu_);
       WireBuffer rec;
       rec.AppendU64(client_id);
       op.Encode(&rec);
       st = log->Append(static_cast<uint32_t>(op.type), rec.data());
-      if (st.code() == ErrorCode::kOutOfSpace && applies_in_flight_ == 1) {
-        // We are the only batch mid-apply: safe to checkpoint and retry.
+      if (st.code() == ErrorCode::kOutOfSpace) {
+        // Log full: leave the in-flight count (retiring first, as at batch
+        // end) and checkpoint once no batch is mid-apply.
         log->Rollback();
+        RetirePooled(&consumed);
+        if (--applies_in_flight_ == 0) {
+          log_idle_.notify_all();
+        }
+        log_idle_.wait(lock, [this] { return applies_in_flight_ == 0; });
         log->Truncate();
+        ctx_.region->CrashPoint("tfs.checkpoint");
+        applies_in_flight_++;
         st = log->Append(static_cast<uint32_t>(op.type), rec.data());
       }
       if (st.ok()) {
@@ -592,11 +590,14 @@ Status TrustedFsService::ApplyBatch(uint64_t client_id,
     if (crash_after_log_commit_) {
       // Simulated crash: the commit is durable, the apply never happens.
       std::lock_guard lock(log_mu_);
-      applies_in_flight_--;
+      if (--applies_in_flight_ == 0) {
+        log_idle_.notify_all();
+      }
       return Status(ErrorCode::kUnavailable,
                     "injected crash after WAL commit");
     }
-    st = Apply(client_id, op, /*replay=*/false);
+    Consume(op, &consumed);
+    st = Apply(op, /*replay=*/false);
     if (!st.ok()) {
       result = st;  // validated ops should not fail; surface and continue
     }
@@ -605,14 +606,15 @@ Status TrustedFsService::ApplyBatch(uint64_t client_id,
     // still holds its committed record (replay must be idempotent here).
     ctx_.region->CrashPoint("tfs.apply");
   }
+  RetirePooled(&consumed);
 
   // Checkpoint: drop the log once no batch is mid-apply.
   {
     std::lock_guard lock(log_mu_);
-    applies_in_flight_--;
-    if (applies_in_flight_ == 0) {
+    if (--applies_in_flight_ == 0) {
       log->Truncate();
       ctx_.region->CrashPoint("tfs.checkpoint");
+      log_idle_.notify_all();
     }
   }
   batches_applied_.Add(1);
@@ -623,8 +625,9 @@ Status TrustedFsService::Recover() {
   AERIE_SCM_LAYER("tfs");
   AERIE_SPAN("tfs", "recover");
   RedoLog* log = volume_->log();
+  std::vector<Oid> consumed;
   AERIE_RETURN_IF_ERROR(log->Replay(
-      [this](uint32_t type, std::span<const char> payload) -> Status {
+      [&](uint32_t type, std::span<const char> payload) -> Status {
         WireReader reader(std::string_view(payload.data(), payload.size()));
         auto client = reader.ReadU64();
         if (!client.ok()) {
@@ -637,8 +640,10 @@ Status TrustedFsService::Recover() {
         if (static_cast<uint32_t>(op->type) != type) {
           return Status(ErrorCode::kCorrupted, "op type mismatch in log");
         }
-        return Apply(*client, *op, /*replay=*/true);
+        Consume(*op, &consumed);
+        return Apply(*op, /*replay=*/true);
       }));
+  RetirePooled(&consumed);
   log->Truncate();
 
   // Reclaim unlinked files with no remaining opener (all openers died with
@@ -659,80 +664,17 @@ Status TrustedFsService::Recover() {
     }
   }
 
-  // Reclaim stale client pools: free still-pooled (never linked) objects.
-  auto pools = Collection::Open(ctx_, pools_oid_);
-  if (pools.ok()) {
-    std::vector<std::pair<std::string, Oid>> tables;
-    (void)pools->Scan([&](std::string_view key, uint64_t value) {
-      tables.emplace_back(std::string(key), Oid(value));
-      return true;
-    });
-    for (const auto& [key, table_oid] : tables) {
-      auto table = Collection::Open(ctx_, table_oid);
-      if (table.ok()) {
-        std::vector<Oid> pooled;
-        (void)table->Scan([&](std::string_view, uint64_t value) {
-          pooled.push_back(Oid(value));
-          return true;
-        });
-        for (Oid oid : pooled) {
-          switch (oid.type()) {
-            case ObjType::kMFile: {
-              auto f = MFile::Open(ctx_, oid);
-              if (f.ok() && f->link_count() == 0) {
-                (void)f->Destroy();
-              }
-              break;
-            }
-            case ObjType::kCollection: {
-              auto c = Collection::Open(ctx_, oid);
-              if (c.ok() && c->link_count() == 0) {
-                (void)c->Destroy();
-              }
-              break;
-            }
-            case ObjType::kExtent:
-              (void)ctx_.alloc->Free(oid.offset(), 0);
-              break;
-            default:
-              break;
-          }
-        }
-        (void)table->Destroy();
-      }
-      (void)pools->Erase(key);
-    }
-  }
+  // Free every object still pooled: no client session survives a restart.
+  std::vector<Oid> stale;
+  pool_map_.ForEach([&](Oid oid) {
+    FreePooled(oid);
+    stale.push_back(oid);
+  });
+  RetirePooled(&stale);
   return OkStatus();
 }
 
 // --- Pools ---------------------------------------------------------------
-
-Result<Oid> TrustedFsService::EnsurePoolTable(uint64_t client_id) {
-  std::lock_guard lock(alloc_mu_);
-  {
-    std::lock_guard clock(clients_mu_);
-    auto it = clients_.find(client_id);
-    if (it != clients_.end() && !it->second.pool_table.IsNull()) {
-      return it->second.pool_table;
-    }
-  }
-  AERIE_ASSIGN_OR_RETURN(Collection pools,
-                         Collection::Open(ctx_, pools_oid_));
-  Oid table_oid;
-  auto existing = pools.Lookup(ClientKey(client_id));
-  if (existing.ok()) {
-    table_oid = Oid(*existing);
-  } else {
-    AERIE_ASSIGN_OR_RETURN(Collection table, Collection::Create(ctx_, 0));
-    AERIE_RETURN_IF_ERROR(
-        pools.Insert(ClientKey(client_id), table.oid().raw()));
-    table_oid = table.oid();
-  }
-  std::lock_guard clock(clients_mu_);
-  clients_[client_id].pool_table = table_oid;
-  return table_oid;
-}
 
 Result<std::vector<Oid>> TrustedFsService::PoolFill(uint64_t client_id,
                                                     ObjType type,
@@ -743,9 +685,6 @@ Result<std::vector<Oid>> TrustedFsService::PoolFill(uint64_t client_id,
   if (count == 0 || count > 65536) {
     return Status(ErrorCode::kInvalidArgument, "bad pool fill count");
   }
-  AERIE_ASSIGN_OR_RETURN(Oid table_oid, EnsurePoolTable(client_id));
-  AERIE_ASSIGN_OR_RETURN(Collection table,
-                         Collection::Open(ctx_, table_oid));
   std::vector<Oid> out;
   out.reserve(count);
   switch (type) {
@@ -781,63 +720,75 @@ Result<std::vector<Oid>> TrustedFsService::PoolFill(uint64_t client_id,
       return Status(ErrorCode::kInvalidArgument, "bad pool object type");
   }
 
-  // Bulk-record the fill in the persistent pool table (WAFL-style tracking
-  // file) and the volatile mirror.
-  std::vector<std::pair<std::string, uint64_t>> entries;
-  entries.reserve(out.size());
-  for (Oid oid : out) {
-    entries.emplace_back(OidKey(oid), oid.raw());
-  }
+  // Mark the fill in the pool map, durably before the reply hands it out.
   {
     std::lock_guard lock(alloc_mu_);
-    AERIE_RETURN_IF_ERROR(table.InsertManyUnchecked(entries));
+    for (Oid oid : out) {
+      pool_marked_ += pool_map_.Set(oid, /*marked=*/true) ? 1 : 0;
+      pooled_[oid.offset()] = Pooled{client_id, oid};
+    }
+    pool_objects_.Set(pool_marked_);
   }
-  std::lock_guard lock(clients_mu_);
-  for (Oid oid : out) {
-    clients_[client_id].pool.insert(oid.raw());
-  }
+  static const int kMarkSite = RegisterPersistSite("tfs.pool.mark.flush");
+  pool_map_.Persist(out, kMarkSite);
   return out;
 }
 
 bool TrustedFsService::PoolContains(uint64_t client_id, Oid oid) {
-  std::lock_guard lock(clients_mu_);
-  auto it = clients_.find(client_id);
-  return it != clients_.end() && it->second.pool.count(oid.raw()) != 0;
+  std::lock_guard lock(alloc_mu_);
+  auto it = pooled_.find(oid.offset());
+  return it != pooled_.end() && it->second.client_id == client_id &&
+         it->second.oid == oid;
 }
 
-Status TrustedFsService::PoolRemove(uint64_t client_id, Oid oid) {
-  Oid table_oid;
+void TrustedFsService::Consume(const MetaOp& op, std::vector<Oid>* consumed) {
+  Oid oid = op.obj;
+  switch (op.type) {
+    case MetaOpType::kCreateFile:
+    case MetaOpType::kCreateDir:
+    case MetaOpType::kFlatPut:
+      break;
+    case MetaOpType::kAttachExtent:
+      oid = Oid::Make(ObjType::kExtent, op.b);
+      break;
+    default:
+      return;
+  }
   {
-    std::lock_guard lock(clients_mu_);
-    auto it = clients_.find(client_id);
-    if (it != clients_.end()) {
-      it->second.pool.erase(oid.raw());
-      table_oid = it->second.pool_table;
+    std::lock_guard lock(alloc_mu_);
+    pooled_.erase(oid.offset());
+  }
+  consumed->push_back(oid);
+}
+
+void TrustedFsService::RetirePooled(std::vector<Oid>* oids) {
+  if (oids->empty()) {
+    return;
+  }
+  {
+    std::lock_guard lock(alloc_mu_);
+    // A page freed and pooled again since (an op later in the batch
+    // destroyed the object) now carries another fill's mark: keep it.
+    std::erase_if(*oids, [&](Oid oid) { return pooled_.count(oid.offset()); });
+    for (Oid oid : *oids) {
+      pool_marked_ -= pool_map_.Set(oid, /*marked=*/false) ? 1 : 0;
     }
+    pool_objects_.Set(pool_marked_);
   }
-  if (table_oid.IsNull()) {
-    // Replay path: resolve the client's pool table from the persistent
-    // master (the in-memory session died with the crash).
-    auto pools = Collection::Open(ctx_, pools_oid_);
-    if (!pools.ok()) {
-      return OkStatus();
-    }
-    auto existing = pools->Lookup(ClientKey(client_id));
-    if (!existing.ok()) {
-      return OkStatus();  // pool already reclaimed
-    }
-    table_oid = Oid(*existing);
+  static const int kRetireSite = RegisterPersistSite("tfs.pool.retire.flush");
+  pool_map_.Persist(*oids, kRetireSite);
+  oids->clear();
+}
+
+void TrustedFsService::FreePooled(Oid oid) {
+  // Open checks the OID's type, so at most one branch applies.
+  if (oid.type() == ObjType::kExtent) {
+    (void)ctx_.alloc->Free(oid.offset(), 0);
+  } else if (auto f = MFile::Open(ctx_, oid); f.ok()) {
+    (void)f->Destroy();
+  } else if (auto c = Collection::Open(ctx_, oid); c.ok()) {
+    (void)c->Destroy();
   }
-  auto table = Collection::Open(ctx_, table_oid);
-  if (!table.ok()) {
-    return OkStatus();
-  }
-  std::lock_guard lock(alloc_mu_);
-  Status st = table->Erase(OidKey(oid));
-  if (st.code() == ErrorCode::kNotFound) {
-    return OkStatus();  // already consumed (replayed op)
-  }
-  return st;
 }
 
 // --- Open-file table (§6.1) ---------------------------------------------
@@ -850,7 +801,7 @@ uint64_t TrustedFsService::OpenCount(Oid file) const {
 
 Status TrustedFsService::NotifyOpen(uint64_t client_id, Oid file) {
   std::lock_guard lock(clients_mu_);
-  clients_[client_id].open_files.insert(file.raw());
+  open_files_[client_id].insert(file.raw());
   open_counts_[file.raw()]++;
   return OkStatus();
 }
@@ -888,7 +839,7 @@ Status TrustedFsService::NotifyClosed(uint64_t client_id, Oid file) {
   bool last = false;
   {
     std::lock_guard lock(clients_mu_);
-    clients_[client_id].open_files.erase(file.raw());
+    open_files_[client_id].erase(file.raw());
     auto it = open_counts_.find(file.raw());
     if (it != open_counts_.end() && --it->second == 0) {
       open_counts_.erase(it);
@@ -906,60 +857,35 @@ Status TrustedFsService::NotifyClosed(uint64_t client_id, Oid file) {
 
 Status TrustedFsService::ClientDisconnected(uint64_t client_id) {
   std::vector<uint64_t> open;
-  Oid table_oid;
   {
     std::lock_guard lock(clients_mu_);
-    auto it = clients_.find(client_id);
-    if (it == clients_.end()) {
-      return OkStatus();
+    auto it = open_files_.find(client_id);
+    if (it != open_files_.end()) {
+      open.assign(it->second.begin(), it->second.end());
+      open_files_.erase(it);
     }
-    open.assign(it->second.open_files.begin(), it->second.open_files.end());
-    table_oid = it->second.pool_table;
-    clients_.erase(it);
   }
   for (uint64_t raw : open) {
     (void)NotifyClosed(client_id, Oid(raw));
   }
-  // Free still-pooled objects and drop the pool table (paper: special files
-  // tracking pre-allocated objects prevent leaks).
-  if (!table_oid.IsNull()) {
-    auto table = Collection::Open(ctx_, table_oid);
-    if (table.ok()) {
-      std::vector<Oid> pooled;
-      (void)table->Scan([&](std::string_view, uint64_t value) {
-        pooled.push_back(Oid(value));
-        return true;
-      });
-      for (Oid oid : pooled) {
-        switch (oid.type()) {
-          case ObjType::kMFile: {
-            auto f = MFile::Open(ctx_, oid);
-            if (f.ok()) {
-              (void)f->Destroy();
-            }
-            break;
-          }
-          case ObjType::kCollection: {
-            auto c = Collection::Open(ctx_, oid);
-            if (c.ok()) {
-              (void)c->Destroy();
-            }
-            break;
-          }
-          case ObjType::kExtent:
-            (void)ctx_.alloc->Free(oid.offset(), 0);
-            break;
-          default:
-            break;
-        }
-      }
-      (void)table->Destroy();
-    }
+  // Free the client's still-pooled objects (paper §5.3.7), clearing their
+  // entries first: a crash in between leaks them rather than letting
+  // recovery free pages reallocated meanwhile.
+  std::vector<Oid> pooled;
+  {
     std::lock_guard lock(alloc_mu_);
-    auto pools = Collection::Open(ctx_, pools_oid_);
-    if (pools.ok()) {
-      (void)pools->Erase(ClientKey(client_id));
-    }
+    std::erase_if(pooled_, [&](const auto& entry) {
+      if (entry.second.client_id != client_id) {
+        return false;
+      }
+      pooled.push_back(entry.second.oid);
+      return true;
+    });
+  }
+  const std::vector<Oid> to_free = pooled;
+  RetirePooled(&pooled);
+  for (Oid oid : to_free) {
+    FreePooled(oid);
   }
   return OkStatus();
 }

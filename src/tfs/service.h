@@ -14,15 +14,15 @@
 //   apply     — ops mutate collections/mFiles in place with flushes; replay
 //               after a crash re-applies committed ops idempotently;
 //   reclaim   — client failure discards unshipped batches implicitly (lock
-//               leases), frees unused pre-allocated pool objects (WAFL-style
-//               pool tracking files, §5.3.7), and collects unlinked-but-open
-//               files once the last opener goes away (§6.1's open-file
-//               table).
+//               leases), frees unused pre-allocated pool objects (the pool
+//               map, §5.3.7), and collects unlinked-but-open files once the
+//               last opener goes away (§6.1's open-file table).
 //
 // One TFS serves both PXFS and FlatFS over the same volume layout (§6).
 #ifndef AERIE_SRC_TFS_SERVICE_H_
 #define AERIE_SRC_TFS_SERVICE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,6 +30,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -41,6 +42,7 @@
 #include "src/rpc/transport.h"
 #include "src/scm/manager.h"
 #include "src/tfs/ops.h"
+#include "src/tfs/pool_map.h"
 
 namespace aerie {
 
@@ -58,12 +60,12 @@ class TrustedFsService {
   TrustedFsService(Volume* volume, LockService* locks)
       : TrustedFsService(volume, locks, nullptr, Options{}) {}
 
-  // Creates the system collections (PXFS root, FlatFS namespace, orphan
-  // table, pool master) on a freshly formatted volume. Idempotent.
+  // Creates the system objects (PXFS root, FlatFS namespace, orphan table,
+  // pool map) on a freshly formatted volume. Idempotent.
   Status Bootstrap();
 
-  // Crash recovery: replays the redo log, then reclaims orphans and stale
-  // client pools.
+  // Crash recovery: replays the redo log, then reclaims orphans and every
+  // object still marked in the pool map.
   Status Recover();
 
   // --- Client-facing operations (also wired into RPC) ---
@@ -110,34 +112,37 @@ class TrustedFsService {
   void set_crash_after_log_commit(bool v) { crash_after_log_commit_ = v; }
 
  private:
-  struct ClientState {
-    // Volatile mirror of the client's persistent pool table.
-    std::set<uint64_t> pool;        // raw OIDs (incl. extents)
-    std::set<uint64_t> open_files;  // files this client holds open
-    Oid pool_table;                 // persistent tracking collection
+  // A pooled object not yet consumed, keyed by its head page's offset.
+  struct Pooled {
+    uint64_t client_id;
+    Oid oid;
   };
 
   // Validates `op` against locks, pools and invariants; fills the
   // server-enriched fields. mutating_ ops only.
   Status Validate(uint64_t client_id, MetaOp* op);
   // Applies an op to SCM structures. `replay` tolerates already-applied
-  // effects (idempotent redo).
-  Status Apply(uint64_t client_id, const MetaOp& op, bool replay);
+  // effects (idempotent redo). Pool bookkeeping is the caller's.
+  Status Apply(const MetaOp& op, bool replay);
 
   Status HoldsWriteLock(uint64_t client_id, LockId object_lock,
                         uint64_t authority) const;
 
-  // Pool helpers. Persistent + volatile bookkeeping.
-  Result<Oid> EnsurePoolTable(uint64_t client_id);
+  // Pool helpers. `pooled_` is the volatile owner index; the pool map is
+  // its persistent record, written only here.
   bool PoolContains(uint64_t client_id, Oid oid);
-  Status PoolRemove(uint64_t client_id, Oid oid);
+  // Drops the pooled object `op` links, if any, from the owner index and
+  // queues it in `consumed` for RetirePooled.
+  void Consume(const MetaOp& op, std::vector<Oid>* consumed);
+  // Clears the map entries of `oids` (one flush per line, one fence), except
+  // pages pooled again since, and empties `oids`.
+  void RetirePooled(std::vector<Oid>* oids);
+  void FreePooled(Oid oid);
 
   // Orphan (unlinked-but-open) bookkeeping.
   Status OrphanAdd(Oid file);
   Status OrphanRemoveAndFree(Oid file);
   uint64_t OpenCount(Oid file) const;
-
-  Result<Collection> OpenSystem(const char* key) const;
 
   Volume* volume_;
   LockService* locks_;
@@ -147,21 +152,26 @@ class TrustedFsService {
 
   Roots roots_;
   Oid orphans_oid_;
-  Oid pools_oid_;
+  PoolMap pool_map_;
 
   mutable std::mutex clients_mu_;
-  std::map<uint64_t, ClientState> clients_;
+  std::map<uint64_t, std::set<uint64_t>> open_files_;  // client -> files
   std::map<uint64_t, uint64_t> open_counts_;  // file oid -> openers
 
   std::mutex log_mu_;
   uint64_t applies_in_flight_ = 0;
+  std::condition_variable log_idle_;  // applies_in_flight_ reached zero
 
-  std::mutex alloc_mu_;  // serializes pool/orphan collection mutation
+  // Serializes orphan-table mutation and the pool bookkeeping below.
+  std::mutex alloc_mu_;
+  std::unordered_map<uint64_t, Pooled> pooled_;
+  int64_t pool_marked_ = 0;  // entries set in the pool map
 
   // Service statistics live in the obs registry for the service's lifetime.
   obs::Counter batches_applied_{"tfs.batch.applied"};
   obs::Counter ops_applied_{"tfs.ops.applied"};
   obs::Counter ops_rejected_{"tfs.ops.rejected"};
+  obs::Gauge pool_objects_{"tfs.pool.objects"};  // == pool_marked_
   obs::ScopedRegistration obs_registration_;
   bool crash_after_log_commit_ = false;
 };

@@ -7,10 +7,13 @@
 //  * CrashSimTest.RedoLog*: the redo log alone under the simulator, covering
 //    the torn-truncate window, Rollback after a partial append, and the
 //    kOutOfSpace apply+truncate boundary.
-//  * CrashMutationTest.*: suppress one registered flush site in the txlog
-//    commit path and require the checker to report corruption — mutation
-//    testing of the checker itself (a checker that cannot see injected bugs
-//    proves nothing by passing).
+//  * CrashSimTest.PoolFill*: pool fills straight through the TFS; every
+//    image taken after a fill was acknowledged must recover with that fill's
+//    objects freed (no client survives a restart).
+//  * CrashMutationTest.*: suppress one registered flush site (txlog commit
+//    and truncate, pool-map mark and retire) and require the checker to
+//    report corruption — mutation testing of the checker itself (a checker
+//    that cannot see injected bugs proves nothing by passing).
 //
 // The sweep honors AERIE_CRASH_SAMPLES / AERIE_CRASH_SEED (nightly CI knobs)
 // via CrashSimOptions::FromEnv. A failure prints (seed, point, draw); replay
@@ -223,6 +226,82 @@ TEST(CrashSimTest, CleanSweepRecoversEveryEnumeratedState) {
   auto report = RunFsck(t.sys->volume());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
+  ::unlink(options.image_path.c_str());
+}
+
+// --- Pool map -------------------------------------------------------------
+
+// Reboots on the image and requires recovery to have freed every object of
+// every acknowledged fill and cleared the pool map. `acked` grows as fills
+// return; the simulator calls this checker from inside the next fill.
+CrashSimulator::Checker PoolReclaimChecker(const std::vector<Oid>* acked) {
+  return [acked](const std::string& image_path) -> Status {
+    AerieSystem::Options options = SmallSystemOptions();
+    options.region_path = image_path;
+    options.fresh = false;
+    auto sys = AerieSystem::Create(options);
+    if (!sys.ok()) {
+      return Status(ErrorCode::kCorrupted,
+                    "reboot/recovery failed: " + sys.status().ToString());
+    }
+    auto report = RunFsck((*sys)->volume());
+    if (!report.ok()) {
+      return report.status();
+    }
+    if (!report->ok() || report->pool_objects != 0) {
+      return Status(ErrorCode::kCorrupted, "fsck: " + report->Summary());
+    }
+    for (Oid oid : *acked) {
+      if ((*sys)->volume()->allocator()->IsAllocated(oid.offset())) {
+        return Status(ErrorCode::kCorrupted,
+                      "acknowledged pool object still allocated");
+      }
+    }
+    return OkStatus();
+  };
+}
+
+// One fill of each pool type (single-extent mFiles too), then one more so
+// the last acknowledged type is also checked by later images.
+void RunPoolFills(AerieSystem* sys, std::vector<Oid>* acked) {
+  constexpr uint64_t kClient = 7;
+  const std::pair<ObjType, uint64_t> fills[] = {
+      {ObjType::kMFile, 0},
+      {ObjType::kCollection, 0},
+      {ObjType::kExtent, 0},
+      {ObjType::kMFile, 2 * kScmPageSize},
+      {ObjType::kMFile, 0}};
+  for (const auto& [type, capacity] : fills) {
+    auto oids = sys->tfs()->PoolFill(kClient, type, 4, capacity);
+    ASSERT_TRUE(oids.ok()) << oids.status().ToString();
+    acked->insert(acked->end(), oids->begin(), oids->end());
+  }
+}
+
+CrashSimOptions PoolFillOptions(const char* tag) {
+  CrashSimOptions options;
+  options.seed = 20261017;
+  options.max_images = 600;
+  options.random_draws_per_point = 2;
+  options.image_path = UniqueImagePath(tag);
+  return options;
+}
+
+TEST(CrashSimTest, PoolFillSweepFreesEveryAcknowledgedFill) {
+  auto sys = AerieSystem::Create(SmallSystemOptions());
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  CrashSimOptions options = PoolFillOptions("pool_fill");
+  options.stop_on_failure = false;
+  options = CrashSimOptions::FromEnv(options);
+  std::vector<Oid> acked;
+  {
+    CrashSimulator sim((*sys)->scm_region(), options,
+                       PoolReclaimChecker(&acked));
+    RunPoolFills(sys->get(), &acked);
+    EXPECT_TRUE(sim.ok()) << sim.Report();
+    EXPECT_GT(sim.images_checked(), 0u);
+    std::fprintf(stderr, "%s\n", sim.Report().c_str());
+  }
   ::unlink(options.image_path.c_str());
 }
 
@@ -494,6 +573,34 @@ TEST(CrashMutationTest, DetectsSuppressedCommitPublishFlush) {
 // and covers a mix of fresh and stale record bytes on the next batch.
 TEST(CrashMutationTest, DetectsSuppressedTruncatePublishFlush) {
   RunMutation("txlog.truncate.publish.flush", "mut_truncate", 8);
+}
+
+// Without the retire flush a consumed object's entry can stay marked after
+// the checkpoint drops the record whose replay would clear it: recovery then
+// frees a linked file, which fsck reports.
+TEST(CrashMutationTest, DetectsSuppressedPoolRetireFlush) {
+  RunMutation("tfs.pool.retire.flush", "mut_retire", 4);
+}
+
+// Without the mark flush an acknowledged fill can be missing from the pool
+// map after a crash, so recovery leaks its objects.
+TEST(CrashMutationTest, DetectsSuppressedPoolMarkFlush) {
+  auto sys = AerieSystem::Create(SmallSystemOptions());
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  const int site = RegisterPersistSite("tfs.pool.mark.flush");
+  CrashSimOptions options = PoolFillOptions("mut_mark");
+  options.stop_on_failure = true;
+  std::vector<Oid> acked;
+  CrashSimulator sim((*sys)->scm_region(), options,
+                     PoolReclaimChecker(&acked));
+  sim.SuppressSite(site);
+  RunPoolFills(sys->get(), &acked);
+  EXPECT_FALSE(sim.ok())
+      << "suppressing tfs.pool.mark.flush was not detected\n"
+      << sim.Report();
+  std::fprintf(stderr, "detected tfs.pool.mark.flush:\n%s\n",
+               sim.Report().c_str());
+  ::unlink(options.image_path.c_str());
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Concurrency tests for the TFS: parallel batches from independent clients
 // in disjoint directories (paper §7.2.3's scaling premise), WAL
-// checkpointing under load, and pool isolation between clients.
+// checkpointing under load and with the log full mid-batch, and pool
+// isolation between clients.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -113,6 +115,70 @@ TEST(TfsConcurrencyTest, WalCheckpointsUnderSustainedLoad) {
       << "WAL did not checkpoint";
   // And the log area is far smaller than the op volume that flowed through.
   EXPECT_GT((*sys)->tfs()->batches_applied(), 400u);
+}
+
+// With a small redo log and two clients shipping in parallel, a batch often
+// finds the log full while the other batch is still applying. It must wait
+// for that batch, checkpoint and carry on: every op the clients logged has
+// to land, and SyncAll must not report a full log.
+TEST(TfsConcurrencyTest, LogFullDuringOverlappingBatchesLosesNoOps) {
+  AerieSystem::Options options;
+  options.region_bytes = 256ull << 20;
+  options.volume.log_bytes = 64ull << 10;
+  auto sys = AerieSystem::Create(options);
+  ASSERT_TRUE(sys.ok());
+
+  constexpr int kClients = 2;
+  constexpr int kRounds = 8;
+  constexpr int kFilesPerRound = 1000;
+  std::vector<std::unique_ptr<AerieSystem::Client>> clients;
+  std::vector<std::unique_ptr<Pxfs>> fss;
+  for (int c = 0; c < kClients; ++c) {
+    auto client = (*sys)->NewClient();
+    ASSERT_TRUE(client.ok());
+    fss.push_back(std::make_unique<Pxfs>((*client)->fs()));
+    clients.push_back(std::move(*client));
+    ASSERT_TRUE(fss.back()->Mkdir("/c" + std::to_string(c)).ok());
+  }
+
+  std::atomic<int> failures{0};
+  std::string first_error;
+  std::mutex error_mu;
+  auto fail = [&](const Status& st) {
+    std::lock_guard lock(error_mu);
+    if (failures++ == 0) {
+      first_error = st.ToString();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Pxfs* fs = fss[static_cast<size_t>(c)].get();
+      const std::string dir = "/c" + std::to_string(c);
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kFilesPerRound; ++i) {
+          const std::string path = dir + "/r" + std::to_string(round) + "_" +
+                                   std::to_string(i);
+          if (Status st = fs->Create(path); !st.ok()) {
+            fail(st);
+          }
+        }
+        if (Status st = fs->SyncAll(); !st.ok()) {
+          fail(st);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0) << first_error;
+
+  auto report = RunFsck((*sys)->volume());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  EXPECT_EQ(report->files,
+            static_cast<uint64_t>(kClients * kRounds * kFilesPerRound));
 }
 
 TEST(TfsConcurrencyTest, PoolsAreClientPrivate) {

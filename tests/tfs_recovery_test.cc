@@ -7,6 +7,7 @@
 
 #include "src/libfs/system.h"
 #include "src/pxfs/pxfs.h"
+#include "src/tfs/fsck.h"
 
 namespace aerie {
 namespace {
@@ -152,6 +153,38 @@ TEST_F(RecoveryTest, StalePoolsReclaimedOnRecovery) {
     // All pre-allocated pool objects were returned.
     EXPECT_EQ(sys->volume()->allocator()->pages_free(),
               free_after_bootstrap);
+  }
+}
+
+// A client that crashes holding every pool type, with unshipped ops that
+// consumed some of its objects, leaks nothing across the restart.
+TEST_F(RecoveryTest, CrashBeforeShippingReclaimsEveryPool) {
+  uint64_t free_after_bootstrap = 0;
+  {
+    auto sys = Boot(/*fresh=*/true);
+    free_after_bootstrap = sys->volume()->allocator()->pages_free();
+    LibFs::Options lazy;
+    lazy.flush_interval_ms = 0;  // no flusher: nothing ships unless asked
+    auto client = sys->NewClient(lazy);
+    ASSERT_TRUE(client.ok());
+    Pxfs pxfs((*client)->fs());
+    ASSERT_TRUE(pxfs.Mkdir("/d").ok());
+    auto fd = pxfs.Open("/d/f", kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.ok());
+    const std::string data(3 * kScmPageSize, 'x');
+    ASSERT_TRUE(
+        pxfs.Write(*fd, std::span<const char>(data.data(), data.size()))
+            .ok());
+    EXPECT_GT((*client)->fs()->pending_ops(), 0u);
+    (*client)->AbandonForCrashTest();
+  }
+  {
+    auto sys = Boot(/*fresh=*/false);
+    EXPECT_EQ(sys->volume()->allocator()->pages_free(), free_after_bootstrap);
+    auto report = RunFsck(sys->volume());
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->ok()) << report->Summary();
+    EXPECT_EQ(report->pool_objects, 0u);
   }
 }
 

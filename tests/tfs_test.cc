@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "src/libfs/system.h"
+#include "src/pxfs/pxfs.h"
+#include "src/tfs/fsck.h"
 
 namespace aerie {
 namespace {
@@ -46,9 +48,25 @@ class TfsTest : public ::testing::Test {
     fs()->clerk()->Release(fs()->pxfs_root().lock_id());
   }
 
+  uint64_t PooledObjects() {
+    auto report = RunFsck(sys_->volume());
+    EXPECT_TRUE(report.ok() && report->ok());
+    return report.ok() ? report->pool_objects : 0;
+  }
+
   std::unique_ptr<AerieSystem> sys_;
   std::unique_ptr<AerieSystem::Client> client_;
 };
+
+// Live value of the TFS's tfs.pool.objects gauge.
+int64_t PoolObjectsGauge() {
+  for (const obs::MetricSnapshot& m : obs::Registry::Instance().Collect()) {
+    if (m.name == "tfs.pool.objects") {
+      return m.gauge;
+    }
+  }
+  return -1;
+}
 
 TEST_F(TfsTest, BootstrapCreatedRoots) {
   auto roots = tfs()->GetRoots();
@@ -413,6 +431,44 @@ TEST_F(TfsTest, DroppedLocksRejectBatch) {
   op.name = "too-late";
   op.obj = *pooled;
   EXPECT_FALSE(tfs()->ApplyBatch(cid(), OneOp(op)).ok());
+}
+
+// A client that disconnects holding every pool type, with unshipped ops that
+// consumed some of its objects, leaves nothing behind: its pooled objects
+// are freed and their pool-map entries cleared.
+TEST_F(TfsTest, DisconnectBeforeShippingReclaimsEveryPool) {
+  BuddyAllocator* alloc = sys_->volume()->allocator();
+  const uint64_t free_before = alloc->pages_free();
+  const uint64_t pooled_before = PooledObjects();
+  const int64_t gauge_before = PoolObjectsGauge();
+  LibFs::Options lazy;
+  lazy.flush_interval_ms = 0;  // no flusher: nothing ships unless asked
+  auto client = sys_->NewClient(lazy);
+  ASSERT_TRUE(client.ok());
+  {
+    Pxfs pxfs((*client)->fs());
+    ASSERT_TRUE(pxfs.Mkdir("/d").ok());
+    auto fd = pxfs.Open("/d/f", kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.ok());
+    const std::string data(3 * kScmPageSize, 'x');
+    ASSERT_TRUE(
+        pxfs.Write(*fd, std::span<const char>(data.data(), data.size()))
+            .ok());
+  }
+  EXPECT_GT((*client)->fs()->pending_ops(), 0u);
+  EXPECT_GT(PooledObjects(), pooled_before);
+  EXPECT_GT(PoolObjectsGauge(), gauge_before);
+
+  // Tear down like a client whose process died: no ship, then the
+  // service-side disconnect.
+  const uint64_t id = (*client)->id();
+  (*client)->AbandonForCrashTest();
+  ASSERT_TRUE(tfs()->ClientDisconnected(id).ok());
+  sys_->lock_service()->UnregisterClient(id);
+  client->reset();
+  EXPECT_EQ(alloc->pages_free(), free_before);
+  EXPECT_EQ(PooledObjects(), pooled_before);
+  EXPECT_EQ(PoolObjectsGauge(), gauge_before);
 }
 
 }  // namespace

@@ -440,11 +440,20 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
 
   // libFS foreground stalls (DESIGN.md §6 items 5-6): batches the caller
   // shipped itself under backpressure, and takes that found their pool
-  // empty. Both stay near zero while the flusher keeps up.
-  if (counter("libfs.batch.shipped") != 0 || counter("libfs.pool.take") != 0) {
+  // empty. Both stay near zero while the flusher keeps up. Beside them, the
+  // objects the TFS holds in client pools (tfs.pool.objects): a client that
+  // died holding pools keeps this up until its objects are reclaimed.
+  int64_t pooled = 0;
+  for (const TelemetryMetric& m : cur.merged) {
+    if (m.kind == obs::Metric::Kind::kGauge && m.name == "tfs.pool.objects") {
+      pooled = m.gauge;
+    }
+  }
+  if (counter("libfs.batch.shipped") != 0 || counter("libfs.pool.take") != 0 ||
+      pooled != 0) {
     std::printf(
         "\nlibfs stalls: inline ships %s (%s/s) of %s batches, "
-        "pool refill stalls %s (%s/s) of %s refills\n",
+        "pool refill stalls %s (%s/s) of %s refills, pooled objects %s\n",
         PrettyCount(static_cast<double>(counter("libfs.batch.inline_ship")))
             .c_str(),
         PrettyCount(RatePerSec(prev, cur, "libfs.batch.inline_ship")).c_str(),
@@ -454,7 +463,8 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
             .c_str(),
         PrettyCount(RatePerSec(prev, cur, "libfs.pool.refill_stall")).c_str(),
         PrettyCount(static_cast<double>(counter("libfs.pool.refill")))
-            .c_str());
+            .c_str(),
+        PrettyCount(static_cast<double>(pooled)).c_str());
   }
 
   const obs::WriteAmpReport amp = obs::ComputeWriteAmp(CounterPairs(cur));
