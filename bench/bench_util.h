@@ -18,6 +18,8 @@
 #ifndef AERIE_BENCH_BENCH_UTIL_H_
 #define AERIE_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -41,6 +43,16 @@ inline double Scale() { return EnvDouble("AERIE_BENCH_SCALE", 0.05); }
 inline double Seconds() { return EnvDouble("AERIE_BENCH_SECONDS", 2.0); }
 inline int MaxThreads() {
   return static_cast<int>(EnvDouble("AERIE_BENCH_THREADS", 4));
+}
+// CPUs this process may run on (its affinity mask), which is what bounds
+// thread and client scaling; 0 if the mask cannot be read.
+inline int UsableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return 0;
+  }
+  return CPU_COUNT(&set);
 }
 // Base seed every bench derives its per-runner seeds from (seed + fixed
 // offset), so one AERIE_BENCH_SEED value pins the whole sweep.

@@ -82,9 +82,9 @@ int main() {
   const int max_threads = MaxThreads();
 
   std::printf("# Figure 5: throughput (workload iterations/s) vs threads\n");
-  std::printf("# scale=%.3f, %gs per point, single-core host (see "
+  std::printf("# scale=%.3f, %gs per point, %d usable CPUs (see "
               "EXPERIMENTS.md)\n\n",
-              scale, seconds);
+              scale, seconds, UsableCpus());
 
   obs::BenchReport report = MakeReport("fig5_thread_scaling");
 

@@ -94,8 +94,8 @@ int main() {
   const double seconds = Seconds();
   std::printf("# Table 3: multiprogrammed throughput (iterations/s) vs "
               "clients\n");
-  std::printf("# scale=%.3f, %gs per point, single-core host\n\n", scale,
-              seconds);
+  std::printf("# scale=%.3f, %gs per point, %d usable CPUs\n\n", scale,
+              seconds, UsableCpus());
   std::printf("# paper (ops/s): FS alone 59k@1 -> 214k@6; FS+WP 273k@2 -> "
               "599k@6; FS+WP(FlatFS) 349k@2 -> 922k@6\n\n");
 

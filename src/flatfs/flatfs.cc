@@ -141,7 +141,6 @@ void FlatFs::InvalidateDirectValue(std::string_view key) {
 
 Status FlatFs::Put(std::string_view key, std::span<const char> data) {
   AERIE_SPAN("flatfs", "put");
-  AERIE_SCM_LAYER("flatfs");
   obs::TraceInstant("flatfs.put.bytes", data.size());
   if (key.empty() || key.size() > Collection::kMaxKeyLen) {
     return Status(ErrorCode::kInvalidArgument, "bad key");

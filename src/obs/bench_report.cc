@@ -115,9 +115,7 @@ void BenchReport::CaptureAttribution(size_t top_spans) {
     if (snap.kind != Metric::Kind::kSpan || snap.hist.count() == 0) {
       continue;
     }
-    const size_t dot = snap.name.find('.');
-    const std::string layer =
-        dot == std::string::npos ? snap.name : snap.name.substr(0, dot);
+    const std::string layer(LayerOf(snap.name));
     auto it = std::find_if(layers.begin(), layers.end(),
                            [&](const LayerRow& r) { return r.layer == layer; });
     if (it == layers.end()) {

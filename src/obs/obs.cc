@@ -78,24 +78,42 @@ ScopedSpan*& TlsCurrentSpan() {
 }
 
 namespace detail {
-// Signal-handler-visible mirror of TlsCurrentSpan()->stat_ (see obs.h).
-thread_local constinit std::atomic<SpanStat*> g_tls_prof_span{nullptr};
+thread_local constinit std::atomic<SpanStat*> g_tls_span_tag{nullptr};
 }  // namespace detail
+
+ScmLayerCounters& ScmLayerCountersFor(std::string_view layer) {
+  // Interned forever, like the registry counters they bundle; the map makes
+  // the lookup idempotent so every span of a layer shares one row.
+  static std::mutex mu;
+  static auto* layers =
+      new std::map<std::string, ScmLayerCounters*, std::less<>>();
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = layers->find(layer);
+  if (it == layers->end()) {
+    Registry& reg = Registry::Instance();
+    const std::string prefix = "scm.layer." + std::string(layer) + ".";
+    auto* counters = new ScmLayerCounters{
+        reg.GetCounter(prefix + "lines_flushed"),
+        reg.GetCounter(prefix + "bytes_streamed"),
+        reg.GetCounter(prefix + "fences"),
+    };
+    it = layers->emplace(std::string(layer), counters).first;
+  }
+  return *it->second;
+}
 
 void AddWaitNsToCurrentSpan(WaitKind kind, uint64_t ns) {
   if (!SpansOn()) {
     return;
   }
-  SpanStat* stat = detail::g_tls_prof_span.load(std::memory_order_relaxed);
+  SpanStat* stat = CurrentSpanTag();
   if (stat != nullptr) {
     stat->AddWaitNs(kind, ns);
   }
 }
 
 ScopedWait::ScopedWait(WaitKind kind, uint64_t* total_ns) {
-  const bool span_live =
-      SpansOn() &&
-      detail::g_tls_prof_span.load(std::memory_order_relaxed) != nullptr;
+  const bool span_live = SpansOn() && CurrentSpanTag() != nullptr;
   const bool want_total = total_ns != nullptr && CountersOn();
   if (!span_live && !want_total) {
     return;
@@ -491,12 +509,13 @@ struct LayerRow {
 std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps) {
   std::map<std::string, LayerRow> layers;
   for (const MetricSnapshot& snap : snaps) {
-    if (snap.kind != Metric::Kind::kSpan || snap.hist.count() == 0) {
+    // Counters mode records no span calls, but the sampler still credits
+    // CPU through the layer tag; keep those rows.
+    if (snap.kind != Metric::Kind::kSpan ||
+        (snap.hist.count() == 0 && snap.span_cpu_ns == 0)) {
       continue;
     }
-    const size_t dot = snap.name.find('.');
-    const std::string layer =
-        dot == std::string::npos ? snap.name : snap.name.substr(0, dot);
+    const std::string layer(LayerOf(snap.name));
     LayerRow& row = layers[layer];
     row.layer = layer;
     row.spans += snap.hist.count();

@@ -13,10 +13,14 @@
 //   * LatencyHistogram — aerie::Histogram sharded across threads; recording
 //     takes a per-shard spinlock that is effectively uncontended (shards are
 //     selected by a per-thread id), so the hot path stays allocation-free.
-//   * SpanStat / ScopedSpan / AERIE_SPAN(layer, op) — scoped wall-time spans.
-//     Spans nest through a thread-local chain: a child's wall time is
-//     subtracted from its parent, so each layer's *self* time is exclusive
-//     and per-layer self times sum to end-to-end wall time.
+//   * SpanStat / ScopedSpan / AERIE_SPAN(layer, op) — scoped spans. Whenever
+//     counters are on, a span is the thread's *layer tag*: one thread-local
+//     pointer to the innermost live span's SpanStat, which the SCM
+//     primitives charge media traffic to (scm.layer.<layer>.*) and the
+//     SIGPROF sampler attributes CPU to. In span mode spans are also timed:
+//     a child's wall time is subtracted from its parent, so each layer's
+//     *self* time is exclusive and per-layer self times sum to end-to-end
+//     wall time.
 //
 // Metrics are either *interned* (Registry::GetCounter("layer.op.metric");
 // live forever; the AERIE_SPAN macro interns once per call site via a
@@ -27,8 +31,10 @@
 // Gating: the AERIE_OBS environment variable (off | counters | spans;
 // default counters) selects the recording level. Every record path is
 // guarded by a single relaxed load + branch, so `off` costs one predictable
-// branch per call site. obs::SetMode() overrides the environment at runtime
-// (benches enable span mode only for their breakdown pass).
+// branch per call site. `counters` adds the layer tag (a clock-free TLS
+// store on span entry and exit); `spans` adds timing and trace events.
+// obs::SetMode() overrides the environment at runtime (benches enable span
+// mode only for their breakdown pass).
 //
 // Naming convention: `layer.op.metric`, e.g. `scm.flush.lines`,
 // `clerk.acquire.global`, `rpc.tfs.apply_batch.bytes_out`. Span names are
@@ -280,6 +286,23 @@ enum class WaitKind : int {
 };
 inline constexpr int kWaitKinds = 3;
 
+// The layer of a span or metric name: the prefix before the first '.'.
+inline std::string_view LayerOf(std::string_view name) {
+  return name.substr(0, name.find('.'));
+}
+
+// One layer's SCM media traffic (write amplification, DESIGN.md §9.3):
+// the interned counters scm.layer.<layer>.{lines_flushed,bytes_streamed,
+// fences}, charged by the persistence primitives (src/scm/pmem.h) to the
+// calling thread's layer tag.
+struct ScmLayerCounters {
+  Counter& lines_flushed;   // cache lines made persistent
+  Counter& bytes_streamed;  // bytes through StreamWrite
+  Counter& fences;          // Fence calls
+};
+// Interned per layer name; lives for the process.
+ScmLayerCounters& ScmLayerCountersFor(std::string_view layer);
+
 // Aggregate for one span call-site family (one `layer.op`): a histogram of
 // *self* time plus exact running sums for attribution arithmetic.
 class SpanStat final : public Metric {
@@ -327,6 +350,16 @@ class SpanStat final : public Metric {
   uint64_t rpc_wait_ns() const { return wait_ns(WaitKind::kRpc); }
   uint64_t other_wait_ns() const { return wait_ns(WaitKind::kOther); }
 
+  // The SCM counters of this span's layer, resolved on first use.
+  ScmLayerCounters& scm_layer() {
+    ScmLayerCounters* counters = scm_layer_.load(std::memory_order_acquire);
+    if (counters == nullptr) [[unlikely]] {
+      counters = &ScmLayerCountersFor(LayerOf(name()));
+      scm_layer_.store(counters, std::memory_order_release);
+    }
+    return *counters;
+  }
+
   void Reset() override {
     count_.store(0, std::memory_order_relaxed);
     total_ns_.store(0, std::memory_order_relaxed);
@@ -345,24 +378,36 @@ class SpanStat final : public Metric {
   std::atomic<uint64_t> cpu_ns_{0};
   std::array<std::atomic<uint64_t>, kWaitKinds> wait_ns_{};
   LatencyHistogram self_hist_;
+  std::atomic<ScmLayerCounters*> scm_layer_{nullptr};
 };
 
-// Accessor for the thread's innermost live span (defined in obs.cc).
+// Accessor for the thread's innermost timed (span-mode) span (obs.cc).
 class ScopedSpan;
 ScopedSpan*& TlsCurrentSpan();
 
 namespace detail {
 
-// Async-signal-safe mirror of the innermost live span's stat. ScopedSpan
-// keeps it in sync with TlsCurrentSpan(); the SIGPROF handler
-// (src/obs/profiler.cc) reads only this atomic — never the stack-allocated
-// ScopedSpan chain — because a sample can land between any two instructions
-// of ctor/dtor. Values are interned SpanStat pointers, valid for the
-// process lifetime, so a stale read is at worst misattributed, never a
-// dangling dereference.
-extern thread_local constinit std::atomic<SpanStat*> g_tls_prof_span;
+// The thread's layer tag: the innermost live span's stat, or null outside
+// any span. ScopedSpan sets it on entry and restores it on exit whenever
+// counters are on. The SCM primitives charge the tag's layer, and the
+// SIGPROF handler (src/obs/profiler.cc) reads it — an atomic because a
+// sample can land between any two instructions of ctor/dtor. Values are
+// interned SpanStat pointers, valid for the process lifetime, so a stale
+// read is at worst misattributed, never a dangling dereference.
+extern thread_local constinit std::atomic<SpanStat*> g_tls_span_tag;
 
 }  // namespace detail
+
+inline SpanStat* CurrentSpanTag() {
+  return detail::g_tls_span_tag.load(std::memory_order_relaxed);
+}
+
+namespace prof {
+// src/obs/profiler.h: gives the calling thread a sample ring. A thread's
+// outermost span calls it, so every thread that carries a layer tag can be
+// sampled in any mode that maintains the tag.
+void RegisterCurrentThread();
+}  // namespace prof
 
 namespace detail {
 
@@ -387,19 +432,28 @@ void TraceSpanEnd(const char* name, const TraceLink& link, uint64_t start_ns,
 
 }  // namespace detail
 
-// RAII span. Inert (one branch) unless mode is `spans`. Safe to construct
-// with a null stat (records nothing).
+// RAII span. A null stat leaves it inert; callers pass null when counters
+// are off (AERIE_SPAN does), so `off` costs the caller's one branch. With a
+// stat the span tags the thread with it until destruction (no clock read);
+// in span mode it is also timed, recorded and linked into the trace.
 class ScopedSpan {
  public:
   explicit ScopedSpan(SpanStat* stat) {
-    if (stat == nullptr || !SpansOn()) {
+    if (stat == nullptr) {
       return;
     }
     stat_ = stat;
+    prev_tag_ = CurrentSpanTag();
+    detail::g_tls_span_tag.store(stat, std::memory_order_relaxed);
+    if (prev_tag_ == nullptr) {
+      prof::RegisterCurrentThread();
+    }
+    if (!SpansOn()) {
+      return;
+    }
     ScopedSpan*& tls = TlsCurrentSpan();
     parent_ = tls;
     tls = this;
-    detail::g_tls_prof_span.store(stat, std::memory_order_relaxed);
     detail::TraceSpanBegin(stat->name().c_str(), &trace_);
     start_ns_ = NowNanos();
   }
@@ -408,12 +462,13 @@ class ScopedSpan {
     if (stat_ == nullptr) {
       return;
     }
+    detail::g_tls_span_tag.store(prev_tag_, std::memory_order_relaxed);
+    if (start_ns_ == 0) {
+      return;  // tag only: entered outside span mode
+    }
     const uint64_t end_ns = NowNanos();
     const uint64_t total = end_ns - start_ns_;
     TlsCurrentSpan() = parent_;
-    detail::g_tls_prof_span.store(
-        parent_ != nullptr ? parent_->stat_ : nullptr,
-        std::memory_order_relaxed);
     if (parent_ != nullptr) {
       parent_->child_ns_ += total;
     }
@@ -426,9 +481,10 @@ class ScopedSpan {
 
  private:
   SpanStat* stat_ = nullptr;
-  ScopedSpan* parent_ = nullptr;
-  uint64_t start_ns_ = 0;
-  uint64_t child_ns_ = 0;  // wall time spent in nested spans
+  SpanStat* prev_tag_ = nullptr;  // the tag to restore on exit
+  ScopedSpan* parent_ = nullptr;  // innermost timed span (span mode)
+  uint64_t start_ns_ = 0;         // 0 = untimed
+  uint64_t child_ns_ = 0;         // wall time spent in nested spans
   detail::TraceLink trace_;
 };
 
@@ -543,8 +599,8 @@ void ResetAll();
 
 // --- SCM write-amplification accounting -----------------------------------
 // The SCM primitives attribute physical media traffic per layer
-// (src/scm/pmem.h: AERIE_SCM_LAYER scopes feed scm.layer.<layer>.*
-// counters) and the PXFS/FlatFS API boundary counts the logical bytes
+// (ScmLayerCounters: the caller's layer tag picks the scm.layer.<layer>.*
+// row) and the PXFS/FlatFS API boundary counts the logical bytes
 // applications asked to write (*.api.logical_write_bytes). ComputeWriteAmp
 // derives per-layer write amplification from any (name, counter value) set
 // — the local registry, or a cross-process telemetry merge in aerie_top.
@@ -588,9 +644,10 @@ RpcMethodStats& RpcMethodStatsFor(uint32_t method);
 }  // namespace obs
 }  // namespace aerie
 
-// Scoped trace span: AERIE_SPAN("pxfs", "open") attributes the enclosing
-// scope's wall time to layer "pxfs", op "open". Both arguments must be
-// string literals. Costs one branch when spans are disabled.
+// Scoped span: AERIE_SPAN("pxfs", "open") tags the enclosing scope with
+// layer "pxfs", op "open" (SCM traffic and CPU samples land there) and, in
+// span mode, attributes its wall time to it. Both arguments must be string
+// literals. Costs one branch when obs is off.
 #define AERIE_OBS_CONCAT_(a, b) a##b
 #define AERIE_OBS_CONCAT(a, b) AERIE_OBS_CONCAT_(a, b)
 #define AERIE_SPAN(layer, op)                                               \
@@ -598,7 +655,7 @@ RpcMethodStats& RpcMethodStatsFor(uint32_t method);
                                                   __LINE__) =               \
       ::aerie::obs::Registry::Instance().GetSpan(layer "." op);             \
   ::aerie::obs::ScopedSpan AERIE_OBS_CONCAT(aerie_span_, __LINE__)(         \
-      ::aerie::obs::SpansOn()                                               \
+      ::aerie::obs::CountersOn()                                            \
           ? &AERIE_OBS_CONCAT(aerie_span_stat_, __LINE__)                   \
           : nullptr)
 

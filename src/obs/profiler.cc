@@ -128,8 +128,7 @@ void SampleHandler(int /*sig*/) {
 #endif
         const int skip = n >= 3 ? 2 : 0;  // this handler + signal trampoline
         Slot& slot = ring->slots[head & ring->mask];
-        slot.span.store(reinterpret_cast<uint64_t>(detail::g_tls_prof_span
-                            .load(std::memory_order_relaxed)),
+        slot.span.store(reinterpret_cast<uint64_t>(CurrentSpanTag()),
                         std::memory_order_relaxed);
         uint32_t out = 0;
         for (int i = skip; i < n && out < kMaxFrames; ++i, ++out) {
@@ -252,11 +251,6 @@ std::string SymbolizeFrame(uintptr_t pc) {
   return buf;
 }
 
-std::string LayerOf(const std::string& span_name) {
-  const size_t dot = span_name.find('.');
-  return dot == std::string::npos ? span_name : span_name.substr(0, dot);
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -291,7 +285,7 @@ std::vector<FoldedEntry> SnapshotFolded() {
   for (const auto& [key, count] : agg) {
     FoldedEntry e;
     e.span = key.span != nullptr ? key.span->name() : "(no_span)";
-    e.layer = key.span != nullptr ? LayerOf(e.span) : "(none)";
+    e.layer = key.span != nullptr ? std::string(LayerOf(e.span)) : "(none)";
     e.count = count;
     e.frames.reserve(key.frames.size());
     // Captured leaf-first; folded stacks want root-first.

@@ -6,11 +6,12 @@
 // that are async-signal-safe in practice (relaxed atomic stores plus
 // glibc's backtrace(), pre-warmed at Start() so its lazy libgcc dlopen
 // happens outside signal context) — captures the call stack and the
-// thread's innermost live obs span (obs::detail::g_tls_prof_span, the
-// signal-safe mirror of the ScopedSpan TLS chain) into a per-thread
-// single-producer/single-consumer ring of atomics. A collector thread
-// drains the rings every ~100 ms into folded-stack aggregates keyed by
-// (span, frames) and credits each sample's period to the span's cpu_ns, so
+// thread's layer tag (obs::CurrentSpanTag(): the innermost live span,
+// maintained by ScopedSpan whenever counters are on, so a plain
+// `counters` run is attributed as fully as a `spans` run) into a
+// per-thread single-producer/single-consumer ring of atomics. A collector
+// thread drains the rings every ~100 ms into folded-stack aggregates keyed
+// by (span, frames) and credits each sample's period to the span's cpu_ns, so
 // the span tables (DumpJson / LayerBreakdownText / telemetry / BenchReport)
 // decompose every layer into cpu vs. lock/rpc/other wait (the wait side is
 // obs::ScopedWait at the instrumented blocking sites).
@@ -24,10 +25,10 @@
 // invoked from the process-telemetry attach, so any Aerie process profiles
 // itself when AERIE_PROF is set — no per-binary wiring.
 //
-// Threads are registered lazily from non-signal contexts (span begin via
-// the flight recorder, Start(), RegisterCurrentThread()); a sample landing
-// on an unregistered thread is counted in ProfileStats::no_ring and
-// dropped, never buffered unsafely.
+// Threads are registered lazily from non-signal contexts (a thread's
+// outermost span — the point where it first takes a layer tag — Start(),
+// RegisterCurrentThread()); a sample landing on an unregistered thread is
+// counted in ProfileStats::no_ring and dropped, never buffered unsafely.
 #ifndef AERIE_SRC_OBS_PROFILER_H_
 #define AERIE_SRC_OBS_PROFILER_H_
 
@@ -68,8 +69,9 @@ bool IsRunning();
 void MaybeStartFromEnv();
 
 // Gives the calling thread a sample ring (idempotent, cheap after the
-// first call). Span-begin does this automatically; explicit registration
-// is for threads that burn CPU without ever opening a span.
+// first call). A thread's outermost span does this in any mode that keeps
+// the layer tag; explicit registration is for threads that burn CPU
+// without ever opening a span.
 void RegisterCurrentThread();
 
 // Synchronously drains all thread rings into the aggregates (also credits

@@ -10,7 +10,6 @@
 
 #include "src/common/check.h"
 #include "src/common/clock.h"
-#include "src/obs/profiler.h"
 
 namespace aerie {
 namespace obs {
@@ -252,10 +251,6 @@ void DumpPostMortem() {
 namespace detail {
 
 void TraceSpanBegin(const char* name, TraceLink* link) {
-  // Span-begin doubles as the profiler's thread-attach point: any thread
-  // that does span-attributable work gets a sample ring before its first
-  // SIGPROF can land (no-op after the first call / when not profiling).
-  prof::RegisterCurrentThread();
   TraceContext& cur = TlsContextRef();
   link->prev_trace_id = cur.trace_id;
   link->prev_span_id = cur.span_id;

@@ -18,7 +18,7 @@
 // AERIE_TRACE_SLOW_US (that trace's event trail to stderr).
 //
 // Everything here is inert unless AERIE_OBS=spans: the record paths are
-// behind the same single-branch SpansOn() gate as ScopedSpan.
+// behind the same single-branch SpansOn() gate as ScopedSpan's timing.
 #ifndef AERIE_SRC_OBS_TRACE_H_
 #define AERIE_SRC_OBS_TRACE_H_
 

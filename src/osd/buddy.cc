@@ -11,7 +11,6 @@ namespace aerie {
 Result<std::unique_ptr<BuddyAllocator>> BuddyAllocator::Create(
     ScmRegion* region, uint64_t bitmap_offset, uint64_t data_start,
     uint64_t page_count, bool fresh) {
-  AERIE_SCM_LAYER("osd");
   if (data_start % kScmPageSize != 0 || page_count == 0) {
     return Status(ErrorCode::kInvalidArgument, "bad allocator geometry");
   }
@@ -40,7 +39,7 @@ bool BuddyAllocator::BitmapBit(uint64_t page) const {
 }
 
 void BuddyAllocator::SetBitmap(uint64_t page, uint64_t count, bool allocated) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "set_bitmap");
   char* bm = region_->PtrAt(bitmap_offset_);
   const uint64_t first_byte = page / 8;
   for (uint64_t p = page; p < page + count; ++p) {
@@ -113,7 +112,7 @@ Result<uint64_t> BuddyAllocator::Alloc(int order) {
 
 Status BuddyAllocator::AllocMany(int order, uint64_t count,
                                  std::vector<uint64_t>* out) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "alloc_many");
   if (order < 0 || order > kMaxOrder) {
     return Status(ErrorCode::kInvalidArgument, "bad order");
   }

@@ -160,7 +160,7 @@ bool AppendEntryRaw(const OsdContext& ctx, BucketRep* bucket,
 }  // namespace
 
 Result<Collection> Collection::Create(const OsdContext& ctx, uint32_t acl) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "coll_create");
   if (!ctx.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
                   "collection creation requires the allocator");
@@ -201,7 +201,7 @@ uint32_t Collection::acl() const {
 }
 
 void Collection::SetAcl(uint32_t new_acl) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "coll_set_acl");
   ctx_.region->PersistU64(&HeaderAt(ctx_, oid_)->acl, new_acl);
 }
 
@@ -210,7 +210,7 @@ Oid Collection::parent_oid() const {
 }
 
 void Collection::SetParentOid(Oid parent) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "coll_set_parent");
   ctx_.region->PersistU64(&HeaderAt(ctx_, oid_)->parent_oid, parent.raw());
 }
 
@@ -219,7 +219,7 @@ uint64_t Collection::link_count() const {
 }
 
 void Collection::SetLinkCount(uint64_t n) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "coll_set_links");
   ctx_.region->PersistU64(&HeaderAt(ctx_, oid_)->link_count, n);
 }
 
@@ -232,7 +232,6 @@ uint64_t Collection::nbuckets() const {
 }
 
 void Collection::BumpCounts(int64_t live_delta, int64_t tomb_delta) {
-  AERIE_SCM_LAYER("osd");
   HeaderRep* hdr = HeaderAt(ctx_, oid_);
   if (live_delta != 0) {
     ctx_.region->PersistU64(
@@ -289,7 +288,6 @@ Result<uint64_t> Collection::Lookup(std::string_view key) const {
 
 Status Collection::InsertIntoBucket(std::string_view key, uint64_t value,
                                     bool* reused_tombstone) {
-  AERIE_SCM_LAYER("osd");
   *reused_tombstone = false;
   HeaderRep* hdr = HeaderAt(ctx_, oid_);
   TableRep* table = TableAt(ctx_, hdr);
@@ -331,7 +329,7 @@ Status Collection::InsertIntoBucket(std::string_view key, uint64_t value,
 }
 
 Status Collection::Insert(std::string_view key, uint64_t value) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "coll_insert");
   if (key.empty() || key.size() > kMaxKeyLen) {
     return Status(ErrorCode::kInvalidArgument, "bad key length");
   }
@@ -371,7 +369,7 @@ Status Collection::Insert(std::string_view key, uint64_t value) {
 }
 
 Status Collection::Erase(std::string_view key) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "coll_erase");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
                   "collection mutation requires the allocator");
@@ -443,7 +441,6 @@ Status Collection::Scan(
 }
 
 Status Collection::Rehash(uint64_t new_nbuckets) {
-  AERIE_SCM_LAYER("osd");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied, "rehash requires allocator");
   }
@@ -526,7 +523,7 @@ std::vector<Oid> Collection::BucketExtents() const {
 }
 
 Status Collection::Destroy() {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "coll_destroy");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied, "destroy requires allocator");
   }

@@ -64,7 +64,7 @@ Result<uint64_t> AllocZeroedBlock(const OsdContext& ctx) {
 }  // namespace
 
 Result<MFile> MFile::Create(const OsdContext& ctx, uint32_t acl) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_create");
   if (!ctx.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
                   "mFile creation requires the allocator");
@@ -84,7 +84,7 @@ Result<MFile> MFile::Create(const OsdContext& ctx, uint32_t acl) {
 
 Result<MFile> MFile::CreateSingleExtent(const OsdContext& ctx, uint32_t acl,
                                         uint64_t capacity_bytes) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_create_single");
   if (!ctx.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
                   "mFile creation requires the allocator");
@@ -132,7 +132,7 @@ uint32_t MFile::acl() const {
   return static_cast<uint32_t>(HeaderAt(ctx_, oid_)->acl);
 }
 void MFile::SetAcl(uint32_t new_acl) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_set_acl");
   ctx_.region->PersistU64(&HeaderAt(ctx_, oid_)->acl, new_acl);
 }
 
@@ -140,7 +140,7 @@ uint64_t MFile::link_count() const {
   return HeaderAt(ctx_, oid_)->link_count;
 }
 void MFile::SetLinkCount(uint64_t n) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_set_links");
   ctx_.region->PersistU64(&HeaderAt(ctx_, oid_)->link_count, n);
 }
 
@@ -319,7 +319,7 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
 }
 
 Status MFile::WriteInPlace(uint64_t offset, std::span<const char> data) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_write");
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   if (hdr->flags & kFlagSingleExtent) {
     if (offset + data.size() > hdr->capacity) {
@@ -353,7 +353,6 @@ Status MFile::WriteInPlace(uint64_t offset, std::span<const char> data) {
 }
 
 Status MFile::GrowHeightTo(uint32_t target) {
-  AERIE_SCM_LAYER("osd");
   MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   uint64_t packed = hdr->root;
   while (RootOffset(packed) != 0 && RootHeight(packed) < target) {
@@ -373,7 +372,7 @@ Status MFile::GrowHeightTo(uint32_t target) {
 }
 
 Status MFile::AttachExtent(uint64_t page_index, uint64_t extent_offset) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_attach");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
                   "mFile mapping changes require the allocator");
@@ -427,7 +426,7 @@ Status MFile::AttachExtent(uint64_t page_index, uint64_t extent_offset) {
 }
 
 Status MFile::SetSize(uint64_t bytes) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_set_size");
   MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   if ((hdr->flags & kFlagSingleExtent) && bytes > hdr->capacity) {
     return Status(ErrorCode::kOutOfSpace, "beyond single-extent capacity");
@@ -478,7 +477,7 @@ bool FreeSubtree(const OsdContext& ctx, uint64_t block, uint32_t level,
 }  // namespace
 
 Status MFile::Truncate(uint64_t bytes) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_truncate");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied, "truncate requires allocator");
   }
@@ -503,7 +502,7 @@ Status MFile::Truncate(uint64_t bytes) {
 }
 
 Status MFile::Destroy() {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "mfile_destroy");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied, "destroy requires allocator");
   }

@@ -31,7 +31,7 @@ Result<std::unique_ptr<Volume>> Volume::Format(ScmRegion* region,
                                                uint64_t partition_offset,
                                                uint64_t partition_size,
                                                const Options& options) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "volume_format");
   const uint64_t log_offset = AlignUp(
       partition_offset + sizeof(FsSuperRep), kScmPageSize);
   const uint64_t bitmap_offset =
@@ -115,7 +115,7 @@ Oid Volume::root_oid() const {
 }
 
 void Volume::SetRootOid(Oid oid) {
-  AERIE_SCM_LAYER("osd");
+  AERIE_SPAN("osd", "set_root");
   region_->PersistU64(&SuperAt(region_, partition_offset_)->root_oid,
                       oid.raw());
 }

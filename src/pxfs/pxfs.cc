@@ -514,7 +514,6 @@ Result<uint64_t> Pxfs::ReadLocked(Oid file, uint64_t offset,
 
 Result<uint64_t> Pxfs::WriteFile(const FdEntry& entry, uint64_t offset,
                                  std::span<const char> data) {
-  AERIE_SCM_LAYER("pxfs");
   if ((entry.flags & kOpenWrite) == 0) {
     return Status(ErrorCode::kPermissionDenied, "fd not open for write");
   }
@@ -689,7 +688,6 @@ Result<uint64_t> Pxfs::Seek(int fd, uint64_t offset) {
 
 Status Pxfs::Ftruncate(int fd, uint64_t size) {
   AERIE_SPAN("pxfs", "ftruncate");
-  AERIE_SCM_LAYER("pxfs");
   AERIE_ASSIGN_OR_RETURN(std::shared_ptr<FdEntry> entry, LookupFd(fd));
   if ((entry->flags & kOpenWrite) == 0) {
     return Status(ErrorCode::kPermissionDenied, "fd not open for write");
@@ -742,7 +740,6 @@ Status Pxfs::Ftruncate(int fd, uint64_t size) {
 
 Status Pxfs::Fsync(int fd) {
   AERIE_SPAN("pxfs", "fsync");
-  AERIE_SCM_LAYER("pxfs");
   AERIE_RETURN_IF_ERROR(LookupFd(fd).status());
   ctx_.region->BFlush();
   return fs_->Sync();
@@ -1188,7 +1185,6 @@ std::string Pxfs::cwd() const {
 
 Status Pxfs::SyncAll() {
   AERIE_SPAN("pxfs", "sync_all");
-  AERIE_SCM_LAYER("pxfs");
   ctx_.region->BFlush();
   return fs_->Sync();
 }

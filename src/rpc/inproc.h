@@ -30,8 +30,7 @@ class InprocTransport final : public Transport {
       stats->calls.Add(1);
       stats->bytes_out.Add(request.size());
     }
-    obs::ScopedSpan span(stats != nullptr && obs::SpansOn() ? &stats->span
-                                                            : nullptr);
+    obs::ScopedSpan span(stats != nullptr ? &stats->span : nullptr);
     // Only the simulated wire halves count as RPC wait for this transport:
     // dispatch runs the handler on the caller thread, which is real local
     // CPU the profiler attributes to the handler's own spans.

@@ -240,8 +240,7 @@ Result<std::string> UdsTransport::Call(uint32_t method,
     stats->calls.Add(1);
     stats->bytes_out.Add(request.size());
   }
-  obs::ScopedSpan span(stats != nullptr && obs::SpansOn() ? &stats->span
-                                                          : nullptr);
+  obs::ScopedSpan span(stats != nullptr ? &stats->span : nullptr);
 
   // Snapshot the trace context after the rpc.<method> span above opened, so
   // server-side spans hang off the RPC span of this specific call.

@@ -65,7 +65,7 @@ ProcessContext::ProcessContext(std::vector<uint32_t> gids) {
 
 Result<std::unique_ptr<ScmManager>> ScmManager::Format(
     ScmRegion* region, const Options& options) {
-  AERIE_SCM_LAYER("scm_mgr");
+  AERIE_SPAN("scm_mgr", "format");
   const uint64_t tables_end = sizeof(SuperblockRep) +
                               options.max_partitions * sizeof(PartitionRep) +
                               options.max_extents * sizeof(ExtentRep);
@@ -139,7 +139,7 @@ Status ScmManager::LoadFromRegion() {
 
 Result<PartitionInfo> ScmManager::AllocatePartition(uint64_t size,
                                                     uint32_t acl) {
-  AERIE_SCM_LAYER("scm_mgr");
+  AERIE_SPAN("scm_mgr", "alloc_partition");
   std::unique_lock lock(mu_);
   size = AlignUp(size, kScmPageSize);
 
@@ -213,7 +213,7 @@ Result<char*> ScmManager::MountPartition(ProcessContext* ctx,
 
 Status ScmManager::CreateExtent(uint64_t start, uint64_t length,
                                 uint32_t acl) {
-  AERIE_SCM_LAYER("scm_mgr");
+  AERIE_SPAN("scm_mgr", "create_extent");
   if (start % kScmPageSize != 0 || length == 0 ||
       length % kScmPageSize != 0 || start + length > region_->size()) {
     return Status(ErrorCode::kInvalidArgument, "bad extent range");
@@ -248,7 +248,7 @@ Status ScmManager::CreateExtent(uint64_t start, uint64_t length,
 }
 
 Status ScmManager::MprotectExtent(uint64_t start, uint32_t new_acl) {
-  AERIE_SCM_LAYER("scm_mgr");
+  AERIE_SPAN("scm_mgr", "mprotect_extent");
   std::unique_lock lock(mu_);
   auto it = extents_.find(start);
   if (it == extents_.end()) {
@@ -280,7 +280,7 @@ Status ScmManager::MprotectExtent(uint64_t start, uint32_t new_acl) {
 }
 
 Status ScmManager::DestroyExtent(uint64_t start) {
-  AERIE_SCM_LAYER("scm_mgr");
+  AERIE_SPAN("scm_mgr", "destroy_extent");
   std::unique_lock lock(mu_);
   auto it = extents_.find(start);
   if (it == extents_.end()) {

@@ -6,8 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <map>
-#include <mutex>
 
 #include "src/common/clock.h"
 #include "src/obs/trace.h"
@@ -23,45 +21,14 @@ uint64_t LinesCovering(const void* addr, size_t len) {
   return (end - start + kCacheLineSize - 1) / kCacheLineSize;
 }
 
-// Attribution target for primitives running outside any AERIE_SCM_LAYER
-// scope (recovery paths, tests driving ScmRegion directly).
-ScmLayerStats& UnattributedLayer() {
-  static ScmLayerStats& stats = ScmLayerStats::For("unattributed");
-  return stats;
-}
-
-ScmLayerStats& CurrentLayerStats() {
-  ScmLayerStats* cur = TlsScmLayer();
-  return cur != nullptr ? *cur : UnattributedLayer();
+// The layer a primitive entered under `caller` charges.
+obs::ScmLayerCounters& ChargedLayer(obs::SpanStat* caller) {
+  static obs::ScmLayerCounters& unattributed =
+      obs::ScmLayerCountersFor("unattributed");
+  return caller != nullptr ? caller->scm_layer() : unattributed;
 }
 
 }  // namespace
-
-ScmLayerStats& ScmLayerStats::For(std::string_view layer) {
-  // Interned forever, like the registry counters they wrap; the map makes
-  // For() idempotent so macro call sites in different TUs share one row.
-  static std::mutex mu;
-  static auto* layers = new std::map<std::string, ScmLayerStats*>();
-  const std::string key(layer);
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = layers->find(key);
-  if (it == layers->end()) {
-    auto& reg = obs::Registry::Instance();
-    const std::string prefix = "scm.layer." + key + ".";
-    auto* stats = new ScmLayerStats{
-        reg.GetCounter(prefix + "lines_flushed"),
-        reg.GetCounter(prefix + "bytes_streamed"),
-        reg.GetCounter(prefix + "fences"),
-    };
-    it = layers->emplace(key, stats).first;
-  }
-  return *it->second;
-}
-
-ScmLayerStats*& TlsScmLayer() {
-  thread_local ScmLayerStats* current = nullptr;
-  return current;
-}
 
 Result<std::unique_ptr<ScmRegion>> ScmRegion::CreateAnonymous(size_t size) {
   void* mem = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
@@ -111,10 +78,10 @@ ScmRegion::~ScmRegion() {
   }
 }
 
-void ScmRegion::ChargeLines(uint64_t lines) {
+void ScmRegion::ChargeLines(uint64_t lines, obs::SpanStat* caller) {
   stats_.lines_flushed.Add(lines);
   if (obs::CountersOn() && lines != 0) {
-    CurrentLayerStats().lines_flushed.Add(lines);
+    ChargedLayer(caller).lines_flushed.Add(lines);
   }
   const uint64_t ns = latency_.write_ns();
   if (ns != 0) {
@@ -123,6 +90,7 @@ void ScmRegion::ChargeLines(uint64_t lines) {
 }
 
 void ScmRegion::WlFlush(const void* addr, size_t len, int site) {
+  obs::SpanStat* const caller = obs::CurrentSpanTag();
   AERIE_SPAN("scm", "wl_flush");
   const uint64_t lines = LinesCovering(addr, len);
 #if defined(__x86_64__)
@@ -134,7 +102,7 @@ void ScmRegion::WlFlush(const void* addr, size_t len, int site) {
 #else
   std::atomic_thread_fence(std::memory_order_seq_cst);
 #endif
-  ChargeLines(lines);
+  ChargeLines(lines, caller);
   if (crash_sim_ != nullptr) {
     crash_sim_->OnWlFlush(addr, len, site);
   }
@@ -144,7 +112,7 @@ void ScmRegion::Fence(int site) {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   stats_.fences.Add(1);
   if (obs::CountersOn()) {
-    CurrentLayerStats().fences.Add(1);
+    ChargedLayer(obs::CurrentSpanTag()).fences.Add(1);
   }
   if (crash_sim_ != nullptr) {
     crash_sim_->OnFence(site);
@@ -157,7 +125,7 @@ void ScmRegion::StreamWrite(void* dst, const void* src, size_t len) {
   std::memcpy(dst, src, len);
   stats_.bytes_streamed.Add(len);
   if (obs::CountersOn() && len != 0) {
-    CurrentLayerStats().bytes_streamed.Add(len);
+    ChargedLayer(obs::CurrentSpanTag()).bytes_streamed.Add(len);
   }
   pending_wc_lines_.fetch_add(LinesCovering(dst, len),
                               std::memory_order_relaxed);
@@ -167,12 +135,13 @@ void ScmRegion::StreamWrite(void* dst, const void* src, size_t len) {
 }
 
 void ScmRegion::BFlush(int site) {
+  obs::SpanStat* const caller = obs::CurrentSpanTag();
   AERIE_SPAN("scm", "bflush");
   std::atomic_thread_fence(std::memory_order_seq_cst);
   stats_.wc_drains.Add(1);
   const uint64_t lines = pending_wc_lines_.exchange(0);
   obs::TraceInstant("scm.bflush.lines", lines);
-  ChargeLines(lines);
+  ChargeLines(lines, caller);
   if (crash_sim_ != nullptr) {
     crash_sim_->OnBFlush(site);
   }

@@ -69,43 +69,11 @@ struct ScmStats {
   }
 };
 
-// --- Per-layer media accounting (write amplification) ----------------------
-//
-// A ScopedScmLayer names the layer on whose behalf subsequent persistence
-// primitives on this thread run; the innermost scope wins, mirroring span
-// self-time attribution. ChargeLines / StreamWrite / Fence add into the
-// interned counters scm.layer.<layer>.{lines_flushed,bytes_streamed,fences};
-// traffic outside any scope lands under scm.layer.unattributed.*. Paired
-// with the logical byte counters at the PXFS/FlatFS API boundary
-// (*.api.logical_write_bytes), obs::ComputeWriteAmp turns these into the
-// per-layer write-amplification table (DESIGN.md §9.3).
-struct ScmLayerStats {
-  obs::Counter& lines_flushed;   // cache lines made persistent
-  obs::Counter& bytes_streamed;  // bytes through StreamWrite
-  obs::Counter& fences;          // Fence calls
-
-  // Interned per layer name (registry-owned counters, process lifetime).
-  static ScmLayerStats& For(std::string_view layer);
-};
-
-// This thread's innermost layer scope (null outside any scope).
-ScmLayerStats*& TlsScmLayer();
-
-class ScopedScmLayer {
- public:
-  explicit ScopedScmLayer(ScmLayerStats* stats) {
-    ScmLayerStats*& tls = TlsScmLayer();
-    prev_ = tls;
-    tls = stats;
-  }
-  ~ScopedScmLayer() { TlsScmLayer() = prev_; }
-
-  ScopedScmLayer(const ScopedScmLayer&) = delete;
-  ScopedScmLayer& operator=(const ScopedScmLayer&) = delete;
-
- private:
-  ScmLayerStats* prev_ = nullptr;
-};
+// Per-layer media accounting (write amplification, DESIGN.md §9.3): each
+// primitive also charges obs::ScmLayerCounters of the layer tag that was
+// current when it was entered (the caller's innermost obs span — read
+// before the primitive's own scm.* span opens, so layer `scm` never takes
+// the charge), or scm.layer.unattributed.* outside any span.
 
 // A contiguous range of emulated SCM mapped into the process.
 //
@@ -196,7 +164,9 @@ class ScmRegion {
   ScmRegion(char* base, size_t size, int fd, std::string path)
       : base_(base), size_(size), fd_(fd), path_(std::move(path)) {}
 
-  void ChargeLines(uint64_t lines);
+  // Counts `lines` made persistent for a primitive entered under `caller`
+  // (the layer tag) and injects the latency model's delay.
+  void ChargeLines(uint64_t lines, obs::SpanStat* caller);
 
   char* base_;
   size_t size_;
@@ -210,16 +180,5 @@ class ScmRegion {
 };
 
 }  // namespace aerie
-
-// Scoped SCM-layer attribution: AERIE_SCM_LAYER("txlog") charges every
-// persistence primitive reached from the enclosing scope (on this thread)
-// to scm.layer.txlog.*. `layer` must be a string literal; the stats are
-// interned once per call site like AERIE_SPAN.
-#define AERIE_SCM_LAYER(layer)                                               \
-  static ::aerie::ScmLayerStats& AERIE_OBS_CONCAT(aerie_scm_layer_stats_,    \
-                                                  __LINE__) =                \
-      ::aerie::ScmLayerStats::For(layer);                                    \
-  ::aerie::ScopedScmLayer AERIE_OBS_CONCAT(aerie_scm_layer_, __LINE__)(      \
-      &AERIE_OBS_CONCAT(aerie_scm_layer_stats_, __LINE__))
 
 #endif  // AERIE_SRC_SCM_PMEM_H_

@@ -18,7 +18,6 @@ static_assert(sizeof(PoolMapHeader) == kCacheLineSize);
 }  // namespace
 
 Result<PoolMap> PoolMap::Create(const OsdContext& ctx) {
-  AERIE_SCM_LAYER("tfs");
   const uint64_t pages = ctx.alloc->pages_total();
   AERIE_ASSIGN_OR_RETURN(uint64_t offset,
                          ctx.alloc->AllocBytes(sizeof(PoolMapHeader) + pages));
@@ -72,7 +71,6 @@ bool PoolMap::Set(Oid oid, bool marked) {
 }
 
 void PoolMap::Persist(std::span<const Oid> oids, int flush_site) const {
-  AERIE_SCM_LAYER("tfs");
   std::vector<uint64_t> lines;
   for (Oid oid : oids) {
     if (const int64_t index = IndexOf(oid); index >= 0) {

@@ -50,7 +50,7 @@ TrustedFsService::TrustedFsService(Volume* volume, LockService* locks,
 }
 
 Status TrustedFsService::Bootstrap() {
-  AERIE_SCM_LAYER("tfs");
+  AERIE_SPAN("tfs", "bootstrap");
   if (!volume_->root_oid().IsNull()) {
     return OkStatus();
   }
@@ -331,7 +331,6 @@ Status TrustedFsService::Validate(uint64_t client_id, MetaOp* op) {
 // --- Apply ---------------------------------------------------------------
 
 Status TrustedFsService::Apply(const MetaOp& op, bool replay) {
-  AERIE_SCM_LAYER("tfs");
   // Already-applied effects surface as kAlreadyExists / kNotFound during
   // replay; those are successes for an idempotent redo log.
   auto tolerate = [&](Status st, ErrorCode benign) {
@@ -517,7 +516,6 @@ Status TrustedFsService::Apply(const MetaOp& op, bool replay) {
 
 Status TrustedFsService::ApplyBatch(uint64_t client_id,
                                     std::string_view batch_blob) {
-  AERIE_SCM_LAYER("tfs");
   AERIE_SPAN("tfs", "apply_batch");
   // Any RPC from a live client proves it hasn't failed, so renew its lease —
   // exactly as Acquire/Release do. Without this, a client working entirely
@@ -622,12 +620,13 @@ Status TrustedFsService::ApplyBatch(uint64_t client_id,
 }
 
 Status TrustedFsService::Recover() {
-  AERIE_SCM_LAYER("tfs");
   AERIE_SPAN("tfs", "recover");
   RedoLog* log = volume_->log();
   std::vector<Oid> consumed;
   AERIE_RETURN_IF_ERROR(log->Replay(
       [&](uint32_t type, std::span<const char> payload) -> Status {
+        // Applying is tfs work even though txlog.replay drives it.
+        AERIE_SPAN("tfs", "replay_apply");
         WireReader reader(std::string_view(payload.data(), payload.size()));
         auto client = reader.ReadU64();
         if (!client.ok()) {
@@ -680,7 +679,6 @@ Result<std::vector<Oid>> TrustedFsService::PoolFill(uint64_t client_id,
                                                     ObjType type,
                                                     uint32_t count,
                                                     uint64_t capacity) {
-  AERIE_SCM_LAYER("tfs");
   AERIE_SPAN("tfs", "pool_fill");
   if (count == 0 || count > 65536) {
     return Status(ErrorCode::kInvalidArgument, "bad pool fill count");
@@ -856,6 +854,7 @@ Status TrustedFsService::NotifyClosed(uint64_t client_id, Oid file) {
 }
 
 Status TrustedFsService::ClientDisconnected(uint64_t client_id) {
+  AERIE_SPAN("tfs", "client_disconnected");
   std::vector<uint64_t> open;
   {
     std::lock_guard lock(clients_mu_);
@@ -904,7 +903,6 @@ Result<uint64_t> TrustedFsService::ServiceRead(uint64_t client_id, Oid file,
 Status TrustedFsService::ServiceWrite(uint64_t client_id, Oid file,
                                       uint64_t offset,
                                       std::span<const char> data) {
-  AERIE_SCM_LAYER("tfs");
   AERIE_SPAN("tfs", "service_write");
   (void)client_id;
   AERIE_ASSIGN_OR_RETURN(MFile f, MFile::Open(ctx_, file));

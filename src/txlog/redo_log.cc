@@ -39,7 +39,7 @@ Result<RedoLog> RedoLog::Format(ScmRegion* region, uint64_t offset,
   if (size <= sizeof(LogHeaderRep)) {
     return Status(ErrorCode::kInvalidArgument, "log area too small");
   }
-  AERIE_SCM_LAYER("txlog");
+  AERIE_SPAN("txlog", "format");
   auto* hdr = reinterpret_cast<LogHeaderRep*>(region->PtrAt(offset));
   hdr->capacity = size - sizeof(LogHeaderRep);
   hdr->head = 0;
@@ -67,7 +67,6 @@ uint64_t RedoLog::committed_bytes() const {
 
 Status RedoLog::Append(uint32_t type, std::span<const char> payload) {
   AERIE_SPAN("txlog", "append");
-  AERIE_SCM_LAYER("txlog");
   const uint64_t need =
       AlignUp8(sizeof(RecordHeaderRep) + payload.size());
   if (volatile_tail_ + need > capacity_) {
@@ -95,7 +94,6 @@ Status RedoLog::Append(uint32_t type, std::span<const char> payload) {
 
 Status RedoLog::Commit() {
   AERIE_SPAN("txlog", "commit");
-  AERIE_SCM_LAYER("txlog");
   AERIE_COUNT("txlog.commit.count");
   obs::TraceInstant("txlog.commit.bytes", volatile_tail_);
   // Registered persistence sites (crash-sim mutation targets). Suppressing
@@ -145,7 +143,7 @@ Status RedoLog::Replay(const ReplayFn& fn) const {
 }
 
 void RedoLog::Truncate() {
-  AERIE_SCM_LAYER("txlog");
+  AERIE_SPAN("txlog", "truncate");
   // Suppressing this flush leaves the old (larger) head covering a mix of
   // freshly appended and stale record bytes — replay then walks across the
   // torn boundary and fails the checksum.

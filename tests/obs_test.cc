@@ -135,6 +135,45 @@ TEST_F(ObsTest, CountersModeDoesNotRecordSpans) {
   EXPECT_EQ(s.count(), 0u);
 }
 
+// The layer tag follows the span nesting in counters mode (no timing), and
+// a span restores the tag it found even if the mode changes while it is
+// open — the perfbench harness flips modes between slices mid-run.
+TEST_F(ObsTest, LayerTagFollowsSpansInCountersMode) {
+  SpanStat& outer = Registry::Instance().GetSpan("test.tag.outer");
+  SpanStat& inner = Registry::Instance().GetSpan("test.tag.inner");
+  ASSERT_EQ(CurrentSpanTag(), nullptr);
+  {
+    ScopedSpan a(&outer);
+    EXPECT_EQ(CurrentSpanTag(), &outer);
+    {
+      ScopedSpan b(&inner);
+      EXPECT_EQ(CurrentSpanTag(), &inner);
+    }
+    EXPECT_EQ(CurrentSpanTag(), &outer);
+  }
+  EXPECT_EQ(CurrentSpanTag(), nullptr);
+  EXPECT_EQ(outer.count(), 0u);
+  EXPECT_EQ(inner.count(), 0u);
+}
+
+TEST_F(ObsTest, ModeSwitchInsideSpanRestoresTag) {
+  SpanStat& outer = Registry::Instance().GetSpan("test.tag.switch_outer");
+  SpanStat& inner = Registry::Instance().GetSpan("test.tag.switch_inner");
+  {
+    ScopedSpan a(&outer);  // tag only
+    SetMode(Mode::kSpans);
+    {
+      ScopedSpan b(&inner);  // timed
+      EXPECT_EQ(CurrentSpanTag(), &inner);
+    }
+    EXPECT_EQ(CurrentSpanTag(), &outer);
+  }
+  EXPECT_EQ(CurrentSpanTag(), nullptr);
+  EXPECT_EQ(TlsCurrentSpan(), nullptr);
+  EXPECT_EQ(outer.count(), 0u);  // entered untimed, stays untimed
+  EXPECT_EQ(inner.count(), 1u);
+}
+
 TEST_F(ObsTest, SpanRecordsInSpanMode) {
   SetMode(Mode::kSpans);
   SpanStat& s = Registry::Instance().GetSpan("test.span.basic");

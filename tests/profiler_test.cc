@@ -5,6 +5,8 @@
 //     tools/check_tsan.sh, which is the actual safety oracle),
 //   * ring overflow accounting in manual mode (exact, no timer),
 //   * folded-stack export determinism with a synthetic span workload,
+//   * counters-mode attribution through the layer tag (sample rings, span
+//     cpu_ns and the layer tables without span-mode timing),
 //   * off-CPU lock-wait attribution for a deliberately contended lock,
 //   * composition of SIGPROF + SIGUSR1 sigdump + the CHECK-failure
 //     post-mortem dump firing concurrently (ISSUE satellite: the three
@@ -16,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,6 +176,78 @@ TEST_F(ProfilerTest, FoldedStacksAreDeterministic) {
             std::string::npos)
       << json;
   EXPECT_NE(prof::TopText(5).find("0x30"), std::string::npos);
+}
+
+// Counters mode does not time spans, but a span still tags its thread: a
+// sample taken inside it is credited to the span's cpu_ns, folds under the
+// span's layer, and appears in the layer tables although self time is 0.
+TEST_F(ProfilerTest, CountersModeSampleIsCreditedToSpan) {
+  SetMode(Mode::kCounters);
+  prof::Options opt;
+  opt.manual = true;
+  ASSERT_TRUE(prof::Start(opt));
+
+  SpanStat& span = Registry::Instance().GetSpan("profcounters.op");
+  std::thread t([] {
+    AERIE_SPAN("profcounters", "op");
+    const uintptr_t frames[2] = {0x51, 0x41};
+    ASSERT_TRUE(prof::InjectSampleForTesting(CurrentSpanTag(), frames, 2));
+  });
+  t.join();
+  prof::DrainNow();
+
+  const uint64_t period = prof::GetStats().period_ns;
+  EXPECT_EQ(span.cpu_ns(), period);
+  EXPECT_EQ(span.count(), 0u);
+  EXPECT_EQ(span.self_ns(), 0u);
+  EXPECT_NE(prof::FoldedStacks().find(
+                "profcounters;profcounters.op;0x41;0x51 1\n"),
+            std::string::npos)
+      << prof::FoldedStacks();
+
+  char row[192];
+  std::snprintf(row, sizeof(row),
+                "\"profcounters\":{\"spans\":0,\"self_ns\":0,\"total_ns\":0,"
+                "\"cpu_ns\":%llu,",
+                static_cast<unsigned long long>(period));
+  const std::string json = DumpJson();
+  EXPECT_NE(json.find(row), std::string::npos) << json;
+
+  const std::string table = LayerBreakdownText();
+  const size_t at = table.find("\nprofcounters ");
+  ASSERT_NE(at, std::string::npos) << table;
+  const std::string line = table.substr(at + 1, table.find('\n', at + 1) - at);
+  char cpu_ms[32];
+  std::snprintf(cpu_ms, sizeof(cpu_ms), " %.2f ",
+                static_cast<double>(period) / 1e6);
+  EXPECT_NE(line.find(cpu_ms), std::string::npos) << line;
+}
+
+// A thread whose spans only ever run in counters mode gets its sample ring
+// at its outermost span: a real SIGPROF raised inside the span (raise()
+// returns after the handler ran) is captured under the span's tag instead
+// of being counted as no_ring.
+TEST_F(ProfilerTest, CountersModeSpanRegistersSampleRing) {
+  SetMode(Mode::kCounters);
+  prof::Options opt;
+  opt.manual = true;
+  ASSERT_TRUE(prof::Start(opt));
+
+  SpanStat& span = Registry::Instance().GetSpan("profring.op");
+  std::thread t([] {
+    AERIE_SPAN("profring", "op");
+    raise(SIGPROF);
+  });
+  t.join();
+  prof::DrainNow();
+
+  const prof::ProfileStats stats = prof::GetStats();
+  EXPECT_EQ(stats.no_ring, 0u);
+  EXPECT_EQ(stats.samples, 1u);
+  EXPECT_EQ(span.cpu_ns(), stats.period_ns);
+  EXPECT_NE(prof::FoldedStacks().find("profring;profring.op;"),
+            std::string::npos)
+      << prof::FoldedStacks();
 }
 
 class NullSink : public RevocationSink {

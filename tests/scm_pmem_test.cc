@@ -1,10 +1,15 @@
 // Tests for the SCM emulation: region mapping, persistence primitives,
-// latency model, file-backed reopen (simulated reboot).
+// latency model, file-backed reopen (simulated reboot), and per-layer media
+// accounting through the obs layer tag.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "src/common/clock.h"
+#include "src/obs/obs.h"
 #include "src/scm/pmem.h"
 
 namespace aerie {
@@ -106,6 +111,144 @@ TEST(ScmRegionTest, HardProtectValidatesArguments) {
             ErrorCode::kInvalidArgument);  // out of range
   EXPECT_TRUE(r->HardProtect(4096, 4096, 1).ok());   // read-only
   EXPECT_TRUE(r->HardProtect(4096, 4096, 3).ok());   // back to rw
+}
+
+// Per-layer media accounting: a primitive charges scm.layer.<layer>.* of the
+// innermost obs span live when it was entered. Counters are read by name
+// from the registry and compared as deltas.
+class ScmLayerChargeTest : public ::testing::Test {
+ protected:
+  struct Traffic {
+    uint64_t lines = 0;
+    uint64_t streamed = 0;
+    uint64_t fences = 0;
+  };
+
+  void SetUp() override {
+    obs::SetMode(obs::Mode::kCounters);
+    auto region = ScmRegion::CreateAnonymous(1 << 20);
+    ASSERT_TRUE(region.ok());
+    region_ = std::move(*region);
+  }
+  void TearDown() override { obs::SetMode(obs::Mode::kCounters); }
+
+  static Traffic Layer(const std::string& layer) {
+    auto& reg = obs::Registry::Instance();
+    const std::string prefix = "scm.layer." + layer + ".";
+    return {reg.GetCounter(prefix + "lines_flushed").value(),
+            reg.GetCounter(prefix + "bytes_streamed").value(),
+            reg.GetCounter(prefix + "fences").value()};
+  }
+  static Traffic Delta(const std::string& layer, const Traffic& before) {
+    const Traffic now = Layer(layer);
+    return {now.lines - before.lines, now.streamed - before.streamed,
+            now.fences - before.fences};
+  }
+
+  std::unique_ptr<ScmRegion> region_;
+};
+
+TEST_F(ScmLayerChargeTest, InnermostSpanTakesTheCharge) {
+  for (const obs::Mode mode : {obs::Mode::kCounters, obs::Mode::kSpans}) {
+    obs::SetMode(mode);
+    const Traffic tfs = Layer("tfs");
+    const Traffic osd = Layer("osd");
+    {
+      AERIE_SPAN("tfs", "charge_outer");
+      {
+        AERIE_SPAN("osd", "charge_inner");
+        region_->WlFlush(region_->PtrAt(0), 128);  // two lines
+        region_->Fence();
+      }
+      // The osd span has returned: the tag is tfs again.
+      region_->WlFlush(region_->PtrAt(4096), 64);
+      region_->Fence();
+    }
+    const Traffic d_osd = Delta("osd", osd);
+    const Traffic d_tfs = Delta("tfs", tfs);
+    EXPECT_EQ(d_osd.lines, 2u) << static_cast<int>(mode);
+    EXPECT_EQ(d_osd.fences, 1u) << static_cast<int>(mode);
+    EXPECT_EQ(d_tfs.lines, 1u) << static_cast<int>(mode);
+    EXPECT_EQ(d_tfs.fences, 1u) << static_cast<int>(mode);
+  }
+}
+
+// WlFlush and BFlush open their own scm.* spans; the charge still goes to
+// the caller's layer, never to `scm`.
+TEST_F(ScmLayerChargeTest, PrimitivesChargeTheirCallerNotScm) {
+  for (const obs::Mode mode : {obs::Mode::kCounters, obs::Mode::kSpans}) {
+    obs::SetMode(mode);
+    const Traffic scm = Layer("scm");
+    const Traffic txlog = Layer("txlog");
+    {
+      AERIE_SPAN("txlog", "charge_caller");
+      char buf[256];
+      std::memset(buf, 1, sizeof(buf));
+      region_->StreamWrite(region_->PtrAt(8192), buf, sizeof(buf));
+      region_->BFlush();                        // four lines
+      region_->WlFlush(region_->PtrAt(0), 64);  // one line
+    }
+    const Traffic d_scm = Delta("scm", scm);
+    const Traffic d_txlog = Delta("txlog", txlog);
+    EXPECT_EQ(d_scm.lines, 0u) << static_cast<int>(mode);
+    EXPECT_EQ(d_scm.streamed, 0u) << static_cast<int>(mode);
+    EXPECT_EQ(d_txlog.lines, 5u) << static_cast<int>(mode);
+    EXPECT_EQ(d_txlog.streamed, 256u) << static_cast<int>(mode);
+  }
+}
+
+TEST_F(ScmLayerChargeTest, TrafficOutsideSpansIsUnattributed) {
+  const Traffic before = Layer("unattributed");
+  char buf[64] = {};
+  region_->StreamWrite(region_->PtrAt(0), buf, sizeof(buf));
+  region_->BFlush();
+  region_->WlFlush(region_->PtrAt(4096), 64);
+  region_->Fence();
+  const Traffic d = Delta("unattributed", before);
+  EXPECT_EQ(d.lines, 2u);
+  EXPECT_EQ(d.streamed, 64u);
+  EXPECT_EQ(d.fences, 1u);
+}
+
+// Counters mode keeps the tag without timing anything: the layer is charged
+// while the span itself records no call.
+TEST_F(ScmLayerChargeTest, CountersModeChargesWithoutSpanMode) {
+  ASSERT_EQ(obs::CurrentMode(), obs::Mode::kCounters);
+  const Traffic osd = Layer("osd");
+  {
+    AERIE_SPAN("osd", "charge_counters_only");
+    region_->WlFlush(region_->PtrAt(0), 64);
+  }
+  EXPECT_EQ(Delta("osd", osd).lines, 1u);
+  EXPECT_EQ(obs::Registry::Instance()
+                .GetSpan("osd.charge_counters_only")
+                .count(),
+            0u);
+}
+
+TEST_F(ScmLayerChargeTest, OffModeMovesNoLayerCounter) {
+  const Traffic tfs = Layer("tfs");
+  const Traffic osd = Layer("osd");
+  const Traffic unattributed = Layer("unattributed");
+  obs::SetMode(obs::Mode::kOff);
+  {
+    AERIE_SPAN("tfs", "charge_off");
+    {
+      AERIE_SPAN("osd", "charge_off");
+      region_->WlFlush(region_->PtrAt(0), 128);
+      region_->Fence();
+    }
+  }
+  region_->WlFlush(region_->PtrAt(0), 128);
+  region_->Fence();
+  obs::SetMode(obs::Mode::kCounters);
+  const std::pair<const char*, Traffic> layers[] = {
+      {"tfs", tfs}, {"osd", osd}, {"unattributed", unattributed}};
+  for (const auto& [layer, before] : layers) {
+    const Traffic d = Delta(layer, before);
+    EXPECT_EQ(d.lines, 0u) << layer;
+    EXPECT_EQ(d.fences, 0u) << layer;
+  }
 }
 
 }  // namespace

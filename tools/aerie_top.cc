@@ -132,11 +132,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::string_view LayerOf(std::string_view name) {
-  const size_t dot = name.find('.');
-  return dot == std::string_view::npos ? name : name.substr(0, dot);
-}
-
 // One sample: the merged cross-process view plus what it was computed from.
 struct Sample {
   uint64_t mono_ns = 0;
@@ -194,7 +189,7 @@ std::map<std::string, LayerRow> LayerRows(const Sample& s) {
     if (m.kind != obs::Metric::Kind::kSpan) {
       continue;
     }
-    LayerRow& row = rows[std::string(LayerOf(m.name))];
+    LayerRow& row = rows[std::string(obs::LayerOf(m.name))];
     row.spans += m.cumulative.count();
     row.self_ns += m.span_self_ns;
     row.total_ns += m.span_total_ns;

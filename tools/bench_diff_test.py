@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/bench_diff.py (and the schema validator's core).
+"""Unit tests for tools/bench_diff.py (and the schema validator's core,
+plus validate_profile.py's no-span-share gate).
 
 Builds synthetic aggregates, perturbs them, and asserts the gate fires on a
 real regression (20% throughput drop, 2x p99) but not on within-noise
@@ -17,6 +18,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_diff
 import validate_bench
+import validate_profile
 
 
 def make_aggregate():
@@ -182,6 +184,29 @@ class ValidateBenchTest(unittest.TestCase):
         path = write_tmp(record, self.tmp.name)
         self.assertEqual(validate_bench.main(["--record", path]), 0)
         self.assertEqual(validate_bench.main([path]), 1)  # not an aggregate
+
+
+class ValidateProfileGateTest(unittest.TestCase):
+    """The --max-no-span-share gate of tools/validate_profile.py."""
+
+    ENTRIES = [
+        (["(none)", "(no_span)", "main", "RunForSeconds", "Loop"], 3),
+        (["pxfs", "pxfs.open", "main", "RunForSeconds", "Open"], 7),
+        (["(none)", "(no_span)", "main", "Setup"], 50),  # outside FRAME
+    ]
+
+    def test_share_counts_only_stacks_within_frame(self):
+        share = validate_profile.no_span_share(self.ENTRIES, "RunForSeconds")
+        self.assertEqual(share, (0.3, 3, 10))
+
+    def test_frame_absent_yields_none(self):
+        self.assertIsNone(
+            validate_profile.no_span_share(self.ENTRIES, "NoSuchFrame"))
+
+    def test_span_names_are_not_frames(self):
+        # "pxfs.open" is the span column, not a stack frame.
+        self.assertIsNone(
+            validate_profile.no_span_share(self.ENTRIES, "pxfs.open"))
 
 
 if __name__ == "__main__":

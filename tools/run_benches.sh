@@ -16,9 +16,10 @@
 #   --skip-traces  skip the Perfetto trace passes (full mode only)
 #
 # Reproducibility: AERIE_BENCH_SEED (default 42) seeds every workload RNG;
-# AERIE_GIT_SHA is stamped into every record. Scales are sized for a
-# single-core host; AERIE_BENCH_SCALE=1.0 with longer windows reproduces the
-# paper's configurations on bigger machines.
+# AERIE_GIT_SHA is stamped into every record. Scales are sized for a small
+# host (fig5 and table3 print the usable CPU count in their headers);
+# AERIE_BENCH_SCALE=1.0 with longer windows reproduces the paper's
+# configurations on bigger machines.
 #
 # Profiling: the SIGPROF sampler (src/obs/profiler.cc) is on by default so
 # every record carries per-layer cpu_us / lock_wait_us / rpc_wait_us and each

@@ -20,12 +20,19 @@ Semantic gates:
                     sum to >= N and/or json "samples" >= N. Use in CI to
                     prove a profiled bench actually sampled (a silent
                     always-empty profile would otherwise pass).
+  --max-no-span-share F --within FRAME
+                    attribution gate (needs --folded): of the samples whose
+                    stack has a frame containing FRAME, at most share F may
+                    fold under `(none);(no_span)`, i.e. carry no layer tag.
+                    Fails when no stack contains FRAME.
 
 Exit code 0 when every named artifact conforms, 1 with per-path errors.
 
 Usage:
   tools/validate_profile.py --folded prof.folded --min-samples 1
   tools/validate_profile.py --folded prof.folded --json prof.json
+  tools/validate_profile.py --folded prof.folded \
+      --within RunForSeconds --max-no-span-share 0.10
 """
 
 import argparse
@@ -40,18 +47,19 @@ from validate_bench import Validator  # noqa: E402
 # layer;span[;frame...] <count> — components may not be empty; the exporter
 # rewrites ';' and ' ' inside symbols, so the split is unambiguous.
 FOLDED_LINE = re.compile(r"^([^ ;]+(?:;[^ ;]+)+) (\d+)$")
+# Samples taken outside any span (no layer tag) fold under this prefix.
+NO_SPAN_PREFIX = ["(none)", "(no_span)"]
 
 
-def check_folded(path, errors):
-    """Returns the total sample count across all folded lines."""
+def read_folded(path, errors):
+    """Returns [(components, count)] for the well-formed folded lines."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
     except OSError as e:
         errors.append("%s: cannot read: %s" % (path, e))
-        return 0
-    total = 0
-    stacks = []
+        return []
+    entries = []
     for i, line in enumerate(lines, 1):
         m = FOLDED_LINE.match(line)
         if not m:
@@ -61,8 +69,14 @@ def check_folded(path, errors):
         count = int(m.group(2))
         if count < 1:
             errors.append("%s:%d: count must be >= 1" % (path, i))
-        total += count
-        stacks.append(m.group(1))
+        entries.append((m.group(1).split(";"), count))
+    return entries
+
+
+def check_folded(path, entries, errors):
+    """Returns the total sample count across all folded lines."""
+    total = sum(count for _, count in entries)
+    stacks = [";".join(parts) for parts, _ in entries]
     # The exporter sorts element-wise by (layer, span, frames...), which is
     # not the same as sorting the joined line (';' is not the lowest byte),
     # so compare split components.
@@ -74,6 +88,19 @@ def check_folded(path, errors):
         errors.append("%s: duplicate folded stacks (aggregation failed to "
                       "merge identical keys)" % path)
     return total
+
+
+def no_span_share(entries, frame):
+    """Share of the samples with a frame containing `frame` that carry no
+    span tag; None when no stack contains `frame`."""
+    within = untagged = 0
+    for parts, count in entries:
+        if not any(frame in f for f in parts[2:]):
+            continue
+        within += count
+        if parts[:2] == NO_SPAN_PREFIX:
+            untagged += count
+    return None if within == 0 else (untagged / within, untagged, within)
 
 
 def check_json(path, schema_path, errors):
@@ -112,14 +139,34 @@ def main():
                              "profile_schema.json"),
         help="schema file (default: tools/profile_schema.json)")
     parser.add_argument("--min-samples", type=int, default=0)
+    parser.add_argument("--max-no-span-share", type=float, default=None)
+    parser.add_argument("--within", metavar="FRAME",
+                        help="frame substring scoping --max-no-span-share")
     args = parser.parse_args()
     if not args.folded and not args.json_path:
         parser.error("nothing to validate: pass --folded and/or --json")
+    if (args.max_no_span_share is None) != (args.within is None):
+        parser.error("--max-no-span-share and --within go together")
+    if args.max_no_span_share is not None and not args.folded:
+        parser.error("--max-no-span-share needs --folded")
 
     errors = []
     folded_total = json_total = 0
+    share = None
     if args.folded:
-        folded_total = check_folded(args.folded, errors)
+        entries = read_folded(args.folded, errors)
+        folded_total = check_folded(args.folded, entries, errors)
+        if args.within is not None:
+            share = no_span_share(entries, args.within)
+            if share is None:
+                errors.append("%s: no stack has a frame containing %r"
+                              % (args.folded, args.within))
+            elif share[0] > args.max_no_span_share:
+                errors.append("%s: %d of %d samples within %r (%.3f) fold "
+                              "under (none);(no_span), expected <= %.3f"
+                              % (args.folded, share[1], share[2],
+                                 args.within, share[0],
+                                 args.max_no_span_share))
     if args.json_path:
         json_total = check_json(args.json_path, args.schema, errors)
 
@@ -139,6 +186,9 @@ def main():
     parts = []
     if args.folded:
         parts.append("%s (%d folded samples)" % (args.folded, folded_total))
+    if share is not None:
+        parts.append("no-span share within %r %.3f (%d/%d)"
+                     % (args.within, share[0], share[1], share[2]))
     if args.json_path:
         parts.append("%s (%d samples)" % (args.json_path, json_total))
     print("OK: " + ", ".join(parts))
