@@ -91,7 +91,7 @@ void BM_MFileRead4K(benchmark::State& state) {
   auto file = MFile::Create(ctx, 0);
   for (uint64_t p = 0; p < 64; ++p) {
     auto extent = ctx.alloc->Alloc(0);
-    (void)file->AttachExtent(p, *extent);
+    (void)file->AttachRun(p, *extent, 1);
   }
   (void)file->SetSize(64 * kScmPageSize);
   std::string buf(4096, '\0');

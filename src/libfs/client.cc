@@ -154,8 +154,12 @@ uint64_t LibFs::pending_ops() const {
   return batch_.size();
 }
 
-Status LibFs::LogOps(std::span<MetaOp> ops) {
+Status LibFs::LogOps(std::span<MetaOp> ops, uint64_t* seq) {
   std::unique_lock lock(batch_mu_);
+  logged_seq_ += ops.size();
+  if (seq != nullptr) {
+    *seq = logged_seq_;
+  }
   for (MetaOp& op : ops) {
     // Rough wire size: fixed fields + names.
     batch_bytes_ += 96 + op.name.size() + op.name2.size();
@@ -214,10 +218,12 @@ Status LibFs::ShipBatchLocked(std::unique_lock<std::mutex>* lock) {
       ship.lock();
     }
     std::vector<MetaOp> ops;
+    uint64_t through = 0;
     {
       std::lock_guard relock(batch_mu_);
       ops.swap(batch_);
       batch_bytes_ = 0;
+      through = logged_seq_;
       pending_ops_gauge_.Set(0);
     }
     if (!ops.empty()) {
@@ -240,6 +246,7 @@ Status LibFs::ShipBatchLocked(std::unique_lock<std::mutex>* lock) {
           obs::TraceInstant("libfs.ship_batch.failed", ops.size());
         }
       }
+      shipped_seq_.store(through);
     }
   }
   lock->lock();
@@ -314,13 +321,17 @@ Result<std::vector<Oid>> LibFs::FillPool(PoolKey key) {
   return oids;
 }
 
+void LibFs::AddToPool(Pool* pool, const std::vector<Oid>& oids) {
+  pool->free.insert(pool->free.end(), oids.rbegin(), oids.rend());
+}
+
 void LibFs::RefillInBackground(PoolKey key) {
   auto oids = FillPool(key);
   {
     std::lock_guard lock(pool_mu_);
     Pool& pool = pools_[key];
     if (oids.ok()) {
-      pool.free.insert(pool.free.end(), oids->begin(), oids->end());
+      AddToPool(&pool, *oids);
     } else {
       pool.error = oids.status();
     }
@@ -330,8 +341,20 @@ void LibFs::RefillInBackground(PoolKey key) {
 }
 
 Result<Oid> LibFs::TakePooled(ObjType type, uint64_t capacity) {
+  AERIE_ASSIGN_OR_RETURN(auto taken,
+                         Take({static_cast<uint8_t>(type), capacity}, 1));
+  return taken.first;
+}
+
+Result<LibFs::ExtentRun> LibFs::TakeExtentRun(uint64_t max_pages) {
+  AERIE_ASSIGN_OR_RETURN(
+      auto taken,
+      Take({static_cast<uint8_t>(ObjType::kExtent), 0}, max_pages));
+  return ExtentRun{taken.first.offset(), taken.second};
+}
+
+Result<std::pair<Oid, uint64_t>> LibFs::Take(PoolKey key, uint64_t max_run) {
   pool_takes_.Add(1);
-  const PoolKey key{static_cast<uint8_t>(type), capacity};
   std::unique_lock lock(pool_mu_);
   Pool& pool = pools_[key];  // map nodes are stable across unlock
   if (pool.free.empty()) {
@@ -352,10 +375,16 @@ Result<Oid> LibFs::TakePooled(ObjType type, uint64_t capacity) {
     if (!oids.ok()) {
       return oids.status();
     }
-    pool.free.insert(pool.free.end(), oids->begin(), oids->end());
+    AddToPool(&pool, *oids);
   }
-  const Oid oid = pool.free.back();
+  const Oid first = pool.free.back();
   pool.free.pop_back();
+  uint64_t run = 1;
+  while (run < max_run && !pool.free.empty() &&
+         pool.free.back().offset() == first.offset() + run * kScmPageSize) {
+    pool.free.pop_back();
+    run++;
+  }
   // Refill ahead on the flusher once the pool is below half a refill.
   if (!pool.refilling && pool.error.ok() &&
       pool.free.size() < options_.pool_refill / 2) {
@@ -366,7 +395,7 @@ Result<Oid> LibFs::TakePooled(ObjType type, uint64_t capacity) {
       flush_cv_.notify_one();
     }
   }
-  return oid;
+  return std::make_pair(first, run);
 }
 
 Status LibFs::NotifyOpen(Oid file) {

@@ -90,9 +90,18 @@ class LibFs {
 
   // --- Metadata batching ---
   // Buffers `ops` (moved from) under one lock; wakes the flusher or ships
-  // inline if the batch crossed a threshold.
-  Status LogOps(std::span<MetaOp> ops);
-  Status LogOp(MetaOp op) { return LogOps({&op, 1}); }
+  // inline if the batch crossed a threshold. Ops are numbered from 1 in log
+  // order; `seq`, if set, receives the number of the last one.
+  Status LogOps(std::span<MetaOp> ops, uint64_t* seq = nullptr);
+  Status LogOp(MetaOp op, uint64_t* seq = nullptr) {
+    return LogOps({&op, 1}, seq);
+  }
+  // True once every op numbered up to `seq` has left the batch: applied by
+  // the TFS, or dropped with a failed ship. Interface layers use it to drop
+  // local state that mirrors unshipped ops.
+  bool Shipped(uint64_t seq) const {
+    return seq <= shipped_seq_.load();
+  }
   // Ships all buffered ops now (the library's fsync-equivalent,
   // libfs_sync in the paper).
   Status Sync();
@@ -122,6 +131,14 @@ class LibFs {
   // (FlatFS). A take that finds the pool empty waits for the background
   // refill in flight, or refills over RPC itself if there is none.
   Result<Oid> TakePooled(ObjType type, uint64_t capacity = 0);
+  // Takes between 1 and `max_pages` contiguous pre-allocated extent pages,
+  // waiting and refilling as TakePooled does. Fills hand out pages in
+  // buddy-block runs, so a take usually gets all it asks for.
+  struct ExtentRun {
+    uint64_t offset = 0;  // region offset of the first page
+    uint64_t pages = 0;
+  };
+  Result<ExtentRun> TakeExtentRun(uint64_t max_pages);
 
   // --- Open-file notifications (paper §6.1) ---
   Status NotifyOpen(Oid file);
@@ -199,6 +216,12 @@ class LibFs {
   // One pool_fill RPC for options_.pool_refill objects.
   Result<std::vector<Oid>> FillPool(PoolKey key);
   void RefillInBackground(PoolKey key);
+  // Appends a fill so that takes from the back see it in fill order (a
+  // fill's extent runs come out first page first).
+  static void AddToPool(Pool* pool, const std::vector<Oid>& oids);
+  // Takes the pool's last object and the up to max_run - 1 objects behind
+  // it that continue it page by page; returns the first and the count.
+  Result<std::pair<Oid, uint64_t>> Take(PoolKey key, uint64_t max_run);
 
   Transport* transport_;
   ScmRegion* region_;
@@ -222,6 +245,9 @@ class LibFs {
   std::mutex ship_mu_;
   std::vector<MetaOp> batch_;
   uint64_t batch_bytes_ = 0;
+  uint64_t logged_seq_ = 0;  // number of the last op logged
+  // Number of the last op that left the batch (ships are ordered).
+  std::atomic<uint64_t> shipped_seq_{0};
   // Batch statistics live in the obs registry for this mount's lifetime.
   obs::Counter batches_shipped_{"libfs.batch.shipped"};
   // Batches the TFS rejected outright. Never silent: acknowledged ops died

@@ -371,36 +371,24 @@ Status MFile::GrowHeightTo(uint32_t target) {
   return OkStatus();
 }
 
-Status MFile::AttachExtent(uint64_t page_index, uint64_t extent_offset) {
-  AERIE_SPAN("osd", "mfile_attach");
-  if (!ctx_.can_allocate()) {
-    return Status(ErrorCode::kPermissionDenied,
-                  "mFile mapping changes require the allocator");
-  }
+Result<uint64_t*> MFile::LeafFor(uint64_t page_index, bool create) {
   MHeaderRep* hdr = HeaderAt(ctx_, oid_);
-  if (hdr->flags & kFlagSingleExtent) {
-    return Status(ErrorCode::kNotSupported,
-                  "single-extent mFiles have fixed storage");
-  }
-  if (extent_offset == 0 || extent_offset % kScmPageSize != 0 ||
-      extent_offset >= ctx_.region->size()) {
-    return Status(ErrorCode::kInvalidArgument, "bad extent offset");
-  }
-
   if (RootOffset(hdr->root) == 0) {
-    auto block = AllocZeroedBlock(ctx_);
-    if (!block.ok()) {
-      return block.status();
+    if (!create) {
+      return nullptr;
     }
-    ctx_.region->PersistU64(&hdr->root, PackRoot(*block, 1));
+    AERIE_ASSIGN_OR_RETURN(uint64_t block, AllocZeroedBlock(ctx_));
+    ctx_.region->PersistU64(&hdr->root, PackRoot(block, 1));
   }
   // Grow until the page is within coverage.
   uint32_t height = RootHeight(hdr->root);
   while (page_index >= Coverage(height)) {
+    if (!create) {
+      return nullptr;
+    }
     AERIE_RETURN_IF_ERROR(GrowHeightTo(height + 1));
     height = RootHeight(hdr->root);
   }
-
   uint64_t block = RootOffset(hdr->root);
   uint64_t remaining = page_index;
   for (uint32_t level = height; level > 1; --level) {
@@ -409,19 +397,73 @@ Status MFile::AttachExtent(uint64_t page_index, uint64_t extent_offset) {
     remaining %= stride;
     uint64_t* slots = BlockAt(ctx_, block);
     if (slots[slot] == 0) {
-      auto child = AllocZeroedBlock(ctx_);
-      if (!child.ok()) {
-        return child.status();
+      if (!create) {
+        return nullptr;
       }
-      ctx_.region->PersistU64(&slots[slot], *child);
+      AERIE_ASSIGN_OR_RETURN(uint64_t child, AllocZeroedBlock(ctx_));
+      ctx_.region->PersistU64(&slots[slot], child);
     }
     block = slots[slot];
   }
-  uint64_t* leaf = BlockAt(ctx_, block);
-  if (leaf[remaining] != 0) {
-    return Status(ErrorCode::kAlreadyExists, "page already mapped");
+  return BlockAt(ctx_, block);
+}
+
+Status MFile::AttachRun(uint64_t page_index, uint64_t extent_offset,
+                        uint64_t pages) {
+  AERIE_SPAN("osd", "mfile_attach");
+  if (!ctx_.can_allocate()) {
+    return Status(ErrorCode::kPermissionDenied,
+                  "mFile mapping changes require the allocator");
   }
-  ctx_.region->PersistU64(&leaf[remaining], extent_offset);
+  if (HeaderAt(ctx_, oid_)->flags & kFlagSingleExtent) {
+    return Status(ErrorCode::kNotSupported,
+                  "single-extent mFiles have fixed storage");
+  }
+  const uint64_t region_pages = ctx_.region->size() / kScmPageSize;
+  if (pages == 0 || extent_offset == 0 ||
+      extent_offset % kScmPageSize != 0 ||
+      extent_offset / kScmPageSize >= region_pages ||
+      pages > region_pages - extent_offset / kScmPageSize) {
+    return Status(ErrorCode::kInvalidArgument, "bad extent run");
+  }
+  // The run's slots, one leaf at a time: [page, page + n) of the leaf
+  // holding `page`.
+  auto for_each_leaf = [&](const std::function<Status(uint64_t, uint64_t)>&
+                               visit) -> Status {
+    for (uint64_t i = 0; i < pages;) {
+      const uint64_t n = std::min(
+          pages - i, kPointersPerBlock - (page_index + i) % kPointersPerBlock);
+      AERIE_RETURN_IF_ERROR(visit(i, n));
+      i += n;
+    }
+    return OkStatus();
+  };
+  // Check every slot before storing any: a hole, or this run's extent
+  // already (an attach replayed over its own earlier apply).
+  AERIE_RETURN_IF_ERROR(for_each_leaf([&](uint64_t i, uint64_t n) -> Status {
+    AERIE_ASSIGN_OR_RETURN(const uint64_t* leaf,
+                           LeafFor(page_index + i, /*create=*/false));
+    for (uint64_t k = 0; leaf != nullptr && k < n; ++k) {
+      const uint64_t slot = leaf[(page_index + i + k) % kPointersPerBlock];
+      if (slot != 0 && slot != extent_offset + (i + k) * kScmPageSize) {
+        return Status(ErrorCode::kAlreadyExists, "page already mapped");
+      }
+    }
+    return OkStatus();
+  }));
+  // Plain slot stores, one flush per leaf range, one fence for the run.
+  static const int kLeafSite = RegisterPersistSite("osd.mfile.attach.flush");
+  AERIE_RETURN_IF_ERROR(for_each_leaf([&](uint64_t i, uint64_t n) -> Status {
+    AERIE_ASSIGN_OR_RETURN(uint64_t* leaf,
+                           LeafFor(page_index + i, /*create=*/true));
+    uint64_t* first = &leaf[(page_index + i) % kPointersPerBlock];
+    for (uint64_t k = 0; k < n; ++k) {
+      first[k] = extent_offset + (i + k) * kScmPageSize;
+    }
+    ctx_.region->WlFlush(first, n * sizeof(uint64_t), kLeafSite);
+    return OkStatus();
+  }));
+  ctx_.region->Fence();
   return OkStatus();
 }
 
@@ -437,12 +479,17 @@ Status MFile::SetSize(uint64_t bytes) {
 
 namespace {
 
-// Frees the subtree rooted at `block` (level >= 1: indirect block; the walk
-// frees data extents whose page index is >= keep_pages). Returns true if the
-// block became empty and was freed.
-bool FreeSubtree(const OsdContext& ctx, uint64_t block, uint32_t level,
-                 uint64_t base_page, uint64_t keep_pages) {
+// Collects what freeing every data extent at page index >= keep_pages under
+// the subtree at `block` (level >= 1) takes: the pages to free (data
+// extents, and indirect blocks left empty) and the slots of surviving blocks
+// that point at them. Returns true when `block` itself is freed; its own
+// slots then need no clearing.
+bool CollectSubtree(const OsdContext& ctx, uint64_t block, uint32_t level,
+                    uint64_t base_page, uint64_t keep_pages,
+                    std::vector<uint64_t>* pages,
+                    std::vector<uint64_t*>* slots_to_clear) {
   uint64_t* slots = BlockAt(ctx, block);
+  std::vector<uint64_t*> cleared;
   bool any_kept = false;
   const uint64_t stride = Coverage(level - 1);
   for (uint64_t i = 0; i < MFile::kPointersPerBlock; ++i) {
@@ -452,29 +499,72 @@ bool FreeSubtree(const OsdContext& ctx, uint64_t block, uint32_t level,
     const uint64_t child_base = base_page + i * stride;
     if (child_base >= keep_pages) {
       if (level == 1) {
-        (void)ctx.alloc->Free(slots[i], 0);
+        pages->push_back(slots[i]);
       } else {
-        (void)FreeSubtree(ctx, slots[i], level - 1, child_base, 0);
+        (void)CollectSubtree(ctx, slots[i], level - 1, child_base, 0, pages,
+                             slots_to_clear);
       }
-      ctx.region->PersistU64(&slots[i], 0);
-    } else if (level > 1 && child_base + stride > keep_pages) {
-      if (FreeSubtree(ctx, slots[i], level - 1, child_base, keep_pages)) {
-        ctx.region->PersistU64(&slots[i], 0);
-      } else {
-        any_kept = true;
-      }
+      cleared.push_back(&slots[i]);
+    } else if (level > 1 && child_base + stride > keep_pages &&
+               CollectSubtree(ctx, slots[i], level - 1, child_base,
+                              keep_pages, pages, slots_to_clear)) {
+      cleared.push_back(&slots[i]);
     } else {
       any_kept = true;
     }
   }
   if (!any_kept) {
-    (void)ctx.alloc->Free(block, 0);
+    pages->push_back(block);
     return true;
   }
+  slots_to_clear->insert(slots_to_clear->end(), cleared.begin(),
+                         cleared.end());
   return false;
 }
 
 }  // namespace
+
+// Frees `pages` in three steps:
+//   1. clear their bitmap bits (one flush per line range, one fence);
+//   2. zero `slots`, the pointers at them from surviving blocks, and store
+//      `value` to the header `field`: one flush each, one fence;
+//   3. only then put the pages on the free lists.
+// A crash before step 2 completes leaves the pointers for a replayed free to
+// find again, and since no page is allocatable before step 3, no other
+// client's pool can hold a page such a replay would free a second time.
+// Step 1 skips pages already clear, so a replay never lists a page twice.
+void MFile::FreePages(std::vector<uint64_t> pages,
+                      const std::vector<uint64_t*>& slots, uint64_t* field,
+                      uint64_t value) {
+  static const int kBitmapSite = RegisterPersistSite("osd.buddy.clear.flush");
+  static const int kSlotSite = RegisterPersistSite("osd.mfile.clear.flush");
+  ctx_.alloc->ClearPages(&pages, kBitmapSite);
+  for (uint64_t* slot : slots) {
+    *slot = 0;
+    ctx_.region->WlFlush(slot, sizeof(uint64_t), kSlotSite);
+  }
+  *field = value;
+  ctx_.region->WlFlush(field, sizeof(uint64_t));
+  ctx_.region->Fence();
+  ctx_.alloc->ReleasePages(pages);
+}
+
+std::vector<uint64_t> MFile::StoragePages() const {
+  const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
+  std::vector<uint64_t> pages;
+  if (hdr->flags & kFlagSingleExtent) {
+    pages.reserve(hdr->capacity / kScmPageSize + 1);
+    for (uint64_t off = 0; off < hdr->capacity; off += kScmPageSize) {
+      pages.push_back(RootOffset(hdr->root) + off);
+    }
+  } else if (RootOffset(hdr->root) != 0) {
+    std::vector<uint64_t*> unused;
+    (void)CollectSubtree(ctx_, RootOffset(hdr->root), RootHeight(hdr->root),
+                         0, 0, &pages, &unused);
+  }
+  pages.push_back(oid_.offset());
+  return pages;
+}
 
 Status MFile::Truncate(uint64_t bytes) {
   AERIE_SPAN("osd", "mfile_truncate");
@@ -485,20 +575,22 @@ Status MFile::Truncate(uint64_t bytes) {
   if (hdr->flags & kFlagSingleExtent) {
     return SetSize(std::min(bytes, hdr->capacity));
   }
-  const uint64_t keep_pages = (bytes + kScmPageSize - 1) / kScmPageSize;
-  if (RootOffset(hdr->root) != 0) {
-    if (FreeSubtree(ctx_, RootOffset(hdr->root), RootHeight(hdr->root), 0,
-                    keep_pages)) {
-      ctx_.region->PersistU64(&hdr->root, 0);
-    }
-  }
   // NOTE: Truncate is metadata-only: it does NOT zero the boundary page's
   // tail. Zero-fill is a *data* effect, and data effects are the client's
   // (paper §4.2: clients write data directly; the service only changes
   // metadata). PXFS zeroes the tail at truncate time; doing it here would
   // replay after — and clobber — any in-place writes the client performed
   // between batching the truncate and shipping it.
-  return SetSize(bytes);
+  const uint64_t keep_pages = (bytes + kScmPageSize - 1) / kScmPageSize;
+  std::vector<uint64_t> pages;
+  std::vector<uint64_t*> slots;
+  if (RootOffset(hdr->root) != 0 &&
+      CollectSubtree(ctx_, RootOffset(hdr->root), RootHeight(hdr->root), 0,
+                     keep_pages, &pages, &slots)) {
+    slots.push_back(&hdr->root);
+  }
+  FreePages(std::move(pages), slots, &hdr->size, bytes);
+  return OkStatus();
 }
 
 Status MFile::Destroy() {
@@ -506,15 +598,10 @@ Status MFile::Destroy() {
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied, "destroy requires allocator");
   }
-  MHeaderRep* hdr = HeaderAt(ctx_, oid_);
-  if (hdr->flags & kFlagSingleExtent) {
-    (void)ctx_.alloc->FreeBytes(RootOffset(hdr->root), hdr->capacity);
-  } else if (RootOffset(hdr->root) != 0) {
-    (void)FreeSubtree(ctx_, RootOffset(hdr->root), RootHeight(hdr->root), 0,
-                      0);
-  }
-  ctx_.region->PersistU64(&hdr->magic, 0);
-  return ctx_.alloc->Free(oid_.offset(), 0);
+  // Every page goes, the header with them, so no slot needs clearing: the
+  // cleared magic kills the whole object.
+  FreePages(StoragePages(), {}, &HeaderAt(ctx_, oid_)->magic, 0);
+  return OkStatus();
 }
 
 namespace {

@@ -13,8 +13,10 @@
 //     by the TFS after validation.
 //
 // Crash consistency: indirect-block pointer stores and the size field are
-// single atomic 64-bit persists; height changes pack the height into the low
-// bits of the root pointer so root+height swing in one store.
+// single atomic 64-bit stores; height changes pack the height into the low
+// bits of the root pointer so root+height swing in one store. An attached
+// run's slots, and the slots a truncate clears, are flushed per leaf range
+// and sealed by one fence (DESIGN.md §6 item 7): replay redoes either.
 #ifndef AERIE_SRC_OSD_MFILE_H_
 #define AERIE_SRC_OSD_MFILE_H_
 
@@ -125,15 +127,23 @@ class MFile {
   Status WriteInPlace(uint64_t offset, std::span<const char> data);
 
   // --- Structural mutations (TFS after validation) ---
-  // Attaches a data extent (4KB, pre-allocated) at page_index. Grows the
-  // tree height as needed. Fails kAlreadyExists if the page is mapped.
-  Status AttachExtent(uint64_t page_index, uint64_t extent_offset);
+  // Maps pages [page_index, page_index + pages) to the contiguous,
+  // pre-allocated pages starting at extent_offset, growing the tree as
+  // needed. Plain slot stores, one flush per touched leaf range, one fence.
+  // A slot already holding its extent is skipped (idempotent replay); any
+  // other mapped slot fails the whole run with kAlreadyExists, before any
+  // store.
+  Status AttachRun(uint64_t page_index, uint64_t extent_offset,
+                   uint64_t pages);
   // Publishes a new file size (atomic).
   Status SetSize(uint64_t bytes);
   // Frees extents wholly beyond `bytes` and publishes the new size.
   Status Truncate(uint64_t bytes);
   // Frees all storage including the header (unlink with no remaining links).
   Status Destroy();
+  // Every page this object owns: data pages (a single-extent file's whole
+  // extent), indirect blocks and the header. Destroy frees exactly these.
+  std::vector<uint64_t> StoragePages() const;
 
   // Visits (page_index, extent_offset) for every mapped page.
   Status ForEachExtent(
@@ -147,6 +157,14 @@ class MFile {
   MFile(const OsdContext& ctx, Oid oid) : ctx_(ctx), oid_(oid) {}
 
   Status GrowHeightTo(uint32_t height);
+  // The leaf block holding `page_index`'s slot. With `create`, grows the
+  // tree and allocates missing blocks; without, nullptr when the page lies
+  // in no existing leaf.
+  Result<uint64_t*> LeafFor(uint64_t page_index, bool create);
+  // The batched free behind Truncate and Destroy (see mfile.cc).
+  void FreePages(std::vector<uint64_t> pages,
+                 const std::vector<uint64_t*>& slots, uint64_t* field,
+                 uint64_t value);
 
   OsdContext ctx_;
   Oid oid_;

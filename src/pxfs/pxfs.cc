@@ -146,18 +146,43 @@ void Pxfs::OverlayRemove(Oid dir, const std::string& name) {
   ov.removed.insert(name);
 }
 
-std::shared_ptr<Pxfs::FileShadow> Pxfs::ShadowFor(Oid file, bool create) {
+void Pxfs::ForgetRecycled(Oid oid) {
+  {
+    std::lock_guard lock(overlay_mu_);
+    shadows_.erase(oid.raw());
+    overlay_.erase(oid.raw());
+  }
+  fs_->InvalidateDirect(oid);
+}
+
+std::shared_ptr<Pxfs::FileShadow> Pxfs::ShadowFor(Oid file) {
   std::lock_guard lock(overlay_mu_);
   auto it = shadows_.find(file.raw());
-  if (it != shadows_.end()) {
-    return it->second;
-  }
-  if (!create) {
+  if (it == shadows_.end()) {
     return nullptr;
   }
-  auto shadow = std::make_shared<FileShadow>();
-  shadows_[file.raw()] = shadow;
-  return shadow;
+  if (fs_->Shipped(it->second->seq)) {
+    shadows_.erase(it);
+    return nullptr;
+  }
+  return it->second;
+}
+
+void Pxfs::UpdateShadow(Oid file, uint64_t seq,
+                        const std::function<void(FileShadow*)>& edit) {
+  std::lock_guard lock(overlay_mu_);
+  std::shared_ptr<FileShadow>& shadow = shadows_[file.raw()];
+  if (shadow == nullptr || fs_->Shipped(shadow->seq)) {
+    shadow = std::make_shared<FileShadow>();
+  }
+  edit(shadow.get());
+  shadow->seq = seq;
+  if (shadows_.size() >= shadow_sweep_at_) {
+    std::erase_if(shadows_, [this](const auto& entry) {
+      return fs_->Shipped(entry.second->seq);
+    });
+    shadow_sweep_at_ = std::max(kShadowSweepMin, 2 * shadows_.size());
+  }
 }
 
 Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
@@ -254,9 +279,11 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
 }
 
 uint64_t Pxfs::FileSize(Oid file) {
-  auto shadow = ShadowFor(file, /*create=*/false);
-  if (shadow != nullptr && shadow->has_size) {
-    return shadow->size;
+  if (auto shadow = ShadowFor(file)) {
+    std::lock_guard lock(overlay_mu_);
+    if (shadow->has_size) {
+      return shadow->size;
+    }
   }
   auto mfile = MFile::Open(ctx_, file);
   return mfile.ok() ? mfile->size() : 0;
@@ -271,19 +298,22 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
   }
   AERIE_ASSIGN_OR_RETURN(Resolved r, Resolve(path, /*fill_cache=*/true));
   LockClerk* clerk = fs_->clerk();
+  bool created = false;
 
   if (r.target.IsNull()) {
     if ((flags & kOpenCreate) == 0) {
       return Status(ErrorCode::kNotFound, std::string(path));
     }
     // Create: write-lock the directory, re-check, take a pooled mFile, and
-    // log the create (paper §4.3's "life of a file").
+    // log the create (paper §4.3's "life of a file"). A newborn is empty, so
+    // O_TRUNC has nothing to do.
     AERIE_RETURN_IF_ERROR(
         clerk->Acquire(r.parent.lock_id(), DirWriteMode(), r.ancestors));
     auto recheck = DirLookup(r.parent, r.leaf);
     if (recheck.ok()) {
       r.target = *recheck;
     } else {
+      created = true;
       auto pooled = fs_->TakePooled(ObjType::kMFile);
       if (!pooled.ok()) {
         clerk->Release(r.parent.lock_id());
@@ -301,9 +331,7 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
         return st;
       }
       OverlayAdd(r.parent, r.leaf, *pooled);
-      // Pool objects can carry offsets of previously destroyed files; make
-      // sure no stale direct map aliases the newborn.
-      fs_->InvalidateDirect(*pooled);
+      ForgetRecycled(*pooled);
       r.target = *pooled;
     }
     clerk->Release(r.parent.lock_id());
@@ -320,7 +348,7 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
   const LockMode mode =
       (flags & kOpenWrite) ? LockMode::kExclusive : LockMode::kShared;
   AERIE_RETURN_IF_ERROR(clerk->Acquire(r.target.lock_id(), mode, chain));
-  if (flags & kOpenTrunc) {
+  if ((flags & kOpenTrunc) && !created) {
     // Still under the file lock, so no locked call on another fd can store
     // a map of the extents the truncate frees.
     MetaOp op;
@@ -328,19 +356,18 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
     op.authority = clerk->GlobalAuthorityOf(r.target.lock_id());
     op.obj = r.target;
     op.a = 0;
-    Status st = fs_->LogOp(std::move(op));
+    uint64_t seq = 0;
+    Status st = fs_->LogOp(std::move(op), &seq);
     if (!st.ok()) {
       clerk->Release(r.target.lock_id());
       return st;
     }
-    auto shadow = ShadowFor(r.target, /*create=*/true);
-    {
-      std::lock_guard lock(overlay_mu_);
+    UpdateShadow(r.target, seq, [](FileShadow* shadow) {
       shadow->extents.clear();
       shadow->size = 0;
       shadow->has_size = true;
       shadow->mfile_floor = 0;  // the pending truncate frees every extent
-    }
+    });
     fs_->InvalidateDirect(r.target);
   }
   clerk->Release(r.target.lock_id());
@@ -432,7 +459,7 @@ Result<std::shared_ptr<const LibFs::DirectMap>> Pxfs::LockedMap(
     }
   }
   AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
-  auto shadow = ShadowFor(file, /*create=*/false);
+  auto shadow = ShadowFor(file);
   uint64_t size = mfile.size();
   if (shadow != nullptr) {
     std::lock_guard lock(overlay_mu_);
@@ -557,11 +584,12 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
     // operations allowed by file system level permissions but prevented by
     // memory protection").
     AERIE_RETURN_IF_ERROR(fs_->ServiceWrite(file, offset, data));
-    auto shadow = ShadowFor(file, /*create=*/true);
-    std::lock_guard lock(overlay_mu_);
-    if (!shadow->has_size || end > shadow->size) {
-      shadow->size = end;
-      shadow->has_size = true;
+    // The service set the mFile's size; only a pending size can be stale.
+    if (auto shadow = ShadowFor(file)) {
+      std::lock_guard lock(overlay_mu_);
+      if (shadow->has_size && end > shadow->size) {
+        shadow->size = end;
+      }
     }
     return data.size();
   }
@@ -572,9 +600,10 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
       std::shared_ptr<const LibFs::DirectMap> map,
       LockedMap(file, LockMode::kExclusive, offset, end, /*cache=*/true));
 
-  // Holes and growth are metadata: fill holes with pooled extents and log
-  // their attach plus the new size (paper §5.3.5: the server only verifies
-  // and attaches), on a copy of the map the copy loop then runs against.
+  // Holes and growth are metadata: fill holes with pooled extent runs and
+  // log one attach per run plus the new size (paper §5.3.5: the server only
+  // verifies and attaches), on a copy of the map the copy loop then runs
+  // against.
   const uint64_t first = offset / kScmPageSize;
   const uint64_t last = PagesFor(end);
   bool edit = end > map->map.size;
@@ -589,23 +618,32 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
     m.Own(first, last);
     const uint64_t authority =
         fs_->clerk()->GlobalAuthorityOf(file.lock_id());
-    for (uint64_t p = first; p < last; ++p) {
+    for (uint64_t p = first; p < last;) {
       if (m.extent(p) != 0) {
+        p++;
         continue;
       }
-      AERIE_ASSIGN_OR_RETURN(Oid pooled, fs_->TakePooled(ObjType::kExtent));
-      const uint64_t extent = pooled.offset();
-      m.set_extent(p, extent);
-      if (p * kScmPageSize < offset || (p + 1) * kScmPageSize > end) {
-        // The unwritten rest of the page must read as zeros.
-        std::memset(ctx_.region->PtrAt(extent), 0, kScmPageSize);
+      uint64_t hole_end = p + 1;
+      while (hole_end < last && m.extent(hole_end) == 0) {
+        hole_end++;
+      }
+      AERIE_ASSIGN_OR_RETURN(LibFs::ExtentRun run,
+                             fs_->TakeExtentRun(hole_end - p));
+      for (uint64_t i = 0; i < run.pages; ++i, ++p) {
+        const uint64_t extent = run.offset + i * kScmPageSize;
+        m.set_extent(p, extent);
+        if (p * kScmPageSize < offset || (p + 1) * kScmPageSize > end) {
+          // The unwritten rest of the page must read as zeros.
+          std::memset(ctx_.region->PtrAt(extent), 0, kScmPageSize);
+        }
       }
       MetaOp op;
       op.type = MetaOpType::kAttachExtent;
       op.authority = authority;
       op.obj = file;
-      op.a = p;
-      op.b = extent;
+      op.a = p - run.pages;
+      op.b = run.offset;
+      op.pages = run.pages;
       ops.push_back(std::move(op));
     }
     if (end > m.size) {
@@ -625,19 +663,21 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
                                            data,
                                            options_.flush_data_on_write));
   if (!ops.empty()) {
-    {
-      auto shadow = ShadowFor(file, /*create=*/true);
-      std::lock_guard lock(overlay_mu_);
-      for (const MetaOp& op : ops) {
+    const std::vector<MetaOp> logged = ops;  // LogOps moves from `ops`
+    uint64_t seq = 0;
+    AERIE_RETURN_IF_ERROR(fs_->LogOps(ops, &seq));
+    UpdateShadow(file, seq, [&logged](FileShadow* shadow) {
+      for (const MetaOp& op : logged) {
         if (op.type == MetaOpType::kAttachExtent) {
-          shadow->extents[op.a] = op.b;
+          for (uint64_t i = 0; i < op.pages; ++i) {
+            shadow->extents[op.a + i] = op.b + i * kScmPageSize;
+          }
         } else {
           shadow->size = op.a;
           shadow->has_size = true;
         }
       }
-    }
-    AERIE_RETURN_IF_ERROR(fs_->LogOps(ops));
+    });
   }
   if (map->epoch != 0) {
     fs_->StoreDirect(file, std::move(map));
@@ -705,20 +745,17 @@ Status Pxfs::Ftruncate(int fd, uint64_t size) {
   op.authority = clerk->GlobalAuthorityOf(oid.lock_id());
   op.obj = oid;
   op.a = size;
-  Status st = fs_->LogOp(std::move(op));
+  uint64_t seq = 0;
+  Status st = fs_->LogOp(std::move(op), &seq);
   if (st.ok()) {
     const uint64_t keep = PagesFor(size);
-    auto shadow = ShadowFor(oid, /*create=*/true);
-    {
-      std::lock_guard lock(overlay_mu_);
+    UpdateShadow(oid, seq, [size, keep](FileShadow* shadow) {
       shadow->size = size;
       shadow->has_size = true;
       shadow->mfile_floor = std::min(shadow->mfile_floor, keep);
-      for (auto it = shadow->extents.lower_bound(keep);
-           it != shadow->extents.end();) {
-        it = shadow->extents.erase(it);
-      }
-    }
+      shadow->extents.erase(shadow->extents.lower_bound(keep),
+                            shadow->extents.end());
+    });
     // POSIX zero-fill: the boundary page's tail must not resurface if the
     // file is extended later. The server's apply does the same for the
     // persistent mapping; this covers the client's pending-extent view.
@@ -793,6 +830,7 @@ Status Pxfs::Mkdir(std::string_view path) {
       st = fs_->LogOp(std::move(op));
       if (st.ok()) {
         OverlayAdd(r.parent, r.leaf, *pooled);
+        ForgetRecycled(*pooled);
       }
     }
   }

@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -145,6 +146,10 @@ class Pxfs {
     // SCM mapping will be freed when the batch applies, so reads/writes must
     // not trust it (only shadow extents are valid there).
     uint64_t mfile_floor = ~0ull;
+    // The last logged op this shadow mirrors (LibFs::LogOps). Once it has
+    // shipped, the mFile says everything the shadow does and the shadow is
+    // dropped.
+    uint64_t seq = 0;
   };
   struct DirOverlay {
     std::unordered_map<std::string, uint64_t> added;  // name -> oid raw
@@ -181,8 +186,17 @@ class Pxfs {
   void OverlayAdd(Oid dir, const std::string& name, Oid oid);
   void OverlayRemove(Oid dir, const std::string& name);
   void ClearVolatileState();  // overlay + shadows + name cache
+  // Drops everything kept under a pooled object's OID: the offset may have
+  // belonged to a destroyed file or directory.
+  void ForgetRecycled(Oid oid);
 
-  std::shared_ptr<FileShadow> ShadowFor(Oid file, bool create);
+  // `file`'s shadow while it mirrors an op not yet shipped, else nullptr.
+  std::shared_ptr<FileShadow> ShadowFor(Oid file);
+  // Applies `edit` to `file`'s live shadow (a fresh one if there is none)
+  // and stamps it with `seq`, the last op the edit mirrors, all under
+  // overlay_mu_. Sweeps shipped shadows once the map doubles in size.
+  void UpdateShadow(Oid file, uint64_t seq,
+                    const std::function<void(FileShadow*)>& edit);
 
   LockMode DirWriteMode() const {
     return options_.hierarchical_dir_locks ? LockMode::kExclusiveHier
@@ -250,6 +264,8 @@ class Pxfs {
   std::mutex overlay_mu_;
   std::unordered_map<uint64_t, DirOverlay> overlay_;
   std::unordered_map<uint64_t, std::shared_ptr<FileShadow>> shadows_;
+  static constexpr size_t kShadowSweepMin = 1024;
+  size_t shadow_sweep_at_ = kShadowSweepMin;
 
   mutable std::mutex cwd_mu_;
   Oid cwd_oid_;                       // null: cwd is the root

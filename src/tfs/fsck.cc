@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "src/osd/collection.h"
 #include "src/osd/mfile.h"
@@ -30,6 +32,10 @@ class Checker {
     const Oid orphans = LookupOid(*sys, "orphans");
     const Oid pool_map = LookupOid(*sys, "pool_map");
 
+    // The pool map first: file storage is checked against its marks.
+    if (!pool_map.IsNull()) {
+      CheckPoolMap(pool_map);
+    }
     if (!pxfs_root.IsNull()) {
       WalkDirectory(pxfs_root, "/", 0);
       CheckLinkCounts();
@@ -39,9 +45,6 @@ class Checker {
     }
     if (!orphans.IsNull()) {
       CheckOrphans(orphans);
-    }
-    if (!pool_map.IsNull()) {
-      CheckPoolMap(pool_map);
     }
     return report_;
   }
@@ -68,6 +71,24 @@ class Checker {
   void CheckAllocated(Oid oid, const std::string& where) {
     if (ctx_.alloc != nullptr && !ctx_.alloc->IsAllocated(oid.offset())) {
       Problem(where + ": object storage not marked allocated");
+    }
+  }
+
+  // Every page a file owns (data pages, indirect blocks, header) must be
+  // allocated, owned by no other file, and not marked in the pool map: a run
+  // belongs to one file.
+  void CheckStorage(const MFile& file, const std::string& where) {
+    for (uint64_t page : file.StoragePages()) {
+      auto [owner, fresh] = page_owner_.emplace(page, file.oid().raw());
+      if (!fresh && owner->second != file.oid().raw()) {
+        Problem(where + ": page mapped by two files");
+      }
+      if (ctx_.alloc != nullptr && !ctx_.alloc->IsAllocated(page)) {
+        Problem(where + ": mapped page not marked allocated");
+      }
+      if (pool_marked_.count(page) != 0) {
+        Problem(where + ": mapped page marked in the pool map");
+      }
     }
   }
 
@@ -121,7 +142,9 @@ class Checker {
             break;
           }
           CheckAllocated(oid, child_path);
-          file_refs_[oid.raw()]++;
+          if (file_refs_[oid.raw()]++ == 0) {
+            CheckStorage(*file, child_path);
+          }
           break;
         }
         default:
@@ -165,6 +188,8 @@ class Checker {
         if (Status st = file->Validate(); !st.ok()) {
           Problem("flat key '" + std::string(key) +
                   "': invalid: " + st.ToString());
+        } else {
+          CheckStorage(*file, "flat key '" + std::string(key) + "'");
         }
         if (file->size() > file->capacity() && file->single_extent()) {
           Problem("flat key '" + std::string(key) + "': size > capacity");
@@ -187,7 +212,10 @@ class Checker {
         Problem("orphan entry points at unreadable mFile");
       } else if (file->link_count() != 0) {
         Problem("orphan entry has nonzero link count");
+      } else if (Status st = file->Validate(); !st.ok()) {
+        Problem("orphan mFile invalid: " + st.ToString());
       } else {
+        CheckStorage(*file, "orphan");
         report_.orphans++;
       }
       return true;
@@ -210,6 +238,7 @@ class Checker {
         return;
       }
       CheckAllocated(oid, "pooled object");
+      pool_marked_.insert(oid.offset());
       report_.pool_objects++;
     });
   }
@@ -219,6 +248,8 @@ class Checker {
   FsckReport report_;
   std::set<uint64_t> visited_dirs_;
   std::map<uint64_t, uint64_t> file_refs_;
+  std::unordered_map<uint64_t, uint64_t> page_owner_;  // page -> file oid
+  std::unordered_set<uint64_t> pool_marked_;            // head page offsets
 };
 
 }  // namespace

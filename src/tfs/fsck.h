@@ -6,7 +6,9 @@
 // (paper §5.3.5): object types match their use, on-SCM structures pass
 // their own validation, directory trees are acyclic, mFile link counts
 // equal the number of namespace references, and every reachable object
-// occupies storage the allocator actually considers allocated.
+// occupies storage the allocator actually considers allocated. Every page a
+// reachable file owns (data pages, indirect blocks, header) is owned by that
+// file alone and is not marked in the pool map.
 //
 // Crash tests run it after recovery; the `aerie_fsck` usage in tests is the
 // executable spec for "metadata integrity".

@@ -2,6 +2,36 @@
 
 namespace aerie {
 
+const char* OpTypeName(MetaOpType type) {
+  switch (type) {
+    case MetaOpType::kNone:
+      return "none";
+    case MetaOpType::kCreateFile:
+      return "create_file";
+    case MetaOpType::kCreateDir:
+      return "create_dir";
+    case MetaOpType::kLink:
+      return "link";
+    case MetaOpType::kUnlink:
+      return "unlink";
+    case MetaOpType::kRename:
+      return "rename";
+    case MetaOpType::kAttachExtent:
+      return "attach_extent";
+    case MetaOpType::kSetSize:
+      return "set_size";
+    case MetaOpType::kTruncate:
+      return "truncate";
+    case MetaOpType::kSetAcl:
+      return "set_acl";
+    case MetaOpType::kFlatPut:
+      return "flat_put";
+    case MetaOpType::kFlatErase:
+      return "flat_erase";
+  }
+  return "unknown";
+}
+
 void MetaOp::Encode(WireBuffer* out) const {
   out->AppendU32(static_cast<uint32_t>(type));
   out->AppendU64(authority);
@@ -12,6 +42,7 @@ void MetaOp::Encode(WireBuffer* out) const {
   out->AppendU64(obj.raw());
   out->AppendU64(a);
   out->AppendU64(b);
+  out->AppendU64(pages);
   out->AppendU64(victim.raw());
   out->AppendU64(victim_links);
   out->AppendU8(victim_free);
@@ -30,6 +61,7 @@ Result<MetaOp> MetaOp::Decode(WireReader* in) {
   auto obj = in->ReadU64();
   auto a = in->ReadU64();
   auto b = in->ReadU64();
+  auto pages = in->ReadU64();
   auto victim = in->ReadU64();
   auto victim_links = in->ReadU64();
   auto victim_free = in->ReadU8();
@@ -37,7 +69,7 @@ Result<MetaOp> MetaOp::Decode(WireReader* in) {
   auto obj_links = in->ReadU64();
   if (!type.ok() || !authority.ok() || !dir.ok() || !dir2.ok() ||
       !name.ok() || !name2.ok() || !obj.ok() || !a.ok() || !b.ok() ||
-      !victim.ok() || !victim_links.ok() || !victim_free.ok() ||
+      !pages.ok() || !victim.ok() || !victim_links.ok() || !victim_free.ok() ||
       !victim_is_dir.ok() || !obj_links.ok()) {
     return Status(ErrorCode::kInvalidArgument, "truncated metadata op");
   }
@@ -50,6 +82,7 @@ Result<MetaOp> MetaOp::Decode(WireReader* in) {
   op.obj = Oid(*obj);
   op.a = *a;
   op.b = *b;
+  op.pages = *pages;
   op.victim = Oid(*victim);
   op.victim_links = *victim_links;
   op.victim_free = *victim_free;
@@ -75,7 +108,6 @@ Result<std::vector<MetaOp>> DecodeBatch(std::string_view blob) {
   }
   // Minimum encoded op size bounds the count a well-formed blob can carry
   // (untrusted input: never reserve based on a claimed count alone).
-  constexpr uint32_t kMinOpBytes = 60;
   if (*count > blob.size() / kMinOpBytes + 1) {
     return Status(ErrorCode::kInvalidArgument, "op count exceeds batch size");
   }

@@ -29,7 +29,8 @@ enum class MetaOpType : uint32_t {
   kLink,          // dir, name, obj = existing object (hard link)
   kUnlink,        // dir, name             (file or empty directory)
   kRename,        // dir, name -> dir2, name2 (overwrites dst if present)
-  kAttachExtent,  // obj = file, a = page index, b = extent offset (pool)
+  kAttachExtent,  // obj = file, a = first page, b = first extent offset,
+                  // pages = run length (contiguous pooled pages)
   kSetSize,       // obj = file, a = size
   kTruncate,      // obj = file, a = size
   kSetAcl,        // obj, a = acl
@@ -48,6 +49,7 @@ struct MetaOp {
   Oid obj;            // object being created / linked / modified
   uint64_t a = 0;     // op-specific scalar (page index, size, acl)
   uint64_t b = 0;     // op-specific scalar (extent offset)
+  uint64_t pages = 1;  // kAttachExtent: pages in the run (>= 1)
 
   // --- Server-enriched fields (absolute values for idempotent replay) ---
   Oid victim;                // object displaced by unlink/rename/put
@@ -59,6 +61,15 @@ struct MetaOp {
   void Encode(WireBuffer* out) const;
   static Result<MetaOp> Decode(WireReader* in);
 };
+
+// Encoded size of an op with empty names: the least one can take on the
+// wire, which bounds the op count a batch blob can claim.
+inline constexpr uint32_t kMinOpBytes = 94;
+
+// Short lower-case name of an op type ("attach_extent"), for metric names.
+const char* OpTypeName(MetaOpType type);
+inline constexpr uint32_t kMetaOpTypeCount =
+    static_cast<uint32_t>(MetaOpType::kFlatErase) + 1;
 
 // Encodes a sequence of ops into one batch blob.
 std::string EncodeBatch(const std::vector<MetaOp>& ops);

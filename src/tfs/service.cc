@@ -17,6 +17,12 @@ std::string OidKey(Oid oid) {
 }
 
 constexpr uint64_t kMaxFileBytes = 1ull << 46;
+constexpr uint64_t kMaxFilePages = kMaxFileBytes / kScmPageSize;
+
+// Extent-pool fills hand out pages in blocks of 2^kExtentRunOrder pages
+// (32: the mean file of the Filebench fileserver personality), so a client
+// can attach a whole run with one op.
+constexpr int kExtentRunOrder = 5;
 
 }  // namespace
 
@@ -28,7 +34,13 @@ TrustedFsService::TrustedFsService(Volume* volume, LockService* locks,
       options_(options),
       ctx_(volume->context()) {
   obs_registration_.AddAll(batches_applied_, ops_applied_, ops_rejected_,
-                           pool_objects_);
+                           attach_pages_, pool_objects_);
+  for (uint32_t t = 0; t < kMetaOpTypeCount; ++t) {
+    ops_applied_by_type_[t] = std::make_unique<obs::Counter>(
+        std::string("tfs.ops.applied.") +
+        OpTypeName(static_cast<MetaOpType>(t)));
+    obs_registration_.Add(ops_applied_by_type_[t].get());
+  }
   AERIE_CHECK(ctx_.can_allocate());
   if (!volume_->root_oid().IsNull()) {
     // Existing volume: load system collection.
@@ -247,18 +259,11 @@ Status TrustedFsService::Validate(uint64_t client_id, MetaOp* op) {
       if (file.single_extent()) {
         return bad("cannot attach to single-extent file");
       }
-      if (op->a * kScmPageSize >= kMaxFileBytes) {
-        return bad("page index out of range");
+      if (op->pages == 0 || op->pages > kMaxFilePages ||
+          op->a > kMaxFilePages - op->pages) {
+        return bad("page range out of range");
       }
-      const Oid extent = Oid::Make(ObjType::kExtent, op->b);
-      if (!PoolContains(client_id, extent)) {
-        return Status(ErrorCode::kPermissionDenied,
-                      "extent not in client pool");
-      }
-      if (!ctx_.alloc->IsAllocated(op->b)) {
-        return Status(ErrorCode::kCorrupted, "extent not allocated");
-      }
-      return OkStatus();
+      return PoolHoldsRun(client_id, op->b, op->pages);
     }
 
     case MetaOpType::kSetSize:
@@ -433,7 +438,7 @@ Status TrustedFsService::Apply(const MetaOp& op, bool replay) {
 
     case MetaOpType::kAttachExtent: {
       AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, op.obj));
-      return tolerate(file.AttachExtent(op.a, op.b),
+      return tolerate(file.AttachRun(op.a, op.b, op.pages),
                       ErrorCode::kAlreadyExists);
     }
 
@@ -600,6 +605,10 @@ Status TrustedFsService::ApplyBatch(uint64_t client_id,
       result = st;  // validated ops should not fail; surface and continue
     }
     ops_applied_.Add(1);
+    ops_applied_by_type_[static_cast<uint32_t>(op.type)]->Add(1);
+    if (op.type == MetaOpType::kAttachExtent) {
+      attach_pages_.Add(op.pages);
+    }
     // Crash-sim interest point: the op is applied in place but the log
     // still holds its committed record (replay must be idempotent here).
     ctx_.region->CrashPoint("tfs.apply");
@@ -706,9 +715,10 @@ Result<std::vector<Oid>> TrustedFsService::PoolFill(uint64_t client_id,
       }
       break;
     case ObjType::kExtent: {
-      // Batched page allocation: one bitmap flush for the whole fill.
+      // Pages in runs, with one bitmap flush per line range for the fill.
       std::vector<uint64_t> offsets;
-      AERIE_RETURN_IF_ERROR(ctx_.alloc->AllocMany(0, count, &offsets));
+      AERIE_RETURN_IF_ERROR(
+          ctx_.alloc->AllocPages(count, kExtentRunOrder, &offsets));
       for (uint64_t offset : offsets) {
         out.push_back(Oid::Make(ObjType::kExtent, offset));
       }
@@ -739,24 +749,44 @@ bool TrustedFsService::PoolContains(uint64_t client_id, Oid oid) {
          it->second.oid == oid;
 }
 
+Status TrustedFsService::PoolHoldsRun(uint64_t client_id, uint64_t offset,
+                                      uint64_t pages) {
+  std::lock_guard lock(alloc_mu_);
+  for (uint64_t i = 0; i < pages; ++i) {
+    const Oid page = Oid::Make(ObjType::kExtent, offset + i * kScmPageSize);
+    auto it = pooled_.find(page.offset());
+    if (it == pooled_.end() || it->second.client_id != client_id ||
+        it->second.oid != page) {
+      return Status(ErrorCode::kPermissionDenied, "extent not in client pool");
+    }
+  }
+  if (!ctx_.alloc->IsAllocated(offset, pages)) {
+    return Status(ErrorCode::kCorrupted, "extent not allocated");
+  }
+  return OkStatus();
+}
+
 void TrustedFsService::Consume(const MetaOp& op, std::vector<Oid>* consumed) {
-  Oid oid = op.obj;
+  const size_t first = consumed->size();
   switch (op.type) {
     case MetaOpType::kCreateFile:
     case MetaOpType::kCreateDir:
     case MetaOpType::kFlatPut:
+      consumed->push_back(op.obj);
       break;
     case MetaOpType::kAttachExtent:
-      oid = Oid::Make(ObjType::kExtent, op.b);
+      for (uint64_t i = 0; i < op.pages; ++i) {
+        consumed->push_back(
+            Oid::Make(ObjType::kExtent, op.b + i * kScmPageSize));
+      }
       break;
     default:
       return;
   }
-  {
-    std::lock_guard lock(alloc_mu_);
-    pooled_.erase(oid.offset());
+  std::lock_guard lock(alloc_mu_);
+  for (size_t i = first; i < consumed->size(); ++i) {
+    pooled_.erase((*consumed)[i].offset());
   }
-  consumed->push_back(oid);
 }
 
 void TrustedFsService::RetirePooled(std::vector<Oid>* oids) {
@@ -914,7 +944,7 @@ Status TrustedFsService::ServiceWrite(uint64_t client_id, Oid file,
       if (!f.ExtentForPage(p).ok()) {
         AERIE_ASSIGN_OR_RETURN(uint64_t extent, ctx_.alloc->Alloc(0));
         std::memset(ctx_.region->PtrAt(extent), 0, kScmPageSize);
-        AERIE_RETURN_IF_ERROR(f.AttachExtent(p, extent));
+        AERIE_RETURN_IF_ERROR(f.AttachRun(p, extent, 1));
       }
     }
   }

@@ -131,8 +131,12 @@ class TrustedFsService {
   // Pool helpers. `pooled_` is the volatile owner index; the pool map is
   // its persistent record, written only here.
   bool PoolContains(uint64_t client_id, Oid oid);
-  // Drops the pooled object `op` links, if any, from the owner index and
-  // queues it in `consumed` for RetirePooled.
+  // OK if every page of the run [offset, offset + pages * 4KB) is an extent
+  // in the client's pool and allocated, checked under one alloc_mu_ hold.
+  Status PoolHoldsRun(uint64_t client_id, uint64_t offset, uint64_t pages);
+  // Drops the pooled objects `op` links (each page of an attached run), if
+  // any, from the owner index and queues them in `consumed` for
+  // RetirePooled.
   void Consume(const MetaOp& op, std::vector<Oid>* consumed);
   // Clears the map entries of `oids` (one flush per line, one fence), except
   // pages pooled again since, and empties `oids`.
@@ -171,6 +175,9 @@ class TrustedFsService {
   obs::Counter batches_applied_{"tfs.batch.applied"};
   obs::Counter ops_applied_{"tfs.ops.applied"};
   obs::Counter ops_rejected_{"tfs.ops.rejected"};
+  // tfs.ops.applied.<type>, indexed by MetaOpType.
+  std::unique_ptr<obs::Counter> ops_applied_by_type_[kMetaOpTypeCount];
+  obs::Counter attach_pages_{"tfs.attach.pages"};  // pages over all attaches
   obs::Gauge pool_objects_{"tfs.pool.objects"};  // == pool_marked_
   obs::ScopedRegistration obs_registration_;
   bool crash_after_log_commit_ = false;

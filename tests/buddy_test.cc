@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "src/common/rand.h"
 #include "src/osd/buddy.h"
 
 namespace aerie {
@@ -134,6 +135,106 @@ TEST_F(BuddyTest, AllocBytesRoundsUp) {
   EXPECT_EQ(alloc_->pages_free(), kPages - 2);
   EXPECT_TRUE(alloc_->FreeBytes(*offset, 5000).ok());
   EXPECT_EQ(alloc_->pages_free(), kPages);
+}
+
+TEST_F(BuddyTest, AllocPagesHandsOutRunsOfTheRequestedOrder) {
+  std::vector<uint64_t> pages;
+  ASSERT_TRUE(alloc_->AllocPages(70, 5, &pages).ok());
+  ASSERT_EQ(pages.size(), 70u);
+  EXPECT_EQ(alloc_->pages_free(), kPages - 70);
+  // Two whole 32-page blocks, then the 6-page remainder in smaller ones.
+  for (size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(pages[i], pages[i / 32 * 32] + (i % 32) * kScmPageSize) << i;
+    EXPECT_TRUE(alloc_->IsAllocated(pages[i]));
+  }
+  EXPECT_EQ((pages[0] - kDataStart) % (32 * kScmPageSize), 0u);
+  EXPECT_EQ(std::set<uint64_t>(pages.begin(), pages.end()).size(), 70u);
+}
+
+TEST_F(BuddyTest, AllocPagesFallsBackWhenFragmented) {
+  // Allocate every page, then free every other one: no block above order 0.
+  std::vector<uint64_t> all;
+  ASSERT_TRUE(alloc_->AllocPages(kPages, 0, &all).ok());
+  for (size_t i = 0; i < all.size(); i += 2) {
+    ASSERT_TRUE(alloc_->Free(all[i], 0).ok());
+  }
+  std::vector<uint64_t> pages;
+  ASSERT_TRUE(alloc_->AllocPages(100, 5, &pages).ok());
+  EXPECT_EQ(pages.size(), 100u);
+  EXPECT_EQ(alloc_->pages_free(), kPages / 2 - 100);
+}
+
+TEST_F(BuddyTest, AllocPagesIsAllOrNothing) {
+  std::vector<uint64_t> held;
+  ASSERT_TRUE(alloc_->AllocPages(kPages - 10, 5, &held).ok());
+  std::vector<uint64_t> pages;
+  EXPECT_EQ(alloc_->AllocPages(11, 5, &pages).code(),
+            ErrorCode::kOutOfSpace);
+  EXPECT_TRUE(pages.empty());
+  EXPECT_EQ(alloc_->pages_free(), 10u);
+  ASSERT_TRUE(alloc_->AllocPages(10, 5, &pages).ok());
+  EXPECT_EQ(alloc_->pages_free(), 0u);
+}
+
+TEST_F(BuddyTest, ClearThenReleaseFreesOnlyAllocatedPages) {
+  std::vector<uint64_t> pages;
+  ASSERT_TRUE(alloc_->AllocPages(32, 5, &pages).ok());
+  std::vector<uint64_t> batch = pages;
+  alloc_->ClearPages(&batch, kNoPersistSite);
+  EXPECT_EQ(batch.size(), 32u);
+  // Cleared but not yet released: not allocated, yet not allocatable.
+  EXPECT_FALSE(alloc_->IsAllocated(pages[0]));
+  EXPECT_EQ(alloc_->pages_free(), kPages - 32);
+  // A replayed free finds the bits clear and releases nothing twice.
+  std::vector<uint64_t> replay = pages;
+  alloc_->ClearPages(&replay, kNoPersistSite);
+  EXPECT_TRUE(replay.empty());
+  alloc_->ReleasePages(batch);
+  EXPECT_EQ(alloc_->pages_free(), kPages);
+  EXPECT_TRUE(alloc_->Alloc(BuddyAllocator::kMaxOrder).ok());
+}
+
+// Random allocs and frees (exercising lazy list removal and compaction):
+// live blocks never overlap, the free count stays exact, and freeing
+// everything coalesces back to maximal blocks.
+TEST_F(BuddyTest, RandomChurnKeepsBlocksDisjointAndCoalesces) {
+  Rng rng(20261017);
+  std::vector<std::pair<uint64_t, int>> live;  // offset, order
+  std::vector<bool> used(kPages, false);
+  uint64_t used_pages = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (live.empty() || rng.Chance(1, 2)) {
+      const int order = static_cast<int>(rng.Uniform(4));
+      auto offset = alloc_->Alloc(order);
+      if (!offset.ok()) {
+        continue;
+      }
+      const uint64_t page = (*offset - kDataStart) / kScmPageSize;
+      for (uint64_t p = page; p < page + (1ULL << order); ++p) {
+        ASSERT_FALSE(used[p]) << "page " << p << " handed out twice";
+        used[p] = true;
+      }
+      used_pages += 1ULL << order;
+      live.emplace_back(*offset, order);
+    } else {
+      const size_t i = rng.Uniform(live.size());
+      const auto [offset, order] = live[i];
+      live[i] = live.back();
+      live.pop_back();
+      ASSERT_TRUE(alloc_->Free(offset, order).ok());
+      const uint64_t page = (offset - kDataStart) / kScmPageSize;
+      for (uint64_t p = page; p < page + (1ULL << order); ++p) {
+        used[p] = false;
+      }
+      used_pages -= 1ULL << order;
+    }
+    ASSERT_EQ(alloc_->pages_free(), kPages - used_pages);
+  }
+  for (const auto& [offset, order] : live) {
+    ASSERT_TRUE(alloc_->Free(offset, order).ok());
+  }
+  EXPECT_EQ(alloc_->pages_free(), kPages);
+  EXPECT_TRUE(alloc_->Alloc(BuddyAllocator::kMaxOrder).ok());
 }
 
 }  // namespace

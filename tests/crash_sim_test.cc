@@ -7,11 +7,15 @@
 //  * CrashSimTest.RedoLog*: the redo log alone under the simulator, covering
 //    the torn-truncate window, Rollback after a partial append, and the
 //    kOutOfSpace apply+truncate boundary.
+//  * CrashSimTest.RunWriteTruncateUnlinkSweep: multi-page run writes,
+//    truncates into the runs and unlinks; every image must recover with the
+//    acknowledged frees done (pages free again) and every file intact.
 //  * CrashSimTest.PoolFill*: pool fills straight through the TFS; every
 //    image taken after a fill was acknowledged must recover with that fill's
 //    objects freed (no client survives a restart).
 //  * CrashMutationTest.*: suppress one registered flush site (txlog commit
-//    and truncate, pool-map mark and retire) and require the checker to
+//    and truncate, pool-map mark and retire, the mFile run-attach leaf
+//    flush, the batched free's bitmap and slot clears) and require the checker to
 //    report corruption — mutation testing of the checker itself (a checker
 //    that cannot see injected bugs proves nothing by passing).
 //
@@ -22,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -222,6 +227,166 @@ TEST(CrashSimTest, CleanSweepRecoversEveryEnumeratedState) {
     std::fprintf(stderr, "%s\n", sim.Report().c_str());
   }
   // The primary system never saw a crash; it must still be healthy.
+  ASSERT_TRUE(t.fs->SyncAll().ok());
+  auto report = RunFsck(t.sys->volume());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  ::unlink(options.image_path.c_str());
+}
+
+// --- Extent runs ----------------------------------------------------------
+
+// Expected state of the run workload's files: each path's acceptable
+// contents. Two entries while an op on the path is in flight (the crash may
+// land before or after its commit); kAbsent stands for "no such file".
+constexpr const char* kAbsent = "(absent)";
+using RunExpectations = std::map<std::string, std::vector<std::string>>;
+
+std::string RunPayload(int i, size_t bytes) {
+  std::string data(bytes, '\0');
+  for (size_t k = 0; k < bytes; ++k) {
+    data[k] = static_cast<char>('a' + (i * 7 + k / 4096) % 26);
+  }
+  return data;
+}
+
+// Reboots on the image, requires recovery and fsck to succeed, every page an
+// acknowledged truncate or unlink freed to be free again, and every file to
+// hold one of its acceptable contents. `freed` and `expect` are captured by
+// pointer like SystemChecker's `durable`.
+CrashSimulator::Checker RunChecker(const std::vector<uint64_t>* freed,
+                                   const RunExpectations* expect) {
+  return [freed, expect](const std::string& image_path) -> Status {
+    AerieSystem::Options options = SmallSystemOptions();
+    options.region_path = image_path;
+    options.fresh = false;
+    auto sys = AerieSystem::Create(options);
+    if (!sys.ok()) {
+      return Status(ErrorCode::kCorrupted,
+                    "reboot/recovery failed: " + sys.status().ToString());
+    }
+    auto report = RunFsck((*sys)->volume());
+    if (!report.ok()) {
+      return report.status();
+    }
+    if (!report->ok()) {
+      return Status(ErrorCode::kCorrupted, "fsck: " + report->Summary());
+    }
+    // Before any client takes pool objects: nothing reallocates meanwhile.
+    for (uint64_t page : *freed) {
+      if ((*sys)->volume()->allocator()->IsAllocated(page)) {
+        return Status(ErrorCode::kCorrupted,
+                      "page freed by an acknowledged op is still allocated");
+      }
+    }
+    auto client = (*sys)->NewClient();
+    if (!client.ok()) {
+      return client.status();
+    }
+    Pxfs fs((*client)->fs());
+    for (const auto& [path, accepted] : *expect) {
+      std::string found = kAbsent;
+      if (auto fd = fs.Open(path, kOpenRead); fd.ok()) {
+        std::string buf(8 * 4096, '\0');
+        auto n = fs.Read(*fd, std::span<char>(buf.data(), buf.size()));
+        AERIE_RETURN_IF_ERROR(fs.Close(*fd));
+        AERIE_RETURN_IF_ERROR(n.status());
+        found = buf.substr(0, *n);
+      }
+      if (std::find(accepted.begin(), accepted.end(), found) ==
+          accepted.end()) {
+        return Status(ErrorCode::kCorrupted,
+                      "unexpected state after recovery: " + path);
+      }
+    }
+    return OkStatus();
+  };
+}
+
+// Writes a five-and-a-bit-page run to each file, truncates each into its
+// run, then unlinks every other one. A path's expectations gain the op's
+// outcome before the op and drop the old state once it is acknowledged;
+// the pages an acknowledged op freed join `freed`. All allocation happens
+// in the first phase, so no freed page is legitimately reused.
+void RunRunWorkload(SystemUnderTest* t, int files,
+                    std::vector<uint64_t>* freed, RunExpectations* expect) {
+  const size_t full = 5 * 4096 + 100;
+  const size_t kept = 4096 + 1000;
+  auto path_of = [](int i) { return "/w/run" + std::to_string(i); };
+  auto begin = [expect](const std::string& path, std::string next) {
+    (*expect)[path].push_back(std::move(next));
+  };
+  auto acked = [expect](const std::string& path) {
+    auto& accepted = (*expect)[path];
+    accepted.erase(accepted.begin());
+  };
+  auto oid_of = [t](const std::string& path) {
+    auto st = t->fs->Stat(path);
+    EXPECT_TRUE(st.ok()) << path;
+    return st.ok() ? st->oid : Oid();
+  };
+  OsdContext ctx = t->client->fs()->read_context();
+  for (int i = 0; i < files; ++i) {
+    const std::string path = path_of(i);
+    const std::string data = RunPayload(i, full);
+    // The create, then the write's attach and size, commit one by one.
+    (*expect)[path] = {kAbsent, "", data};
+    auto fd = t->fs->Open(path, kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.ok()) << path;
+    ASSERT_TRUE(
+        t->fs->Write(*fd, std::span<const char>(data.data(), data.size()))
+            .ok());
+    ASSERT_TRUE(t->fs->Close(*fd).ok());
+    (*expect)[path] = {data};
+  }
+  for (int i = 0; i < files; ++i) {
+    const std::string path = path_of(i);
+    auto file = MFile::Open(ctx, oid_of(path));
+    ASSERT_TRUE(file.ok());
+    std::vector<uint64_t> pages;
+    for (uint64_t p = 2; p < 6; ++p) {
+      auto extent = file->ExtentForPage(p);
+      ASSERT_TRUE(extent.ok());
+      pages.push_back(*extent);
+    }
+    begin(path, RunPayload(i, full).substr(0, kept));
+    ASSERT_TRUE(t->fs->Truncate(path, kept).ok());
+    acked(path);
+    freed->insert(freed->end(), pages.begin(), pages.end());
+  }
+  for (int i = 0; i < files; i += 2) {
+    const std::string path = path_of(i);
+    auto file = MFile::Open(ctx, oid_of(path));
+    ASSERT_TRUE(file.ok());
+    const std::vector<uint64_t> pages = file->StoragePages();
+    begin(path, kAbsent);
+    ASSERT_TRUE(t->fs->Unlink(path).ok());
+    acked(path);
+    freed->insert(freed->end(), pages.begin(), pages.end());
+  }
+}
+
+// Multi-page run writes, truncates into the runs, and unlinks: every image
+// recovers with acknowledged frees done and every file in a valid state.
+TEST(CrashSimTest, RunWriteTruncateUnlinkSweep) {
+  SystemUnderTest t = BootPrimedSystem();
+  CrashSimOptions options;
+  options.seed = 20261017;
+  options.max_images = 500;
+  options.random_draws_per_point = 2;
+  options.stop_on_failure = false;
+  options.image_path = UniqueImagePath("runs");
+  options = CrashSimOptions::FromEnv(options);
+  std::vector<uint64_t> freed;
+  RunExpectations expect;
+  {
+    CrashSimulator sim(t.sys->scm_region(), options,
+                       RunChecker(&freed, &expect));
+    RunRunWorkload(&t, 3, &freed, &expect);
+    EXPECT_TRUE(sim.ok()) << sim.Report();
+    EXPECT_GT(sim.images_checked(), 0u);
+    std::fprintf(stderr, "%s\n", sim.Report().c_str());
+  }
   ASSERT_TRUE(t.fs->SyncAll().ok());
   auto report = RunFsck(t.sys->volume());
   ASSERT_TRUE(report.ok());
@@ -601,6 +766,50 @@ TEST(CrashMutationTest, DetectsSuppressedPoolMarkFlush) {
   std::fprintf(stderr, "detected tfs.pool.mark.flush:\n%s\n",
                sim.Report().c_str());
   ::unlink(options.image_path.c_str());
+}
+
+// Without the run-attach leaf flush the slots of an acknowledged write are
+// lost once the checkpoint drops the attach record: the file reads holes.
+TEST(CrashMutationTest, DetectsSuppressedAttachLeafFlush) {
+  RunMutation("osd.mfile.attach.flush", "mut_attach", 4);
+}
+
+// Suppresses one persist site of the batched free and runs the extent-run
+// workload, whose checker must notice.
+void RunFreeMutation(const char* site_name, const char* tag) {
+  SystemUnderTest t = BootPrimedSystem();
+  const int site = RegisterPersistSite(site_name);
+  ASSERT_GE(site, 0);
+  CrashSimOptions options;
+  options.seed = 4242;
+  options.max_images = 600;
+  options.random_draws_per_point = 3;
+  options.stop_on_failure = true;
+  options.image_path = UniqueImagePath(tag);
+  std::vector<uint64_t> freed;
+  RunExpectations expect;
+  CrashSimulator sim(t.sys->scm_region(), options,
+                     RunChecker(&freed, &expect));
+  sim.SuppressSite(site);
+  RunRunWorkload(&t, 3, &freed, &expect);
+  EXPECT_FALSE(sim.ok()) << "suppressing " << site_name
+                         << " was not detected\n"
+                         << sim.Report();
+  std::fprintf(stderr, "detected %s:\n%s\n", site_name,
+               sim.Report().c_str());
+  ::unlink(options.image_path.c_str());
+}
+
+// Without the bitmap-clear flush, pages an acknowledged truncate or unlink
+// freed come back allocated after a crash: leaked.
+TEST(CrashMutationTest, DetectsSuppressedBitmapClearFlush) {
+  RunFreeMutation("osd.buddy.clear.flush", "mut_bitmap_clear");
+}
+
+// Without the slot-clear flush, a truncated file still maps pages whose
+// bits were cleared: fsck sees a mapped page that is not allocated.
+TEST(CrashMutationTest, DetectsSuppressedSlotClearFlush) {
+  RunFreeMutation("osd.mfile.clear.flush", "mut_slot_clear");
 }
 
 }  // namespace

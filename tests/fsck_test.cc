@@ -129,5 +129,71 @@ TEST_F(FsckTest, CountsOrphansAndPools) {
   ASSERT_TRUE(pxfs.Close(*fd).ok());
 }
 
+// Writes `pages` pages to a new file at `path` and returns its oid.
+Oid WriteFilePages(Pxfs* pxfs, const std::string& path, int pages) {
+  auto fd = pxfs->Open(path, kOpenCreate | kOpenWrite);
+  EXPECT_TRUE(fd.ok());
+  const std::string data(pages * 4096, 'd');
+  EXPECT_TRUE(
+      pxfs->Write(*fd, std::span<const char>(data.data(), data.size())).ok());
+  EXPECT_TRUE(pxfs->Close(*fd).ok());
+  EXPECT_TRUE(pxfs->SyncAll().ok());
+  auto st = pxfs->Stat(path);
+  EXPECT_TRUE(st.ok());
+  return st.ok() ? st->oid : Oid();
+}
+
+bool HasMessage(const FsckReport& report, const std::string& needle) {
+  for (const std::string& m : report.messages) {
+    if (m.find(needle) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST_F(FsckTest, DetectsDataPageMappedByTwoFiles) {
+  Pxfs pxfs(client_->fs());
+  const Oid owner = WriteFilePages(&pxfs, "/owner", 2);
+  OsdContext ctx = sys_->volume()->context();
+  auto owner_file = MFile::Open(ctx, owner);
+  ASSERT_TRUE(owner_file.ok());
+  auto shared = owner_file->ExtentForPage(1);
+  ASSERT_TRUE(shared.ok());
+
+  // Hand-build a second file mapping the owner's page, and link it.
+  auto thief = MFile::Create(ctx, 0);
+  ASSERT_TRUE(thief.ok());
+  ASSERT_TRUE(thief->AttachRun(0, *shared, 1).ok());
+  ASSERT_TRUE(thief->SetSize(4096).ok());
+  thief->SetLinkCount(1);
+  auto root = Collection::Open(ctx, client_->fs()->pxfs_root());
+  ASSERT_TRUE(root.ok());
+  ASSERT_TRUE(root->Insert("thief", thief->oid().raw()).ok());
+
+  auto report = RunFsck(sys_->volume());
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->ok());
+  EXPECT_TRUE(HasMessage(*report, "page mapped by two files"))
+      << report->Summary();
+}
+
+TEST_F(FsckTest, DetectsMappedPageNotAllocated) {
+  Pxfs pxfs(client_->fs());
+  const Oid oid = WriteFilePages(&pxfs, "/leaky", 3);
+  auto file = MFile::Open(sys_->volume()->context(), oid);
+  ASSERT_TRUE(file.ok());
+  auto extent = file->ExtentForPage(2);
+  ASSERT_TRUE(extent.ok());
+  // Clear the page's bitmap bit while the file still maps it.
+  ASSERT_TRUE(sys_->volume()->allocator()->Free(*extent, 0).ok());
+
+  auto report = RunFsck(sys_->volume());
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->ok());
+  EXPECT_TRUE(HasMessage(*report, "mapped page not marked allocated"))
+      << report->Summary();
+}
+
 }  // namespace
 }  // namespace aerie

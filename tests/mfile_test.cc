@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/rand.h"
 #include "src/osd/mfile.h"
@@ -54,7 +55,7 @@ TEST_F(MFileTest, AttachAndReadBack) {
   ASSERT_TRUE(file.ok());
   const uint64_t extent = NewExtent();
   std::memcpy(ctx_.region->PtrAt(extent), "page zero data", 14);
-  ASSERT_TRUE(file->AttachExtent(0, extent).ok());
+  ASSERT_TRUE(file->AttachRun(0, extent, 1).ok());
   ASSERT_TRUE(file->SetSize(14).ok());
 
   char buf[32] = {};
@@ -68,8 +69,8 @@ TEST_F(MFileTest, AttachAndReadBack) {
 TEST_F(MFileTest, DoubleAttachRejected) {
   auto file = MFile::Create(ctx_, 0);
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file->AttachExtent(0, NewExtent()).ok());
-  EXPECT_EQ(file->AttachExtent(0, NewExtent()).code(),
+  ASSERT_TRUE(file->AttachRun(0, NewExtent(), 1).ok());
+  EXPECT_EQ(file->AttachRun(0, NewExtent(), 1).code(),
             ErrorCode::kAlreadyExists);
 }
 
@@ -81,7 +82,7 @@ TEST_F(MFileTest, TreeGrowsAcrossLevels) {
   std::map<uint64_t, uint64_t> attached;
   for (uint64_t p : pages) {
     const uint64_t extent = NewExtent();
-    ASSERT_TRUE(file->AttachExtent(p, extent).ok()) << p;
+    ASSERT_TRUE(file->AttachRun(p, extent, 1).ok()) << p;
     attached[p] = extent;
   }
   for (const auto& [page, extent] : attached) {
@@ -99,7 +100,7 @@ TEST_F(MFileTest, SparseReadsReturnZeros) {
   ASSERT_TRUE(file.ok());
   const uint64_t extent = NewExtent();
   std::memset(ctx_.region->PtrAt(extent), 0xee, kScmPageSize);
-  ASSERT_TRUE(file->AttachExtent(2, extent).ok());
+  ASSERT_TRUE(file->AttachRun(2, extent, 1).ok());
   ASSERT_TRUE(file->SetSize(3 * kScmPageSize).ok());
 
   std::string buf(3 * kScmPageSize, 'x');
@@ -117,7 +118,7 @@ TEST_F(MFileTest, WriteInPlaceRequiresExtents) {
   const char data[] = "hello";
   EXPECT_EQ(file->WriteInPlace(0, std::span<const char>(data, 5)).code(),
             ErrorCode::kNotFound);
-  ASSERT_TRUE(file->AttachExtent(0, NewExtent()).ok());
+  ASSERT_TRUE(file->AttachRun(0, NewExtent(), 1).ok());
   EXPECT_TRUE(file->WriteInPlace(0, std::span<const char>(data, 5)).ok());
   ctx_.region->BFlush();
   ASSERT_TRUE(file->SetSize(5).ok());
@@ -129,8 +130,8 @@ TEST_F(MFileTest, WriteInPlaceRequiresExtents) {
 TEST_F(MFileTest, CrossPageWrite) {
   auto file = MFile::Create(ctx_, 0);
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file->AttachExtent(0, NewExtent()).ok());
-  ASSERT_TRUE(file->AttachExtent(1, NewExtent()).ok());
+  ASSERT_TRUE(file->AttachRun(0, NewExtent(), 1).ok());
+  ASSERT_TRUE(file->AttachRun(1, NewExtent(), 1).ok());
   std::string data(6000, 'q');
   ASSERT_TRUE(
       file->WriteInPlace(1000, std::span<const char>(data.data(), 6000))
@@ -148,7 +149,7 @@ TEST_F(MFileTest, TruncateFreesTail) {
   const uint64_t free_start = ctx_.alloc->pages_free();
   EXPECT_EQ(free_start, free_before_create - 1);  // header page
   for (uint64_t p = 0; p < 20; ++p) {
-    ASSERT_TRUE(file->AttachExtent(p, NewExtent()).ok());
+    ASSERT_TRUE(file->AttachRun(p, NewExtent(), 1).ok());
   }
   ASSERT_TRUE(file->SetSize(20 * kScmPageSize).ok());
   ASSERT_TRUE(file->Truncate(5 * kScmPageSize).ok());
@@ -168,7 +169,7 @@ TEST_F(MFileTest, DestroyFreesEverything) {
   auto file = MFile::Create(ctx_, 0);
   ASSERT_TRUE(file.ok());
   for (uint64_t p = 0; p < 600; ++p) {  // forces height 2
-    ASSERT_TRUE(file->AttachExtent(p, NewExtent()).ok());
+    ASSERT_TRUE(file->AttachRun(p, NewExtent(), 1).ok());
   }
   ASSERT_TRUE(file->Destroy().ok());
   EXPECT_EQ(ctx_.alloc->pages_free(), free_start);
@@ -190,7 +191,7 @@ TEST_F(MFileTest, ForEachExtentVisitsAll) {
   std::map<uint64_t, uint64_t> attached;
   for (uint64_t p : {0ull, 7ull, 513ull, 4096ull}) {
     const uint64_t extent = NewExtent();
-    ASSERT_TRUE(file->AttachExtent(p, extent).ok());
+    ASSERT_TRUE(file->AttachRun(p, extent, 1).ok());
     attached[p] = extent;
   }
   std::map<uint64_t, uint64_t> seen;
@@ -228,7 +229,7 @@ TEST_F(MFileTest, SingleExtentCapacityEnforced) {
           .code(),
       ErrorCode::kOutOfSpace);
   EXPECT_EQ(file->SetSize(5000).code(), ErrorCode::kOutOfSpace);
-  EXPECT_EQ(file->AttachExtent(0, NewExtent()).code(),
+  EXPECT_EQ(file->AttachRun(0, NewExtent(), 1).code(),
             ErrorCode::kNotSupported);
 }
 
@@ -271,7 +272,7 @@ TEST_P(MFileRandomIoTest, RandomWritesMatchReferenceBuffer) {
         auto extent = ctx.alloc->Alloc(0);
         ASSERT_TRUE(extent.ok());
         std::memset(ctx.region->PtrAt(*extent), 0, kScmPageSize);
-        ASSERT_TRUE(file->AttachExtent(p, *extent).ok());
+        ASSERT_TRUE(file->AttachRun(p, *extent, 1).ok());
       }
     }
     ASSERT_TRUE(
@@ -291,6 +292,77 @@ TEST_P(MFileRandomIoTest, RandomWritesMatchReferenceBuffer) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MFileRandomIoTest,
                          ::testing::Values(11, 22, 33));
+
+// Allocates `pages` contiguous pages (a power of two: one buddy block).
+uint64_t NewRun(const OsdContext& ctx, uint64_t pages) {
+  std::vector<uint64_t> offsets;
+  EXPECT_TRUE(ctx.alloc->AllocPages(pages, BuddyAllocator::kMaxOrder, &offsets)
+                  .ok());
+  for (size_t i = 1; i < offsets.size(); ++i) {
+    EXPECT_EQ(offsets[i], offsets[0] + i * kScmPageSize);
+  }
+  return offsets.empty() ? 0 : offsets[0];
+}
+
+TEST_F(MFileTest, AttachRunSpansLeavesAndGrowsTheTree) {
+  auto file = MFile::Create(ctx_, 0);
+  ASSERT_TRUE(file.ok());
+  const uint64_t run = NewRun(ctx_, 16);
+  // Pages 505..520 straddle the first leaf and force height 2.
+  ASSERT_TRUE(file->AttachRun(505, run, 16).ok());
+  for (uint64_t i = 0; i < 16; ++i) {
+    auto extent = file->ExtentForPage(505 + i);
+    ASSERT_TRUE(extent.ok()) << i;
+    EXPECT_EQ(*extent, run + i * kScmPageSize);
+  }
+  EXPECT_EQ(file->ExtentForPage(504).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(file->ExtentForPage(521).code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(file->Validate().ok());
+}
+
+TEST_F(MFileTest, AttachRunIsIdempotentAndAllOrNothing) {
+  auto file = MFile::Create(ctx_, 0);
+  ASSERT_TRUE(file.ok());
+  const uint64_t run = NewRun(ctx_, 8);
+  ASSERT_TRUE(file->AttachRun(20, run, 4).ok());
+  // A replay of the same run, or one overlapping it with the same extents,
+  // succeeds.
+  EXPECT_TRUE(file->AttachRun(20, run, 4).ok());
+  EXPECT_TRUE(file->AttachRun(22, run + 2 * kScmPageSize, 6).ok());
+  // Pages 16..19 are holes, 20 and 21 are mapped to other extents: the run
+  // fails before storing anything.
+  const uint64_t other = NewRun(ctx_, 8);
+  EXPECT_EQ(file->AttachRun(16, other, 6).code(), ErrorCode::kAlreadyExists);
+  for (uint64_t p = 16; p < 20; ++p) {
+    EXPECT_EQ(file->ExtentForPage(p).code(), ErrorCode::kNotFound) << p;
+  }
+  for (uint64_t p = 20; p < 28; ++p) {
+    EXPECT_EQ(*file->ExtentForPage(p), run + (p - 20) * kScmPageSize) << p;
+  }
+  EXPECT_EQ(file->AttachRun(40, other, 0).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(MFileTest, TruncateIntoARunAndDestroyFreeEveryPage) {
+  const uint64_t free_start = ctx_.alloc->pages_free();
+  auto file = MFile::Create(ctx_, 0);
+  ASSERT_TRUE(file.ok());
+  const uint64_t run = NewRun(ctx_, 32);
+  ASSERT_TRUE(file->AttachRun(0, run, 32).ok());
+  ASSERT_TRUE(file->SetSize(32 * kScmPageSize).ok());
+  const uint64_t free_full = ctx_.alloc->pages_free();
+  ASSERT_TRUE(file->Truncate(10 * kScmPageSize + 1).ok());
+  EXPECT_EQ(file->size(), 10 * kScmPageSize + 1);
+  EXPECT_EQ(ctx_.alloc->pages_free(), free_full + 21);
+  EXPECT_TRUE(ctx_.alloc->IsAllocated(run + 10 * kScmPageSize));
+  EXPECT_FALSE(ctx_.alloc->IsAllocated(run + 11 * kScmPageSize));
+  EXPECT_EQ(file->ExtentForPage(11).code(), ErrorCode::kNotFound);
+  // Header, root leaf and the 11 kept pages.
+  EXPECT_EQ(file->StoragePages().size(), 13u);
+  ASSERT_TRUE(file->Destroy().ok());
+  EXPECT_EQ(ctx_.alloc->pages_free(), free_start);
+  // The freed run coalesced back: a maximal block is allocatable again.
+  EXPECT_TRUE(ctx_.alloc->Alloc(BuddyAllocator::kMaxOrder).ok());
+}
 
 }  // namespace
 }  // namespace aerie

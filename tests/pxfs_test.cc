@@ -7,6 +7,7 @@
 
 #include "src/libfs/system.h"
 #include "src/pxfs/pxfs.h"
+#include "src/tfs/fsck.h"
 
 namespace aerie {
 namespace {
@@ -352,6 +353,131 @@ TEST_F(PxfsTest, ChmodUpdatesAcl) {
   auto st = pxfs_->Stat("/perm");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->acl, MakeAcl(42, kAclRightRead));
+}
+
+// Pooled mFiles reuse the OIDs of destroyed files. A file created without
+// O_TRUNC must not inherit a dead file's pending size or extents (its
+// writes would land in pages that now belong to other objects).
+TEST_F(PxfsTest, RecycledOidsNeverInheritStaleShadows) {
+  const std::string data(8 << 10, 'r');
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 1500; ++i) {
+      const std::string path = "/r" + std::to_string(i);
+      auto fd = pxfs_->Open(path, kOpenCreate | kOpenWrite);
+      ASSERT_TRUE(fd.ok()) << round << "/" << i << ": "
+                           << fd.status().ToString();
+      auto n =
+          pxfs_->Write(*fd, std::span<const char>(data.data(), data.size()));
+      ASSERT_TRUE(n.ok()) << round << "/" << i << ": "
+                          << n.status().ToString();
+      ASSERT_TRUE(pxfs_->Close(*fd).ok());
+      ASSERT_EQ(ReadAll(path), data) << round << "/" << i;
+      ASSERT_TRUE(pxfs_->Unlink(path).ok()) << round << "/" << i;
+    }
+    ASSERT_TRUE(pxfs_->SyncAll().ok());
+  }
+  auto report = RunFsck(sys_->volume());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// A client that ships only on SyncAll, so its writes stay pending.
+class PxfsPendingTest : public PxfsTest {
+ protected:
+  void SetUp() override {
+    PxfsTest::SetUp();
+    LibFs::Options options;
+    options.flush_interval_ms = 0;
+    auto client = sys_->NewClient(options);
+    ASSERT_TRUE(client.ok());
+    pending_client_ = std::move(*client);
+    pending_ = std::make_unique<Pxfs>(pending_client_->fs());
+  }
+  void TearDown() override {
+    pending_.reset();
+    pending_client_.reset();
+    PxfsTest::TearDown();
+  }
+
+  std::unique_ptr<AerieSystem::Client> pending_client_;
+  std::unique_ptr<Pxfs> pending_;
+};
+
+TEST_F(PxfsPendingTest, HardLinkedFileKeepsPendingStateUntilShipped) {
+  const std::string data(3 * 4096 + 100, 'h');
+  auto fd = pending_->Open("/orig", kOpenCreate | kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(
+      pending_->Write(*fd, std::span<const char>(data.data(), data.size()))
+          .ok());
+  ASSERT_TRUE(pending_->Close(*fd).ok());
+  ASSERT_TRUE(pending_->Link("/orig", "/alias").ok());
+  ASSERT_TRUE(pending_->Unlink("/orig").ok());
+  EXPECT_GT(pending_client_->fs()->pending_ops(), 0u);
+  for (int shipped = 0; shipped < 2; ++shipped) {
+    auto st = pending_->Stat("/alias");
+    ASSERT_TRUE(st.ok()) << shipped;
+    EXPECT_EQ(st->size, data.size()) << shipped;
+    auto rfd = pending_->Open("/alias", kOpenRead);
+    ASSERT_TRUE(rfd.ok()) << shipped;
+    std::string buf(data.size() + 10, '\0');
+    auto n = pending_->Read(*rfd, std::span<char>(buf.data(), buf.size()));
+    ASSERT_TRUE(n.ok()) << shipped;
+    buf.resize(*n);
+    EXPECT_EQ(buf, data) << shipped;
+    ASSERT_TRUE(pending_->Close(*rfd).ok());
+    ASSERT_TRUE(pending_->SyncAll().ok());
+  }
+}
+
+TEST_F(PxfsPendingTest, UnlinkedOpenFileKeepsPendingStateUntilShipped) {
+  const std::string data(2 * 4096 + 7, 'u');
+  auto fd = pending_->Open("/doomed", kOpenCreate | kOpenWrite | kOpenRead);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(
+      pending_->Write(*fd, std::span<const char>(data.data(), data.size()))
+          .ok());
+  ASSERT_TRUE(pending_->Unlink("/doomed").ok());
+  EXPECT_GT(pending_client_->fs()->pending_ops(), 0u);
+  for (int shipped = 0; shipped < 2; ++shipped) {
+    auto st = pending_->Fstat(*fd);
+    ASSERT_TRUE(st.ok()) << shipped;
+    EXPECT_EQ(st->size, data.size()) << shipped;
+    std::string buf(data.size() + 10, '\0');
+    auto n = pending_->Pread(*fd, 0, std::span<char>(buf.data(), buf.size()));
+    ASSERT_TRUE(n.ok()) << shipped;
+    buf.resize(*n);
+    EXPECT_EQ(buf, data) << shipped;
+    ASSERT_TRUE(pending_->SyncAll().ok());
+  }
+  ASSERT_TRUE(pending_->Close(*fd).ok());
+}
+
+// A newborn pooled mFile is empty: O_TRUNC on the Open that creates it logs
+// only the create.
+TEST_F(PxfsPendingTest, TruncOnCreateLogsNoTruncate) {
+  LibFs* fs = pending_client_->fs();
+  const uint64_t before = fs->ops_logged();
+  auto fd = pending_->Open("/fresh", kOpenCreate | kOpenWrite | kOpenTrunc);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(fs->ops_logged() - before, 1u);
+  ASSERT_TRUE(pending_->Close(*fd).ok());
+  // O_TRUNC on an existing file still truncates it.
+  const std::string data = "old contents";
+  fd = pending_->Open("/fresh", kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(
+      pending_->Write(*fd, std::span<const char>(data.data(), data.size()))
+          .ok());
+  ASSERT_TRUE(pending_->Close(*fd).ok());
+  const uint64_t mid = fs->ops_logged();
+  fd = pending_->Open("/fresh", kOpenWrite | kOpenTrunc);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(fs->ops_logged() - mid, 1u);
+  ASSERT_TRUE(pending_->Close(*fd).ok());
+  auto st = pending_->Stat("/fresh");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, 0u);
 }
 
 }  // namespace

@@ -58,6 +58,17 @@ class TfsTest : public ::testing::Test {
   std::unique_ptr<AerieSystem::Client> client_;
 };
 
+// Sum of the live counters named `name`.
+uint64_t CounterValue(const std::string& name) {
+  uint64_t total = 0;
+  for (const obs::MetricSnapshot& m : obs::Registry::Instance().Collect()) {
+    if (m.name == name) {
+      total += m.counter;
+    }
+  }
+  return total;
+}
+
 // Live value of the TFS's tfs.pool.objects gauge.
 int64_t PoolObjectsGauge() {
   for (const obs::MetricSnapshot& m : obs::Registry::Instance().Collect()) {
@@ -469,6 +480,166 @@ TEST_F(TfsTest, DisconnectBeforeShippingReclaimsEveryPool) {
   EXPECT_EQ(alloc->pages_free(), free_before);
   EXPECT_EQ(PooledObjects(), pooled_before);
   EXPECT_EQ(PoolObjectsGauge(), gauge_before);
+}
+
+TEST_F(TfsTest, EncodedOpSizeIsTheMinimum) {
+  WireBuffer buf;
+  MetaOp().Encode(&buf);
+  EXPECT_EQ(buf.size(), kMinOpBytes);
+  MetaOp run;
+  run.type = MetaOpType::kAttachExtent;
+  run.a = 7;
+  run.b = 1 << 20;
+  run.pages = 32;
+  WireBuffer one;
+  run.Encode(&one);
+  WireReader reader(one.data());
+  auto decoded = MetaOp::Decode(&reader);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->pages, 32u);
+  EXPECT_EQ(decoded->b, 1u << 20);
+}
+
+// One multi-page write logs one attach for the whole run, and the per-type
+// counters and tfs.attach.pages say so.
+TEST_F(TfsTest, MultiPageWriteAppliesOneAttachPerRun) {
+  LibFs::Options lazy;
+  lazy.flush_interval_ms = 0;
+  auto client = sys_->NewClient(lazy);
+  ASSERT_TRUE(client.ok());
+  Pxfs pxfs((*client)->fs());
+  const uint64_t attaches = CounterValue("tfs.ops.applied.attach_extent");
+  const uint64_t pages = CounterValue("tfs.attach.pages");
+  const uint64_t creates = CounterValue("tfs.ops.applied.create_file");
+  const uint64_t sizes = CounterValue("tfs.ops.applied.set_size");
+  auto fd = pxfs.Open("/run", kOpenCreate | kOpenWrite | kOpenTrunc);
+  ASSERT_TRUE(fd.ok());
+  const std::string data(5 * kScmPageSize, 'p');
+  ASSERT_TRUE(
+      pxfs.Write(*fd, std::span<const char>(data.data(), data.size())).ok());
+  ASSERT_TRUE(pxfs.Close(*fd).ok());
+  ASSERT_TRUE(pxfs.SyncAll().ok());
+  EXPECT_EQ(CounterValue("tfs.ops.applied.attach_extent") - attaches, 1u);
+  EXPECT_EQ(CounterValue("tfs.attach.pages") - pages, 5u);
+  EXPECT_EQ(CounterValue("tfs.ops.applied.create_file") - creates, 1u);
+  EXPECT_EQ(CounterValue("tfs.ops.applied.set_size") - sizes, 1u);
+  EXPECT_EQ(CounterValue("tfs.ops.applied.truncate"), 0u);
+}
+
+// Every page of a run must be in the client's pool.
+TEST_F(TfsTest, AttachRunValidatesEveryPage) {
+  LockRootXH();
+  auto file = fs()->TakePooled(ObjType::kMFile);
+  auto first = fs()->TakeExtentRun(4);
+  auto second = fs()->TakeExtentRun(4);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(first->pages, 4u);
+  ASSERT_EQ(second->offset, first->offset + 4 * kScmPageSize);
+  MetaOp create;
+  create.type = MetaOpType::kCreateFile;
+  create.authority = fs()->pxfs_root().lock_id();
+  create.dir = fs()->pxfs_root();
+  create.name = "runs";
+  create.obj = *file;
+  ASSERT_TRUE(tfs()->ApplyBatch(cid(), OneOp(create)).ok());
+
+  MetaOp attach;
+  attach.type = MetaOpType::kAttachExtent;
+  attach.authority = fs()->pxfs_root().lock_id();
+  attach.obj = *file;
+  attach.a = 0;
+  attach.b = second->offset;
+  attach.pages = 0;
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(attach)).code(),
+            ErrorCode::kInvalidArgument);
+  attach.pages = 4;
+  ASSERT_TRUE(tfs()->ApplyBatch(cid(), OneOp(attach)).ok());
+  // The first run plus one consumed page of the second: rejected whole.
+  attach.a = 4;
+  attach.b = first->offset;
+  attach.pages = 5;
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(attach)).code(),
+            ErrorCode::kPermissionDenied);
+  attach.pages = 4;
+  ASSERT_TRUE(tfs()->ApplyBatch(cid(), OneOp(attach)).ok());
+  auto mfile = MFile::Open(fs()->read_context(), *file);
+  ASSERT_TRUE(mfile.ok());
+  for (uint64_t p = 0; p < 8; ++p) {
+    auto extent = mfile->ExtentForPage(p);
+    ASSERT_TRUE(extent.ok()) << p;
+    EXPECT_EQ(*extent, (p < 4 ? second->offset : first->offset) +
+                           (p % 4) * kScmPageSize);
+  }
+}
+
+// Untrusted run bounds: past the largest file, or wrapping around.
+TEST_F(TfsTest, AttachRunRejectsOutOfRangeRuns) {
+  LockRootXH();
+  auto file = fs()->TakePooled(ObjType::kMFile);
+  auto run = fs()->TakeExtentRun(1);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(run.ok());
+  MetaOp create;
+  create.type = MetaOpType::kCreateFile;
+  create.authority = fs()->pxfs_root().lock_id();
+  create.dir = fs()->pxfs_root();
+  create.name = "bounds";
+  create.obj = *file;
+  ASSERT_TRUE(tfs()->ApplyBatch(cid(), OneOp(create)).ok());
+  MetaOp attach;
+  attach.type = MetaOpType::kAttachExtent;
+  attach.authority = fs()->pxfs_root().lock_id();
+  attach.obj = *file;
+  attach.b = run->offset;
+  const uint64_t max_pages = (1ull << 46) / kScmPageSize;
+  for (const auto& [first, pages] :
+       std::vector<std::pair<uint64_t, uint64_t>>{
+           {0, max_pages + 1}, {max_pages, 1}, {~0ull, 2}, {1, ~0ull}}) {
+    attach.a = first;
+    attach.pages = pages;
+    EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(attach)).code(),
+              ErrorCode::kInvalidArgument)
+        << first << " " << pages;
+  }
+  // The largest in-range run still has to be pooled page by page.
+  attach.a = 0;
+  attach.pages = max_pages;
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(attach)).code(),
+            ErrorCode::kPermissionDenied);
+  attach.pages = 1;
+  EXPECT_TRUE(tfs()->ApplyBatch(cid(), OneOp(attach)).ok());
+}
+
+// An extent fill larger than the free space fails and takes nothing.
+TEST(TfsSmallVolumeTest, OversizedExtentFillLeavesAllocatorUnchanged) {
+  AerieSystem::Options options;
+  options.region_bytes = 8ull << 20;
+  options.volume.log_bytes = 1ull << 20;
+  auto sys = AerieSystem::Create(options);
+  ASSERT_TRUE(sys.ok());
+  BuddyAllocator* alloc = (*sys)->volume()->allocator();
+  auto allocated = [alloc] {
+    std::vector<bool> bits;
+    for (uint64_t p = 0; p < alloc->pages_total(); ++p) {
+      bits.push_back(alloc->IsAllocated(alloc->data_start() + p * kScmPageSize));
+    }
+    return bits;
+  };
+  const uint64_t free_before = alloc->pages_free();
+  const std::vector<bool> bits_before = allocated();
+  auto fill = (*sys)->tfs()->PoolFill(
+      7, ObjType::kExtent, static_cast<uint32_t>(free_before + 1), 0);
+  EXPECT_EQ(fill.status().code(), ErrorCode::kOutOfSpace);
+  EXPECT_EQ(alloc->pages_free(), free_before);
+  EXPECT_EQ(allocated(), bits_before);
+  // A fill of exactly the free space succeeds.
+  auto all = (*sys)->tfs()->PoolFill(
+      7, ObjType::kExtent, static_cast<uint32_t>(free_before), 0);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->size(), free_before);
+  EXPECT_EQ(alloc->pages_free(), 0u);
 }
 
 }  // namespace

@@ -462,6 +462,27 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
         PrettyCount(static_cast<double>(pooled)).c_str());
   }
 
+  // TFS applies per op type (tfs.ops.applied.<type>) and the pages each
+  // extent-run attach covers (DESIGN.md §6 item 7).
+  {
+    const std::string prefix = "tfs.ops.applied.";
+    std::string types;
+    for (const auto& [name, value] : cur.counters) {
+      if (value != 0 && name.compare(0, prefix.size(), prefix) == 0) {
+        types += " " + name.substr(prefix.size()) + " " +
+                 PrettyCount(static_cast<double>(value));
+      }
+    }
+    if (!types.empty()) {
+      const uint64_t attaches = counter("tfs.ops.applied.attach_extent");
+      std::printf("\ntfs ops:%s; pages per attach %.1f\n", types.c_str(),
+                  attaches == 0 ? 0.0
+                                : static_cast<double>(
+                                      counter("tfs.attach.pages")) /
+                                      static_cast<double>(attaches));
+    }
+  }
+
   const obs::WriteAmpReport amp = obs::ComputeWriteAmp(CounterPairs(cur));
   if (amp.physical_bytes != 0 || amp.logical_bytes != 0) {
     std::printf("\nwrite amplification: logical %s, physical %s",
