@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -205,7 +206,13 @@ TEST_F(TelemetryTest, ConcurrentPublishSnapshotStorm) {
   uint64_t last_counter = 0;
   uint64_t accepted = 0;
   const std::string path = pub->path();
-  for (int i = 0; i < 500; ++i) {
+  // At least 500 reads, and on a loaded host more, until a snapshot shows
+  // the writer thread's increments (or 10 s pass).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int i = 0; i < 500 || (last_counter == 0 &&
+                              std::chrono::steady_clock::now() < deadline);
+       ++i) {
     TelemetrySnapshot snap;
     if (!ReadTelemetrySegment(path, &snap)) {
       continue;
