@@ -11,9 +11,15 @@
 // guarded by the clerk's direct-access epoch: no lock RPC, no clerk mutex,
 // no service involvement — so the span attribution pass should show the
 // rpc layer's self-time collapse to noise.
+//
+// A last point, cache_churn, reads (path on) over a file set whose extent
+// maps outgrow the map cache's budget, so its stores evict: it reports the
+// share of bytes still read direct and the evictions per 1,000 reads.
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/flatfs/flatfs.h"
@@ -82,6 +88,86 @@ PxfsRates MeasurePxfs(bool direct, int pages, double seconds) {
   rates.direct_read_bytes = (*client)->fs()->direct_read_bytes();
   rates.direct_write_bytes = (*client)->fs()->direct_write_bytes();
   BENCH_CHECK_STATUS(fs.Close(*fd));
+  return rates;
+}
+
+struct ChurnRates {
+  double read_ops = 0;
+  double direct_read_ratio = 0;
+  double evictions_per_kop = 0;
+};
+
+// 1,000 sparse 8 MB files, data in the first and last page: each whole-file
+// map is charged ~2,080 slots, about twice the budget in all. 90% of the
+// reads pick one of 100 hot files, whose maps take a fifth of the budget;
+// the rest pick a cold file. Every read is one 4KB page.
+constexpr int kChurnFiles = 1000;
+constexpr int kChurnHotFiles = 100;
+constexpr uint64_t kChurnFilePages = 2048;
+constexpr uint64_t kChurnCharge = kChurnFilePages + LibFs::kDirectEntrySlots;
+static_assert(kChurnFiles * kChurnCharge > LibFs::kDirectCacheSlots * 19 / 10);
+static_assert(kChurnHotFiles * kChurnCharge < LibFs::kDirectCacheSlots / 4);
+
+ChurnRates MeasureCacheChurn(double seconds) {
+  auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
+  BENCH_CHECK_OK(sut);
+  auto client = (*sut)->aerie()->NewClient(LibFs::Options{});
+  BENCH_CHECK_OK(client);
+  LibFs* libfs = (*client)->fs();
+  Pxfs fs(libfs, Pxfs::Options{});
+
+  BENCH_CHECK_STATUS(fs.Mkdir("/churn"));
+  const std::string page(kPage, 'c');
+  std::vector<int> fds;
+  for (int i = 0; i < kChurnFiles; ++i) {
+    auto fd = fs.Open("/churn/f" + std::to_string(i),
+                      kOpenCreate | kOpenRead | kOpenWrite);
+    BENCH_CHECK_OK(fd);
+    BENCH_CHECK_OK(fs.Pwrite(*fd, 0, {page.data(), page.size()}));
+    BENCH_CHECK_OK(fs.Pwrite(*fd, (kChurnFilePages - 1) * kPage,
+                             {page.data(), page.size()}));
+    fds.push_back(*fd);
+  }
+  BENCH_CHECK_STATUS(fs.SyncAll());
+
+  std::mt19937_64 rng(Seed());
+  std::bernoulli_distribution pick_hot(0.9);
+  std::uniform_int_distribution<int> hot(0, kChurnHotFiles - 1);
+  std::uniform_int_distribution<int> cold(kChurnHotFiles, kChurnFiles - 1);
+  std::string buf(kPage, '\0');
+  auto read_one = [&](uint64_t op) {
+    const int f = pick_hot(rng) ? hot(rng) : cold(rng);
+    const uint64_t off = (op & 1) ? (kChurnFilePages - 1) * kPage : 0;
+    BENCH_CHECK_OK(fs.Pread(fds[f], off, {buf.data(), buf.size()}));
+  };
+  // Warm-up: every file once, then as many picks, so the cache is full and
+  // the hot maps have been looked up before the clock starts.
+  for (int i = 0; i < kChurnFiles; ++i) {
+    BENCH_CHECK_OK(fs.Pread(fds[i], 0, {buf.data(), buf.size()}));
+  }
+  for (uint64_t op = 0; op < kChurnFiles; ++op) {
+    read_one(op);
+  }
+
+  const uint64_t direct0 = libfs->direct_read_bytes();
+  const uint64_t evictions0 = libfs->direct_cache_evictions();
+  Stopwatch sw;
+  uint64_t ops = 0;
+  while (sw.ElapsedSeconds() < seconds) {
+    read_one(ops);
+    ops++;
+  }
+  ChurnRates rates;
+  rates.read_ops = static_cast<double>(ops) / sw.ElapsedSeconds();
+  rates.direct_read_ratio =
+      static_cast<double>(libfs->direct_read_bytes() - direct0) /
+      static_cast<double>(ops * kPage);
+  rates.evictions_per_kop =
+      static_cast<double>(libfs->direct_cache_evictions() - evictions0) *
+      1000.0 / static_cast<double>(ops);
+  for (int fd : fds) {
+    BENCH_CHECK_STATUS(fs.Close(fd));
+  }
   return rates;
 }
 
@@ -154,6 +240,23 @@ int main() {
   std::printf("%-22s %14.1f %14.1f\n", "flat_get ops/s", flat_off, flat_on);
   report.AddThroughput("flat_get.direct_off", flat_off);
   report.AddThroughput("flat_get.direct_on", flat_on);
+
+  const ChurnRates churn = MeasureCacheChurn(seconds);
+  std::printf("\n# cache_churn: %d sparse files of %llu pages (~%.1fx the "
+              "map budget), 90%% of reads to %d hot files, path on\n",
+              kChurnFiles, static_cast<unsigned long long>(kChurnFilePages),
+              static_cast<double>(kChurnFiles * kChurnCharge) /
+                  static_cast<double>(LibFs::kDirectCacheSlots),
+              kChurnHotFiles);
+  std::printf("%-22s %14.1f\n", "read ops/s", churn.read_ops);
+  std::printf("%-22s %14.3f\n", "direct_read_ratio",
+              churn.direct_read_ratio);
+  std::printf("%-22s %14.1f\n", "evictions/kop", churn.evictions_per_kop);
+  report.AddThroughput("cache_churn", churn.read_ops);
+  report.AddValue("cache_churn.direct_read_ratio", churn.direct_read_ratio,
+                  "ratio");
+  report.AddValue("cache_churn.evictions_per_kop", churn.evictions_per_kop,
+                  "1/kop");
 
   // Attribution pass: short span-mode rerun with the direct path ON. The
   // point of the PR: rpc/lock layers should carry ~no self-time on the

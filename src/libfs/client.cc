@@ -263,25 +263,82 @@ Status LibFs::Sync() {
 std::shared_ptr<const LibFs::DirectMap> LibFs::LookupDirect(Oid file) {
   std::shared_lock lock(direct_mu_);
   auto it = direct_maps_.find(file.offset());
-  return it == direct_maps_.end() ? nullptr : it->second;
+  if (it == direct_maps_.end()) {
+    return nullptr;
+  }
+  if (!it->second.referenced.load()) {
+    it->second.referenced.store(true);
+  }
+  return it->second.map;
 }
 
 void LibFs::StoreDirect(Oid file, std::shared_ptr<const DirectMap> map) {
+  const uint64_t charge = DirectCharge(*map);
+  // A larger map would never fit, and the sweep below would not end.
+  AERIE_CHECK(charge <= kDirectCacheSlots);
   std::unique_lock lock(direct_mu_);
-  if (direct_maps_.size() >= kDirectCacheMax) {
-    direct_maps_.clear();  // coarse cap: rebuilt on demand via slow paths
+  EraseDirectLocked(file.offset());  // a replacement is stored as a new map
+  if (direct_charged_ + charge > kDirectCacheSlots) {
+    // The hand walks the map in its iteration order, giving referenced maps
+    // a second chance and evicting the rest one at a time. Ends: after two
+    // turns every map is gone.
+    auto it = direct_maps_.find(direct_hand_);
+    while (direct_charged_ + charge > kDirectCacheSlots) {
+      if (it == direct_maps_.end()) {
+        it = direct_maps_.begin();
+      }
+      if (it->second.referenced.load()) {
+        it->second.referenced.store(false);
+        ++it;
+        continue;
+      }
+      direct_charged_ -= DirectCharge(*it->second.map);
+      it = direct_maps_.erase(it);
+      direct_cache_evictions_.Add(1);
+    }
+    if (it != direct_maps_.end()) {
+      direct_hand_ = it->first;
+    }
   }
-  direct_maps_[file.offset()] = std::move(map);
+  direct_maps_[file.offset()].map = std::move(map);
+  direct_charged_ += charge;
+  PublishDirectGaugesLocked();
+}
+
+void LibFs::EraseDirectLocked(uint64_t file) {
+  auto it = direct_maps_.find(file);
+  if (it != direct_maps_.end()) {
+    direct_charged_ -= DirectCharge(*it->second.map);
+    direct_maps_.erase(it);
+  }
+}
+
+void LibFs::PublishDirectGaugesLocked() {
+  direct_cache_maps_gauge_.Set(static_cast<int64_t>(direct_maps_.size()));
+  direct_cache_slots_gauge_.Set(static_cast<int64_t>(direct_charged_));
 }
 
 void LibFs::InvalidateDirect(Oid file) {
   std::unique_lock lock(direct_mu_);
-  direct_maps_.erase(file.offset());
+  EraseDirectLocked(file.offset());
+  PublishDirectGaugesLocked();
 }
 
 void LibFs::ClearDirectCache() {
   std::unique_lock lock(direct_mu_);
   direct_maps_.clear();
+  direct_charged_ = 0;
+  PublishDirectGaugesLocked();
+}
+
+uint64_t LibFs::direct_cache_maps() const {
+  std::shared_lock lock(direct_mu_);
+  return direct_maps_.size();
+}
+
+uint64_t LibFs::direct_cache_slots() const {
+  std::shared_lock lock(direct_mu_);
+  return direct_charged_;
 }
 
 Status LibFs::SyncAndReleaseLocks() {

@@ -165,15 +165,32 @@ class LibFs {
   // nullptr. A hit is only *usable* with the file lock held or after
   // clerk()->TryEnterDirect(epoch).
   std::shared_ptr<const DirectMap> LookupDirect(Oid file);
-  // Inserts/replaces the snapshot for `file`. The cache is size-capped:
-  // at the cap it is cleared wholesale (rebuilt on demand) rather than
-  // growing without bound.
+  // Inserts/replaces the snapshot for `file`. The cache holds at most
+  // kDirectCacheSlots slots: when a map does not fit, a CLOCK sweep evicts
+  // cold maps one at a time (rebuilt on demand the locked way) until it
+  // does. A map must fit the whole budget (PXFS caches at most
+  // Pxfs::kDirectMaxPages pages per map).
   void StoreDirect(Oid file, std::shared_ptr<const DirectMap> map);
   // Drops one file's snapshot (a local change the layer does not fold into
   // a stored map: truncate, oid recycling) or all of them (lock release
   // hooks).
   void InvalidateDirect(Oid file);
   void ClearDirectCache();
+
+  // The cache's budget in extent slots (8 bytes each): 8 MiB of extent
+  // words. Each map is charged one slot per page it covers plus
+  // kDirectEntrySlots for the map object, its chunk vector and its index
+  // node, so the budget bounds memory whatever the mix of map sizes.
+  static constexpr uint64_t kDirectCacheSlots = 1 << 20;
+  static constexpr uint64_t kDirectEntrySlots = 32;
+  static uint64_t DirectCharge(const DirectMap& map) {
+    return map.map.end_page - map.map.first_page + kDirectEntrySlots;
+  }
+  uint64_t direct_cache_maps() const;
+  uint64_t direct_cache_slots() const;
+  uint64_t direct_cache_evictions() const {
+    return direct_cache_evictions_.value();
+  }
 
   void CountDirectRead(uint64_t bytes) { direct_read_bytes_.Add(bytes); }
   void CountDirectWrite(uint64_t bytes) { direct_write_bytes_.Add(bytes); }
@@ -203,7 +220,9 @@ class LibFs {
                              inline_ships_, ops_logged_, pool_takes_,
                              pool_refills_, pool_refill_stalls_,
                              direct_read_bytes_, direct_write_bytes_,
-                             direct_fallbacks_, pending_ops_gauge_);
+                             direct_fallbacks_, direct_cache_evictions_,
+                             direct_cache_maps_gauge_,
+                             direct_cache_slots_gauge_, pending_ops_gauge_);
   }
 
   Status ShipBatchLocked(std::unique_lock<std::mutex>* lock);
@@ -262,6 +281,9 @@ class LibFs {
   obs::Counter direct_read_bytes_{"libfs.direct.read_bytes"};
   obs::Counter direct_write_bytes_{"libfs.direct.write_bytes"};
   obs::Counter direct_fallbacks_{"libfs.direct.fallback"};
+  obs::Counter direct_cache_evictions_{"libfs.direct.cache_evictions"};
+  obs::Gauge direct_cache_maps_gauge_{"libfs.direct.cache_maps"};
+  obs::Gauge direct_cache_slots_gauge_{"libfs.direct.cache_slots"};
   obs::Gauge pending_ops_gauge_{"libfs.batch.pending"};
   obs::ScopedRegistration obs_registration_;
 
@@ -273,11 +295,23 @@ class LibFs {
   std::condition_variable pool_cv_;  // a background refill finished
   std::map<PoolKey, Pool> pools_;
 
-  // Direct-path extent-map cache (oid offset -> snapshot). Read-mostly:
-  // lookups take the lock shared and copy only the shared_ptr.
-  static constexpr size_t kDirectCacheMax = 4096;
+  // Direct-path extent-map cache (oid offset -> snapshot), swept by a
+  // CLOCK hand. Read-mostly: lookups take the lock shared, copy only the
+  // shared_ptr and set the entry's referenced bit (a store only when it was
+  // clear, so hot lookups write no shared line). Everything else runs
+  // under the unique lock.
+  struct DirectEntry {
+    std::shared_ptr<const DirectMap> map;
+    std::atomic<bool> referenced{false};
+  };
+  // Drops `file`'s map, if cached, and its charge.
+  void EraseDirectLocked(uint64_t file);
+  void PublishDirectGaugesLocked();
+
   mutable std::shared_mutex direct_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const DirectMap>> direct_maps_;
+  std::unordered_map<uint64_t, DirectEntry> direct_maps_;
+  uint64_t direct_hand_ = 0;     // the file the hand resumes at, if cached
+  uint64_t direct_charged_ = 0;  // slots charged to cached maps
 };
 
 }  // namespace aerie

@@ -6,8 +6,11 @@
 //    revocation by a second client bumps the direct epoch and forces the
 //    locked path, a concurrent reader never observes a torn page, files
 //    past the map cap work through call-sized maps, an extend's stored map
-//    shares the chunks it does not touch, and data calls racing a Close of
-//    their fd never touch a freed fd entry.
+//    shares the chunks it does not touch, data calls racing a Close of
+//    their fd never touch a freed fd entry, and the map cache keeps more
+//    than 4,096 small maps, stays within its slot budget, and gives a
+//    referenced map a second chance (also while readers race evictions and
+//    a truncate).
 //  * DirectPathCrashTest.CleanSweep*: the crash simulator enumerates states
 //    across a direct overwrite and across a revoke-triggered batch ship on a
 //    shared directory; every image must recover consistently.
@@ -56,9 +59,15 @@ std::span<const char> Bytes(const std::string& s) {
 
 class DirectPathTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Remount(64ull << 20); }
+
+  // A fresh system of `region_bytes` with one client and /d.
+  void Remount(uint64_t region_bytes) {
+    fs_.reset();
+    client_.reset();
+    sys_.reset();
     AerieSystem::Options options;
-    options.region_bytes = 64ull << 20;
+    options.region_bytes = region_bytes;
     auto sys = AerieSystem::Create(options);
     ASSERT_TRUE(sys.ok()) << sys.status().ToString();
     sys_ = std::move(*sys);
@@ -474,6 +483,194 @@ TEST_F(DirectPathTest, ExtendsShareUntouchedMapChunks) {
     libfs()->InvalidateDirect(oid);
   }
   ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+// --- Extent-map cache bound ------------------------------------------------
+
+// More files than the cache once held maps (4,096) all stay cached: the
+// cache is bounded by the slots its maps hold, and one-page files are cheap.
+TEST_F(DirectPathTest, CacheKeepsMapsPastFourThousandFiles) {
+  constexpr int kFiles = 4200;
+  Remount(256ull << 20);
+  ASSERT_FALSE(HasFailure());
+  for (int i = 0; i < kFiles; ++i) {
+    MakeFile("/d/m" + std::to_string(i), 1, static_cast<char>('a' + i % 26));
+    ASSERT_FALSE(HasFailure()) << i;
+  }
+  EXPECT_GE(libfs()->direct_cache_maps(), static_cast<uint64_t>(kFiles));
+  EXPECT_EQ(libfs()->direct_cache_evictions(), 0u);
+
+  auto st = fs_->Stat("/d/m0");
+  ASSERT_TRUE(st.ok());
+  EXPECT_NE(libfs()->LookupDirect(st->oid), nullptr);
+  auto fd = fs_->Open("/d/m0", kOpenRead);
+  ASSERT_TRUE(fd.ok());
+  const uint64_t direct = libfs()->direct_read_bytes();
+  std::string buf(kPage, '\0');
+  auto n = fs_->Pread(*fd, 0, std::span<char>(buf.data(), kPage));
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, kPage);
+  EXPECT_EQ(buf, std::string(kPage, 'a'));
+  EXPECT_EQ(libfs()->direct_read_bytes(), direct + kPage);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+// Sparse files whose one data page sits just under 200 MB: each cached map
+// is charged ~51k slots, so about 20 of them fill the budget.
+constexpr int kSparseFiles = 24;
+constexpr uint64_t kSparseBytes = 200ull << 20;
+constexpr uint64_t kSparseTail = kSparseBytes - kPage;
+static_assert(kSparseFiles * (kSparseBytes / kPage + LibFs::kDirectEntrySlots) >
+              LibFs::kDirectCacheSlots);
+
+std::string SparsePath(int i) { return "/d/s" + std::to_string(i); }
+char SparseTag(int i) { return static_cast<char>('A' + i); }
+
+void MakeSparseSet(Pxfs* fs) {
+  for (int i = 0; i < kSparseFiles; ++i) {
+    auto fd = fs->Open(SparsePath(i), kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    const std::string page(kPage, SparseTag(i));
+    auto n = fs->Pwrite(*fd, kSparseTail, Bytes(page));
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_TRUE(fs->Close(*fd).ok());
+  }
+}
+
+// Reads sparse file i's data page through `fd`.
+void ExpectSparseTail(Pxfs* fs, int fd, int i) {
+  std::string buf(kPage, '\0');
+  auto n = fs->Pread(fd, kSparseTail, std::span<char>(buf.data(), kPage));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, kPage);
+  EXPECT_EQ(buf, std::string(kPage, SparseTag(i))) << i;
+}
+
+// Reads sparse file i's data page and a hole page through `fd`.
+void ExpectSparseReads(Pxfs* fs, int fd, int i) {
+  ExpectSparseTail(fs, fd, i);
+  std::string buf(kPage, '\0');
+  auto n = fs->Pread(fd, kSparseBytes / 2, std::span<char>(buf.data(), kPage));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, kPage);
+  EXPECT_EQ(buf, std::string(kPage, '\0')) << i;
+}
+
+TEST_F(DirectPathTest, CacheStaysWithinBudgetAndKeepsAReferencedMap) {
+  MakeSparseSet(fs_.get());
+  ASSERT_FALSE(HasFailure());
+  EXPECT_LE(libfs()->direct_cache_slots(), LibFs::kDirectCacheSlots);
+  std::vector<int> fds;
+  for (int i = 0; i < kSparseFiles; ++i) {
+    auto fd = fs_->Open(SparsePath(i), kOpenRead);
+    ASSERT_TRUE(fd.ok());
+    fds.push_back(*fd);
+  }
+  libfs()->ClearDirectCache();
+  const uint64_t evictions = libfs()->direct_cache_evictions();
+  auto hot = fs_->Stat(SparsePath(0));
+  ASSERT_TRUE(hot.ok());
+
+  ExpectSparseReads(fs_.get(), fds[0], 0);  // stores the hot file's map
+  // Cycle through the other files until the hand has gone round the cache
+  // (at most ~20 maps) several times: 2 * kSparseFiles evictions.
+  for (int k = 0;
+       libfs()->direct_cache_evictions() - evictions < 2 * kSparseFiles;
+       ++k) {
+    ASSERT_LT(k, 50 * kSparseFiles);
+    // One read stores file i's map when it is not cached.
+    const int i = 1 + k % (kSparseFiles - 1);
+    ExpectSparseTail(fs_.get(), fds[i], i);
+    ASSERT_LE(libfs()->direct_cache_slots(), LibFs::kDirectCacheSlots);
+    // The hot file, re-read after every one, keeps its map: each read goes
+    // direct.
+    const uint64_t direct = libfs()->direct_read_bytes();
+    ExpectSparseReads(fs_.get(), fds[0], 0);
+    ASSERT_EQ(libfs()->direct_read_bytes(), direct + 2 * kPage) << k;
+  }
+  EXPECT_GT(libfs()->direct_cache_evictions(), evictions);
+  EXPECT_NE(libfs()->LookupDirect(hot->oid), nullptr);
+  EXPECT_LT(libfs()->direct_cache_maps(), static_cast<uint64_t>(kSparseFiles));
+
+  // Files whose maps were evicted read right through rebuilt maps.
+  for (int i = 0; i < kSparseFiles; ++i) {
+    ExpectSparseReads(fs_.get(), fds[i], i);
+    EXPECT_LE(libfs()->direct_cache_slots(), LibFs::kDirectCacheSlots);
+  }
+  for (int fd : fds) {
+    ASSERT_TRUE(fs_->Close(fd).ok());
+  }
+}
+
+// Readers cycle through a sparse set larger than the budget (so stores
+// evict while lookups set referenced bits) while another thread truncates
+// and re-extends one of the files.
+TEST_F(DirectPathTest, ReadersRaceCacheEvictionAndTruncate) {
+  MakeSparseSet(fs_.get());
+  ASSERT_FALSE(HasFailure());
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 3;
+  constexpr int kChurned = 0;
+  std::atomic<int> readers_left{kReaders};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::string buf(kPage, '\0');
+      for (int round = 0; round < kRounds; ++round) {
+        for (int k = 0; k < kSparseFiles; ++k) {
+          const int i = (k + r * kSparseFiles / kReaders) % kSparseFiles;
+          auto fd = fs_->Open(SparsePath(i), kOpenRead);
+          if (!fd.ok()) {
+            bad.fetch_add(1);
+            continue;
+          }
+          auto n =
+              fs_->Pread(*fd, kSparseTail, std::span<char>(buf.data(), kPage));
+          // The churned file may be cut short, or its page not yet back.
+          const bool tagged =
+              n.ok() && *n == kPage && buf == std::string(kPage, SparseTag(i));
+          const bool churned =
+              i == kChurned && n.ok() &&
+              (*n == 0 || (*n == kPage && buf == std::string(kPage, '\0')));
+          const bool good = tagged || churned;
+          if (!good || !fs_->Close(*fd).ok()) {
+            bad.fetch_add(1);
+          }
+        }
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+  int churns = 0;
+  Status churn_status;
+  std::thread churn([&] {
+    auto fd = fs_->Open(SparsePath(kChurned), kOpenRead | kOpenWrite);
+    if (!fd.ok()) {
+      churn_status = fd.status();
+      return;
+    }
+    const std::string page(kPage, SparseTag(kChurned));
+    while (churn_status.ok() && readers_left.load() > 0) {
+      churn_status = fs_->Ftruncate(*fd, kPage);
+      if (churn_status.ok()) {
+        churn_status = fs_->Pwrite(*fd, kSparseTail, Bytes(page)).status();
+      }
+      ++churns;
+    }
+    if (churn_status.ok()) {
+      churn_status = fs_->Close(*fd);
+    }
+  });
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  churn.join();
+  EXPECT_TRUE(churn_status.ok()) << churn_status.ToString();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(churns, 0);
+  EXPECT_LE(libfs()->direct_cache_slots(), LibFs::kDirectCacheSlots);
+  EXPECT_GT(libfs()->direct_cache_evictions(), 0u);
 }
 
 // --- Crash simulation -----------------------------------------------------

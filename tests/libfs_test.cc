@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/libfs/system.h"
+#include "src/obs/obs.h"
 
 namespace aerie {
 namespace {
@@ -506,6 +507,93 @@ TEST_F(LibFsTest, DestroyWithRefillQueuedReturnsPromptly) {
   const auto start = steady_clock::now();
   client.reset();  // releases the held ship, then tears down
   EXPECT_LT(steady_clock::now() - start, milliseconds(2000));
+}
+
+// --- Extent-map cache bound (DESIGN.md §10.2) ---
+
+// A map covering `pages` pages; the cache charges it without reading its
+// chunks.
+std::shared_ptr<const LibFs::DirectMap> MapOfPages(uint64_t pages) {
+  auto map = std::make_shared<LibFs::DirectMap>();
+  map->map.end_page = pages;
+  map->epoch = 1;
+  return map;
+}
+
+Oid FileAt(uint64_t n) { return Oid::Make(ObjType::kMFile, n << 12); }
+
+int64_t MetricValue(const std::string& name) {
+  int64_t total = 0;
+  for (const obs::MetricSnapshot& m : obs::Registry::Instance().Collect()) {
+    if (m.name == name) {
+      total += m.kind == obs::Metric::Kind::kGauge
+                   ? m.gauge
+                   : static_cast<int64_t>(m.counter);
+    }
+  }
+  return total;
+}
+
+TEST_F(LibFsTest, DirectCacheGivesReferencedMapsASecondChance) {
+  auto client = sys_->NewClient();
+  ASSERT_TRUE(client.ok());
+  LibFs* fs = (*client)->fs();
+  constexpr uint64_t kPages = 300000;  // three fit in the budget, four don't
+  const uint64_t charge = LibFs::DirectCharge(*MapOfPages(kPages));
+  ASSERT_LE(3 * charge, LibFs::kDirectCacheSlots);
+  ASSERT_GT(4 * charge, LibFs::kDirectCacheSlots);
+
+  for (uint64_t f = 0; f < 3; ++f) {
+    fs->StoreDirect(FileAt(f), MapOfPages(kPages));
+  }
+  EXPECT_EQ(fs->direct_cache_slots(), 3 * charge);
+  ASSERT_NE(fs->LookupDirect(FileAt(0)), nullptr);  // files 0 and 1 are hot
+  ASSERT_NE(fs->LookupDirect(FileAt(1)), nullptr);
+
+  // The fourth map evicts exactly one map: the cold file 2, wherever the
+  // hand starts.
+  const uint64_t evictions = fs->direct_cache_evictions();
+  fs->StoreDirect(FileAt(3), MapOfPages(kPages));
+  EXPECT_EQ(fs->direct_cache_evictions(), evictions + 1);
+  EXPECT_EQ(fs->direct_cache_maps(), 3u);
+  EXPECT_EQ(fs->direct_cache_slots(), 3 * charge);
+  EXPECT_NE(fs->LookupDirect(FileAt(0)), nullptr);
+  EXPECT_NE(fs->LookupDirect(FileAt(1)), nullptr);
+  EXPECT_EQ(fs->LookupDirect(FileAt(2)), nullptr);
+  EXPECT_NE(fs->LookupDirect(FileAt(3)), nullptr);
+
+  // Invalidation and the release-hook clear hand the slots back.
+  fs->InvalidateDirect(FileAt(1));
+  EXPECT_EQ(fs->direct_cache_maps(), 2u);
+  EXPECT_EQ(fs->direct_cache_slots(), 2 * charge);
+  fs->ClearDirectCache();
+  EXPECT_EQ(fs->direct_cache_maps(), 0u);
+  EXPECT_EQ(fs->direct_cache_slots(), 0u);
+}
+
+// One eviction shows in all three registry metrics: a replacement that
+// grows past the budget evicts the one other (cold) map.
+TEST_F(LibFsTest, DirectCacheEvictionMovesItsMetrics) {
+  auto client = sys_->NewClient();
+  ASSERT_TRUE(client.ok());
+  LibFs* fs = (*client)->fs();
+  fs->StoreDirect(FileAt(1), MapOfPages(400000));
+  fs->StoreDirect(FileAt(2), MapOfPages(400000));
+  const int64_t maps = MetricValue("libfs.direct.cache_maps");
+  const int64_t slots = MetricValue("libfs.direct.cache_slots");
+  const int64_t evictions = MetricValue("libfs.direct.cache_evictions");
+  EXPECT_EQ(maps, 2);
+  EXPECT_EQ(slots, 2 * (400000 + static_cast<int64_t>(
+                                     LibFs::kDirectEntrySlots)));
+
+  const auto grown = MapOfPages(700000);
+  fs->StoreDirect(FileAt(2), grown);
+  EXPECT_EQ(fs->LookupDirect(FileAt(1)), nullptr);
+  EXPECT_EQ(fs->LookupDirect(FileAt(2)), grown);
+  EXPECT_EQ(MetricValue("libfs.direct.cache_maps"), maps - 1);
+  EXPECT_EQ(MetricValue("libfs.direct.cache_slots"),
+            static_cast<int64_t>(LibFs::DirectCharge(*grown)));
+  EXPECT_EQ(MetricValue("libfs.direct.cache_evictions"), evictions + 1);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/libfs/client.h"
 #include "src/obs/obs.h"
 #include "src/obs/telemetry.h"
 
@@ -406,17 +407,30 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
     auto it = cur.counters.find(name);
     return it == cur.counters.end() ? 0 : it->second;
   };
+  auto gauge = [&cur](const char* name) -> int64_t {
+    for (const TelemetryMetric& m : cur.merged) {
+      if (m.kind == obs::Metric::Kind::kGauge && m.name == name) {
+        return m.gauge;
+      }
+    }
+    return 0;
+  };
   // Zero-RPC direct data path (DESIGN.md §10): bytes served straight from
   // mapped SCM under the clerk's direct-access epoch, plus how often a
-  // stale epoch or in-flight revoke pushed an op back onto the locked path.
+  // stale epoch or in-flight revoke pushed an op back onto the locked path,
+  // and the extent-map cache: maps held, slots charged (summed over
+  // clients, each bounded by its own budget), and cold maps evicted.
   {
     const uint64_t read_bytes = counter("libfs.direct.read_bytes");
     const uint64_t write_bytes = counter("libfs.direct.write_bytes");
     const uint64_t grants = counter("clerk.direct.grant");
-    if (read_bytes != 0 || write_bytes != 0 || grants != 0) {
+    const int64_t cache_maps = gauge("libfs.direct.cache_maps");
+    if (read_bytes != 0 || write_bytes != 0 || grants != 0 ||
+        cache_maps != 0) {
       std::printf(
           "\ndirect path: read %s (%s/s), write %s (%s/s), grants %s, "
-          "fallbacks %s (clerk %s)\n",
+          "fallbacks %s (clerk %s), map cache %s maps, %s slots (budget %s "
+          "per client), evictions %s/s\n",
           PrettyBytes(read_bytes).c_str(),
           PrettyBytes(static_cast<uint64_t>(
                           RatePerSec(prev, cur, "libfs.direct.read_bytes")))
@@ -429,6 +443,12 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
           PrettyCount(static_cast<double>(counter("libfs.direct.fallback")))
               .c_str(),
           PrettyCount(static_cast<double>(counter("clerk.direct.fallback")))
+              .c_str(),
+          PrettyCount(static_cast<double>(cache_maps)).c_str(),
+          PrettyCount(static_cast<double>(gauge("libfs.direct.cache_slots")))
+              .c_str(),
+          PrettyCount(static_cast<double>(LibFs::kDirectCacheSlots)).c_str(),
+          PrettyCount(RatePerSec(prev, cur, "libfs.direct.cache_evictions"))
               .c_str());
     }
   }
@@ -438,12 +458,7 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
   // empty. Both stay near zero while the flusher keeps up. Beside them, the
   // objects the TFS holds in client pools (tfs.pool.objects): a client that
   // died holding pools keeps this up until its objects are reclaimed.
-  int64_t pooled = 0;
-  for (const TelemetryMetric& m : cur.merged) {
-    if (m.kind == obs::Metric::Kind::kGauge && m.name == "tfs.pool.objects") {
-      pooled = m.gauge;
-    }
-  }
+  const int64_t pooled = gauge("tfs.pool.objects");
   if (counter("libfs.batch.shipped") != 0 || counter("libfs.pool.take") != 0 ||
       pooled != 0) {
     std::printf(
