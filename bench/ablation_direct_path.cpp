@@ -2,10 +2,11 @@
 //
 // A/B of the SplitFS-style lease-guarded fast path: warmed sequential 4KB
 // reads, aligned in-place 4KB overwrites (PXFS), and cached-value gets
-// (FlatFS), each with the pinned way in enabled and disabled via the
-// interface options' direct_data, the only switch. Off, every PXFS call
-// takes the file lock and maps just the pages it touches; the CI
-// direct-path lane gates each *.direct_on row against its *.direct_off row.
+// (FlatFS), each with the pinned way in enabled and disabled via
+// LibFs::Options::direct_data, the only switch. Off, every PXFS call takes
+// the file lock and maps just the pages it touches, and every FlatFS get
+// takes the bucket lock; the CI direct-path lane gates each *.direct_on row
+// against its *.direct_off row.
 //
 // With the path on, warmed reads and overwrites are a userspace memcpy
 // guarded by the clerk's direct-access epoch: no lock RPC, no clerk mutex,
@@ -42,11 +43,11 @@ struct PxfsRates {
 PxfsRates MeasurePxfs(bool direct, int pages, double seconds) {
   auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
   BENCH_CHECK_OK(sut);
-  auto client = (*sut)->aerie()->NewClient(LibFs::Options{});
+  LibFs::Options client_options;
+  client_options.direct_data = direct;
+  auto client = (*sut)->aerie()->NewClient(client_options);
   BENCH_CHECK_OK(client);
-  Pxfs::Options options;
-  options.direct_data = direct;
-  Pxfs fs((*client)->fs(), options);
+  Pxfs fs((*client)->fs());
 
   BENCH_CHECK_STATUS(fs.Mkdir("/direct"));
   auto fd = fs.Open("/direct/data", kOpenCreate | kOpenRead | kOpenWrite);
@@ -174,11 +175,11 @@ ChurnRates MeasureCacheChurn(double seconds) {
 double MeasureFlatGet(bool direct, int values, double seconds) {
   auto sut = SystemUnderTest::Create(SutKind::kFlatFs, DefaultSutOptions());
   BENCH_CHECK_OK(sut);
-  auto client = (*sut)->aerie()->NewClient(LibFs::Options{});
+  LibFs::Options client_options;
+  client_options.direct_data = direct;
+  auto client = (*sut)->aerie()->NewClient(client_options);
   BENCH_CHECK_OK(client);
-  FlatFs::Options options;
-  options.direct_data = direct;
-  FlatFs flat((*client)->fs(), options);
+  FlatFs flat((*client)->fs());
 
   const std::string value(kPage, 'v');
   for (int i = 0; i < values; ++i) {
@@ -186,7 +187,7 @@ double MeasureFlatGet(bool direct, int values, double seconds) {
         flat.Put("obj" + std::to_string(i), {value.data(), value.size()}));
   }
   std::string buf(kPage, '\0');
-  // Warm the value-location cache.
+  // Warm the key table.
   for (int i = 0; i < values; ++i) {
     BENCH_CHECK_OK(
         flat.Get("obj" + std::to_string(i), {buf.data(), buf.size()}));

@@ -1,5 +1,6 @@
 #include "src/flatfs/flatfs.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/obs/obs.h"
@@ -13,15 +14,11 @@ FlatFs::FlatFs(LibFs* fs, const Options& options)
       ctx_(fs->read_context()),
       root_(fs->flat_root()) {
   hook_token_ = fs_->AddReleaseHook([this](LockId) {
-    {
-      std::lock_guard lock(overlay_mu_);
-      pending_.clear();
-    }
-    // Cached value locations were validated under authority that is leaving
-    // us; drop them (the departing epoch would force fallback anyway, and a
-    // replaced value's storage may be recycled once the batch applies).
-    std::unique_lock dlock(direct_mu_);
-    direct_values_.clear();
+    // The next holder of the departing lock may change any key this client
+    // has read or shipped. An unshipped op's entry stays: its lock cannot
+    // leave before the op ships.
+    std::unique_lock guard(keys_mu_);
+    DropShippedLocked();
   });
 }
 
@@ -57,86 +54,80 @@ Result<LockId> FlatFs::LockBucket(std::string_view key, bool write) {
   return Status(ErrorCode::kLockConflict, "bucket kept moving under rehash");
 }
 
-Result<std::pair<Oid, uint64_t>> FlatFs::Find(const Collection& coll,
-                                              std::string_view key) {
+Result<FlatFs::Entry> FlatFs::Find(std::string_view key, LockId lock) {
+  Entry entry;
+  bool hit = false;
   {
-    std::lock_guard lock(overlay_mu_);
-    auto it = pending_.find(std::string(key));
-    if (it != pending_.end()) {
-      if (it->second.erased) {
-        return Status(ErrorCode::kNotFound, "erased");
-      }
-      return std::make_pair(Oid(it->second.oid_raw), it->second.size);
+    std::shared_lock guard(keys_mu_);
+    auto it = keys_.find(std::string(key));
+    if (it != keys_.end()) {
+      entry = it->second;
+      hit = true;
     }
   }
-  auto value = coll.Lookup(key);
-  if (!value.ok()) {
-    return value.status();
+  if (hit && entry.erased) {
+    return Status(ErrorCode::kNotFound, "erased");
   }
-  const Oid oid(*value);
-  auto mfile = MFile::Open(ctx_, oid);
-  if (!mfile.ok()) {
-    return mfile.status();
+  if (hit && (!fs_->direct_data() ||
+              entry.epoch == fs_->clerk()->direct_epoch())) {
+    return entry;
   }
-  return std::make_pair(oid, mfile->size());
+  // A miss, or a hit to stamp again with the current epoch.
+  if (!hit) {
+    AERIE_ASSIGN_OR_RETURN(Collection coll, Collection::Open(ctx_, root_));
+    AERIE_ASSIGN_OR_RETURN(uint64_t raw, coll.Lookup(key));
+    AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, Oid(raw)));
+    entry.oid = file.oid();
+    entry.size = file.size();
+    AERIE_ASSIGN_OR_RETURN(entry.extent, file.ExtentForPage(0));
+  }
+  (void)StoreEntry(key, lock, entry);
+  return entry;
 }
 
-// --- Direct data path (DESIGN.md §10) ---------------------------------------
-
-bool FlatFs::TryDirectGet(std::string_view key, std::span<char> out,
-                          uint64_t* n) {
-  if (!options_.direct_data) {
+bool FlatFs::PinLocked(std::string_view key, Entry* entry) {
+  if (!fs_->direct_data()) {
     return false;
   }
-  DirectValue v;
-  {
-    std::shared_lock lock(direct_mu_);
-    auto it = direct_values_.find(std::string(key));
-    if (it == direct_values_.end()) {
-      return false;
-    }
-    v = it->second;
+  auto it = keys_.find(std::string(key));
+  if (it == keys_.end() || it->second.erased || it->second.epoch == 0) {
+    return false;
   }
-  LockClerk* clerk = fs_->clerk();
-  if (!clerk->TryEnterDirect(v.epoch)) {
+  if (!fs_->clerk()->TryEnterDirect(it->second.epoch)) {
     fs_->CountDirectFallback();
     return false;
   }
-  const uint64_t copied = std::min<uint64_t>(out.size(), v.size);
-  std::memcpy(out.data(), ctx_.region->PtrAt(v.extent), copied);
-  clerk->ExitDirect();
-  fs_->CountDirectRead(copied);
-  *n = copied;
+  *entry = it->second;
   return true;
 }
 
-void FlatFs::StoreDirectValue(std::string_view key, LockId lock, Oid file,
-                              uint64_t size) {
-  if (!options_.direct_data) {
-    return;
+Status FlatFs::StoreEntry(std::string_view key, LockId lock, Entry entry,
+                          MetaOp* op) {
+  if (fs_->direct_data() && !entry.erased) {
+    auto epoch = fs_->clerk()->DirectGrant(lock, LockMode::kShared);
+    entry.epoch = epoch.ok() ? *epoch : 0;
   }
-  auto epoch = fs_->clerk()->DirectGrant(lock, LockMode::kShared);
-  if (!epoch.ok()) {
-    return;
+  std::unique_lock guard(keys_mu_);
+  if (op != nullptr) {
+    AERIE_RETURN_IF_ERROR(fs_->LogOp(std::move(*op), &entry.seq));
   }
-  auto mfile = MFile::Open(ctx_, file);
-  if (!mfile.ok()) {
-    return;
+  if (keys_.size() >= sweep_at_) {
+    DropShippedLocked();
+    sweep_at_ = std::max(kKeysMax, 2 * keys_.size());
   }
-  auto extent = mfile->ExtentForPage(0);
-  if (!extent.ok()) {
-    return;
-  }
-  std::unique_lock dlock(direct_mu_);
-  if (direct_values_.size() >= kDirectValuesMax) {
-    direct_values_.clear();
-  }
-  direct_values_[std::string(key)] = DirectValue{*extent, size, *epoch};
+  keys_[std::string(key)] = entry;
+  return OkStatus();
 }
 
-void FlatFs::InvalidateDirectValue(std::string_view key) {
-  std::unique_lock dlock(direct_mu_);
-  direct_values_.erase(std::string(key));
+void FlatFs::DropShippedLocked() {
+  std::erase_if(keys_, [this](const auto& kv) {
+    return fs_->Shipped(kv.second.seq);
+  });
+}
+
+size_t FlatFs::key_table_size() {
+  std::shared_lock guard(keys_mu_);
+  return keys_.size();
 }
 
 Status FlatFs::Put(std::string_view key, std::span<const char> data) {
@@ -150,13 +141,14 @@ Status FlatFs::Put(std::string_view key, std::span<const char> data) {
   }
   // Take a pre-allocated single-extent file and fill it directly: the whole
   // put is one memcpy plus one logged op (paper §7.3.2).
+  Entry entry;
   AERIE_ASSIGN_OR_RETURN(
-      Oid file, fs_->TakePooled(ObjType::kMFile, options_.file_capacity));
-  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
+      entry.oid, fs_->TakePooled(ObjType::kMFile, options_.file_capacity));
+  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, entry.oid));
   AERIE_RETURN_IF_ERROR(mfile.WriteInPlace(0, data));
-  if (options_.flush_data_on_write) {
-    ctx_.region->BFlush();
-  }
+  ctx_.region->BFlush();
+  AERIE_ASSIGN_OR_RETURN(entry.extent, mfile.ExtentForPage(0));
+  entry.size = data.size();
 
   AERIE_ASSIGN_OR_RETURN(LockId lock, LockBucket(key, /*write=*/true));
   MetaOp op;
@@ -164,20 +156,13 @@ Status FlatFs::Put(std::string_view key, std::span<const char> data) {
   op.authority = fs_->clerk()->GlobalAuthorityOf(lock);
   op.dir = root_;
   op.name = std::string(key);
-  op.obj = file;
+  op.obj = entry.oid;
   op.a = data.size();
-  Status st = fs_->LogOp(std::move(op));
+  // Stamped while the bucket lock is held, so read-after-write takes the
+  // pinned way.
+  Status st = StoreEntry(key, lock, entry, &op);
   if (st.ok()) {
     AERIE_COUNT_N("flatfs.api.logical_write_bytes", data.size());
-    {
-      std::lock_guard guard(overlay_mu_);
-      pending_[std::string(key)] =
-          PendingEntry{file.raw(), data.size(), false};
-    }
-    // The key now points at a new file; re-cache eagerly while the bucket
-    // lock is held so read-after-write stays on the direct path.
-    InvalidateDirectValue(key);
-    StoreDirectValue(key, lock, file, data.size());
   }
   fs_->clerk()->Release(lock);
   return st;
@@ -185,54 +170,33 @@ Status FlatFs::Put(std::string_view key, std::span<const char> data) {
 
 Result<uint64_t> FlatFs::Get(std::string_view key, std::span<char> out) {
   AERIE_SPAN("flatfs", "get");
-  uint64_t direct_n = 0;
-  if (TryDirectGet(key, out, &direct_n)) {
-    return direct_n;
-  }
-  AERIE_ASSIGN_OR_RETURN(LockId lock, LockBucket(key, /*write=*/false));
-  Status st = OkStatus();
-  uint64_t copied = 0;
-  {
-    auto coll = Collection::Open(ctx_, root_);
-    if (!coll.ok()) {
-      st = coll.status();
-    } else {
-      auto found = Find(*coll, key);
-      if (!found.ok()) {
-        st = found.status();
-      } else {
-        // Locate the file in memory and copy it to the application buffer
-        // in one step (paper §7.3.2).
-        auto mfile = MFile::Open(ctx_, found->first);
-        if (!mfile.ok()) {
-          st = mfile.status();
-        } else {
-          const uint64_t want =
-              std::min<uint64_t>(out.size(), found->second);
-          auto n = mfile->Read(0, out.subspan(0, want));
-          if (!n.ok()) {
-            st = n.status();
-          } else {
-            copied = std::min<uint64_t>(want, found->second);
-            if (*n < copied) {
-              // Size is pending (batched SetSize): bytes live in the extent
-              // already; copy directly.
-              auto extent = mfile->ExtentForPage(0);
-              if (extent.ok()) {
-                std::memcpy(out.data(), ctx_.region->PtrAt(*extent), copied);
-              } else {
-                copied = *n;
-              }
-            }
-            StoreDirectValue(key, lock, found->first, found->second);
-          }
-        }
-      }
+  LockClerk* clerk = fs_->clerk();
+  // Both ways copy under the table's shared lock (DESIGN.md §10).
+  std::shared_lock guard(keys_mu_);
+  Entry entry;
+  const bool pinned = PinLocked(key, &entry);
+  LockId lock = 0;
+  if (!pinned) {
+    guard.unlock();
+    AERIE_ASSIGN_OR_RETURN(lock, LockBucket(key, /*write=*/false));
+    auto found = Find(key, lock);
+    if (!found.ok()) {
+      clerk->Release(lock);
+      return found.status();
     }
+    entry = *found;
+    guard.lock();
   }
-  fs_->clerk()->Release(lock);
-  if (!st.ok()) {
-    return st;
+  // Locate the file in memory and copy it to the application buffer in one
+  // step (paper §7.3.2).
+  const uint64_t copied = std::min<uint64_t>(out.size(), entry.size);
+  std::memcpy(out.data(), ctx_.region->PtrAt(entry.extent), copied);
+  guard.unlock();
+  if (pinned) {
+    clerk->ExitDirect();
+    fs_->CountDirectRead(copied);
+  } else {
+    clerk->Release(lock);
   }
   return copied;
 }
@@ -250,31 +214,16 @@ Result<std::string> FlatFs::Get(std::string_view key) {
 Status FlatFs::Erase(std::string_view key) {
   AERIE_SPAN("flatfs", "erase");
   AERIE_ASSIGN_OR_RETURN(LockId lock, LockBucket(key, /*write=*/true));
-  Status st = OkStatus();
-  {
-    auto coll = Collection::Open(ctx_, root_);
-    if (!coll.ok()) {
-      st = coll.status();
-    } else {
-      auto found = Find(*coll, key);
-      if (!found.ok()) {
-        st = found.status();
-      } else {
-        MetaOp op;
-        op.type = MetaOpType::kFlatErase;
-        op.authority = fs_->clerk()->GlobalAuthorityOf(lock);
-        op.dir = root_;
-        op.name = std::string(key);
-        st = fs_->LogOp(std::move(op));
-        if (st.ok()) {
-          {
-            std::lock_guard guard(overlay_mu_);
-            pending_[std::string(key)] = PendingEntry{0, 0, true};
-          }
-          InvalidateDirectValue(key);
-        }
-      }
-    }
+  Status st = Find(key, lock).status();
+  if (st.ok()) {
+    MetaOp op;
+    op.type = MetaOpType::kFlatErase;
+    op.authority = fs_->clerk()->GlobalAuthorityOf(lock);
+    op.dir = root_;
+    op.name = std::string(key);
+    Entry erased;
+    erased.erased = true;
+    st = StoreEntry(key, lock, erased, &op);
   }
   fs_->clerk()->Release(lock);
   return st;
@@ -283,26 +232,15 @@ Status FlatFs::Erase(std::string_view key) {
 Result<bool> FlatFs::Exists(std::string_view key) {
   AERIE_SPAN("flatfs", "exists");
   AERIE_ASSIGN_OR_RETURN(LockId lock, LockBucket(key, /*write=*/false));
-  bool exists = false;
-  Status st = OkStatus();
-  {
-    auto coll = Collection::Open(ctx_, root_);
-    if (!coll.ok()) {
-      st = coll.status();
-    } else {
-      auto found = Find(*coll, key);
-      if (found.ok()) {
-        exists = true;
-      } else if (found.status().code() != ErrorCode::kNotFound) {
-        st = found.status();
-      }
-    }
-  }
+  auto found = Find(key, lock);
   fs_->clerk()->Release(lock);
-  if (!st.ok()) {
-    return st;
+  if (found.ok()) {
+    return true;
   }
-  return exists;
+  if (found.status().code() == ErrorCode::kNotFound) {
+    return false;
+  }
+  return found.status();
 }
 
 Status FlatFs::Scan(const std::function<bool(std::string_view)>& visit) {
@@ -326,8 +264,8 @@ Status FlatFs::Scan(const std::function<bool(std::string_view)>& visit) {
   clerk->Release(root_.lock_id());
   AERIE_RETURN_IF_ERROR(st);
   {
-    std::lock_guard lock(overlay_mu_);
-    for (const auto& [key, entry] : pending_) {
+    std::shared_lock lock(keys_mu_);
+    for (const auto& [key, entry] : keys_) {
       if (entry.erased) {
         keys.erase(key);
       } else {

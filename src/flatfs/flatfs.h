@@ -11,6 +11,15 @@
 //     mode and a fine-grained lock on the *bucket extent* the key hashes to;
 //     only a table rehash takes the whole-collection write lock.
 //
+// One volatile *key table* maps a key to where its value lives (file,
+// extent, size, or erased). It is both this client's overlay of batched
+// put/erase ops (§6.1 "Storage Objects") and the location cache a get
+// copies through. A get has two ways in, both ending in the same memcpy:
+// *pinned* (the table entry under the clerk direct-access epoch it was
+// stamped with, no lock; LibFs::Options::direct_data) and *locked* (the
+// bucket lock, then the entry or, on a miss, the collection). DESIGN.md §10
+// states the table's bound and validity rule.
+//
 // FlatFS and PXFS share the same volume layout and the same TFS; an
 // application can reach the same files through either interface.
 #ifndef AERIE_SRC_FLATFS_FLATFS_H_
@@ -38,11 +47,6 @@ class FlatFs {
     // Fixed capacity of every file (paper: "small files with a known
     // maximum size"). Puts larger than this fail kOutOfSpace.
     uint64_t file_capacity = 64 << 10;
-    bool flush_data_on_write = true;
-    // Direct data path (DESIGN.md §10): gets served from a cached value
-    // location under the clerk's direct-access epoch, skipping the bucket
-    // lock + collection lookup. false is the ablation configuration.
-    bool direct_data = true;
   };
 
   FlatFs(LibFs* fs, const Options& options);
@@ -72,11 +76,25 @@ class FlatFs {
 
   uint64_t file_capacity() const { return options_.file_capacity; }
 
+  // Entries in the key table. When it reaches kKeysMax entries (or twice
+  // what its last sweep kept, if more), it keeps only those that mirror
+  // unshipped ops.
+  size_t key_table_size();
+  static constexpr size_t kKeysMax = 1 << 16;
+
  private:
-  struct PendingEntry {
-    uint64_t oid_raw;
-    uint64_t size;
-    bool erased;
+  // Where `key`'s value lives, as this client may see it.
+  struct Entry {
+    Oid oid;
+    uint64_t extent = 0;  // region offset of the value bytes
+    uint64_t size = 0;
+    bool erased = false;
+    // Clerk direct-access epoch the entry was stamped with under the bucket
+    // lock; 0: usable only under the lock.
+    uint64_t epoch = 0;
+    // The logged op the entry mirrors (LibFs::LogOps); 0: read from the
+    // collection.
+    uint64_t seq = 0;
   };
 
   // Acquires the lock covering `key`'s bucket (plus the intent lock on the
@@ -84,25 +102,27 @@ class FlatFs {
   // imminent. Returns the lock id acquired.
   Result<LockId> LockBucket(std::string_view key, bool write);
 
-  Result<std::pair<Oid, uint64_t>> Find(const Collection& coll,
-                                        std::string_view key);
-
-  // --- Direct data path (DESIGN.md §10) ---
-  // Values are single extents, so a direct get is one epoch-pinned memcpy
-  // from the cached extent base. Cached under the bucket lock; any revoke
-  // anywhere bumps the epoch and forces the locked path.
-  struct DirectValue {
-    uint64_t extent = 0;  // region offset of the value bytes
-    uint64_t size = 0;
-    uint64_t epoch = 0;
-  };
-  static constexpr size_t kDirectValuesMax = 1 << 16;
-
-  bool TryDirectGet(std::string_view key, std::span<char> out, uint64_t* n);
-  // Caller holds `lock` (the bucket or collection lock covering `key`).
-  void StoreDirectValue(std::string_view key, LockId lock, Oid file,
-                        uint64_t size);
-  void InvalidateDirectValue(std::string_view key);
+  // `key`'s live entry; the caller holds `lock`, which covers `key`. On a
+  // table miss, reads the collection and stores what it found; a hit whose
+  // epoch has moved is stamped again. kNotFound if the key is absent or
+  // erased.
+  Result<Entry> Find(std::string_view key, LockId lock);
+  // The pinned way in; the caller holds keys_mu_ shared. Copies `key`'s
+  // live entry into `entry` and pins its epoch (the caller copies the value,
+  // then calls ExitDirect). False if there is no such entry or the epoch has
+  // moved.
+  bool PinLocked(std::string_view key, Entry* entry);
+  // Stores `entry` for `key`, first stamping it with a direct epoch from
+  // `lock` (held by the caller). With `op`, logs the op first (its number
+  // becomes the entry's seq), under the same exclusive hold of keys_mu_ as
+  // the store: gets copy under keys_mu_ shared, so none is still copying
+  // the value the op replaces once the op can ship and the TFS frees that
+  // value. Sweeps the table at its bound.
+  Status StoreEntry(std::string_view key, LockId lock, Entry entry,
+                    MetaOp* op = nullptr);
+  // Drops every entry whose op has shipped, or that mirrors the
+  // collection. Caller holds keys_mu_ exclusively.
+  void DropShippedLocked();
 
   LibFs* fs_;
   Options options_;
@@ -110,11 +130,9 @@ class FlatFs {
   Oid root_;
   uint64_t hook_token_ = 0;
 
-  std::mutex overlay_mu_;
-  std::unordered_map<std::string, PendingEntry> pending_;
-
-  std::shared_mutex direct_mu_;
-  std::unordered_map<std::string, DirectValue> direct_values_;
+  std::shared_mutex keys_mu_;
+  std::unordered_map<std::string, Entry> keys_;
+  size_t sweep_at_ = kKeysMax;
 };
 
 }  // namespace aerie

@@ -65,6 +65,13 @@ class LibFs {
     // instead of racing ahead of the service. Bounds the storage "float"
     // (pool objects held by unapplied ops) when the client outruns the TFS.
     uint64_t max_pending_ops = 4096;
+    // Pinned way into the data path (DESIGN.md §10), for every interface
+    // layer: PXFS reads and in-place overwrites copy through the cached
+    // extent map, and FlatFS gets through the key table, under a pinned
+    // clerk direct-access epoch without taking a lock. false (the ablation
+    // configuration) sends every call the locked way, and PXFS caches no
+    // maps.
+    bool direct_data = true;
     LockClerk::Options clerk;
   };
 
@@ -84,6 +91,7 @@ class LibFs {
   LockClerk* clerk() { return clerk_.get(); }
   OsdContext read_context() { return volume_->context(); }
   ScmRegion* region() { return region_; }
+  bool direct_data() const { return options_.direct_data; }
 
   Oid pxfs_root() const { return pxfs_root_; }
   Oid flat_root() const { return flat_root_; }

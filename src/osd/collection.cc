@@ -223,9 +223,11 @@ void Collection::SetLinkCount(uint64_t n) {
   ctx_.region->PersistU64(&HeaderAt(ctx_, oid_)->link_count, n);
 }
 
-uint64_t Collection::size() const { return HeaderAt(ctx_, oid_)->live_count; }
+uint64_t Collection::size() const {
+  return LoadPublished(&HeaderAt(ctx_, oid_)->live_count);
+}
 uint64_t Collection::tombstones() const {
-  return HeaderAt(ctx_, oid_)->tomb_count;
+  return LoadPublished(&HeaderAt(ctx_, oid_)->tomb_count);
 }
 uint64_t Collection::nbuckets() const {
   return TableAt(ctx_, HeaderAt(ctx_, oid_))->nbuckets;
@@ -494,11 +496,11 @@ bool Collection::GrowthImminent() const {
   // bucket's worth of entries.
   const uint64_t grow_at = static_cast<uint64_t>(
       kMaxLoad * static_cast<double>(table->nbuckets));
-  if (hdr->live_count + kBucketsPerExtent >= grow_at) {
+  if (LoadPublished(&hdr->live_count) + kBucketsPerExtent >= grow_at) {
     return true;
   }
   const uint64_t capacity = table->nbuckets * (kBucketDataBytes / 32);
-  return hdr->tomb_count + kBucketsPerExtent >
+  return LoadPublished(&hdr->tomb_count) + kBucketsPerExtent >
          static_cast<uint64_t>(kTombCompactRatio *
                                static_cast<double>(capacity));
 }

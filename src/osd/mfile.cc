@@ -281,8 +281,7 @@ uint64_t MFile::ReadDirect(ScmRegion* region, const DirectExtentMap& map,
 }
 
 Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
-                          uint64_t offset, std::span<const char> data,
-                          bool flush) {
+                          uint64_t offset, std::span<const char> data) {
   if (data.empty()) {
     return OkStatus();
   }
@@ -307,14 +306,12 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
                         data.data() + done, chunk);
     done += chunk;
   }
-  if (flush) {
-    // Every PXFS data write, pinned or locked, ends here: this drain is its
-    // entire durability story, so it is a registered mutation target
-    // (suppressing it must fail crash_sim).
-    static const int kSite = RegisterPersistSite("libfs.direct.write.bflush");
-    region->BFlush(kSite);
-    region->CrashPoint("libfs.direct.write");
-  }
+  // Every PXFS data write, pinned or locked, ends here: this drain is its
+  // entire durability story, so it is a registered mutation target
+  // (suppressing it must fail crash_sim).
+  static const int kSite = RegisterPersistSite("libfs.direct.write.bflush");
+  region->BFlush(kSite);
+  region->CrashPoint("libfs.direct.write");
   return OkStatus();
 }
 

@@ -113,13 +113,11 @@ class MFile {
 
   // In-place write strictly within [0, map.size) over mapped pages;
   // kNotFound if the write extends the file or touches a hole (the caller
-  // allocates and logs the attach first). Streams the bytes and, when
-  // `flush` is set, drains write-combining buffers at the registered
-  // "libfs.direct.write.bflush" persist site so the write is durable
-  // before the caller acknowledges it.
+  // allocates and logs the attach first). Streams the bytes, then drains
+  // write-combining buffers at the registered "libfs.direct.write.bflush"
+  // persist site so the write is durable before the caller acknowledges it.
   static Status WriteDirect(ScmRegion* region, const DirectExtentMap& map,
-                            uint64_t offset, std::span<const char> data,
-                            bool flush);
+                            uint64_t offset, std::span<const char> data);
 
   // --- In-place data writes (clients, where extents already exist) ---
   // Writes only where extents are present; returns kNotFound if any touched

@@ -268,7 +268,7 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
     if (options_.name_cache && fill_cache && !relative) {
       AERIE_SPAN("namecache", "insert");
       std::lock_guard lock(cache_mu_);
-      if (name_cache_.size() >= options_.name_cache_max) {
+      if (name_cache_.size() >= kNameCacheMax) {
         name_cache_.clear();  // cheap wholesale eviction
       }
       name_cache_[canonical] =
@@ -550,9 +550,7 @@ Result<uint64_t> Pxfs::WriteFile(const FdEntry& entry, uint64_t offset,
   LockClerk* clerk = fs_->clerk();
   bool pinned = false;
   if (auto map = PinMap(entry.oid, /*write=*/true, offset + data.size())) {
-    pinned = MFile::WriteDirect(ctx_.region, map->map, offset, data,
-                                options_.flush_data_on_write)
-                 .ok();
+    pinned = MFile::WriteDirect(ctx_.region, map->map, offset, data).ok();
     clerk->ExitDirect();
     if (pinned) {
       fs_->CountDirectWrite(data.size());
@@ -659,9 +657,8 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
   }
 
   // Data writes go straight to SCM; no service involvement (§4.2).
-  AERIE_RETURN_IF_ERROR(MFile::WriteDirect(ctx_.region, map->map, offset,
-                                           data,
-                                           options_.flush_data_on_write));
+  AERIE_RETURN_IF_ERROR(
+      MFile::WriteDirect(ctx_.region, map->map, offset, data));
   if (!ops.empty()) {
     const std::vector<MetaOp> logged = ops;  // LogOps moves from `ops`
     uint64_t seq = 0;

@@ -68,9 +68,6 @@ class Pxfs {
   struct Options {
     // Per-client absolute-path name cache (PXFS vs PXFS-NNC, §7.3.1).
     bool name_cache = true;
-    size_t name_cache_max = 1 << 16;
-    // Persist data at every write (vs only at fsync).
-    bool flush_data_on_write = true;
     // Take directory write locks hierarchically (XH) so descendant file
     // locks are clerk-local. Explicit (X) is the ablation configuration.
     bool hierarchical_dir_locks = true;
@@ -79,12 +76,6 @@ class Pxfs {
     // (e.g. write-only files), data access goes through the trusted service
     // instead of direct loads/stores.
     bool enforce_memory_protection = false;
-    // Pinned way into the data path (DESIGN.md §10): reads and in-place
-    // overwrites copy through the cached extent map under a pinned clerk
-    // direct-access epoch, without taking the file lock. false (the
-    // ablation configuration) sends every call the locked way and caches
-    // no maps.
-    bool direct_data = true;
   };
 
   Pxfs(LibFs* fs, const Options& options);
@@ -225,7 +216,7 @@ class Pxfs {
   static constexpr uint64_t kDirectMaxPages = 1 << 16;  // 256MB
 
   bool DirectUsable() const {
-    return options_.direct_data && !options_.enforce_memory_protection;
+    return fs_->direct_data() && !options_.enforce_memory_protection;
   }
   // The pinned way: the cached map for `file` with the clerk epoch pinned
   // (the caller copies, then calls ExitDirect), or nullptr. A write needs
@@ -272,6 +263,8 @@ class Pxfs {
   std::vector<LockId> cwd_ancestors_; // lock chain root..cwd's parent
   std::string cwd_path_ = "/";
 
+  // The name cache empties itself when it reaches this many paths.
+  static constexpr size_t kNameCacheMax = 1 << 16;
   std::mutex cache_mu_;
   std::unordered_map<std::string, CacheEntry> name_cache_;
   // Name-cache statistics live in the obs registry for this Pxfs's lifetime.

@@ -191,24 +191,42 @@ TEST_F(DirectPathTest, ExtendsAndAppendsFallBackToLockedPath) {
 }
 
 TEST_F(DirectPathTest, OptionsCanDisableTheDirectPath) {
-  Pxfs::Options options;
+  LibFs::Options options = EagerClientOptions();
   options.direct_data = false;
-  Pxfs plain(client_->fs(), options);
+  auto client = sys_->NewClient(options);
+  ASSERT_TRUE(client.ok());
+  LibFs* libfs = (*client)->fs();
+  Pxfs plain(libfs);
   ASSERT_TRUE(plain.Mkdir("/nd").ok());
   auto fd = plain.Open("/nd/f", kOpenCreate | kOpenRead | kOpenWrite);
   ASSERT_TRUE(fd.ok());
   const std::string page(kPage, 'z');
   ASSERT_TRUE(plain.Write(*fd, Bytes(page)).ok());
-  const uint64_t reads = libfs()->direct_read_bytes();
-  const uint64_t writes = libfs()->direct_write_bytes();
   std::string buf(kPage, '\0');
   ASSERT_TRUE(plain.Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
   ASSERT_TRUE(plain.Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
   ASSERT_TRUE(plain.Pwrite(*fd, 0, Bytes(page)).ok());
   ASSERT_TRUE(plain.Pwrite(*fd, 0, Bytes(page)).ok());
-  EXPECT_EQ(libfs()->direct_read_bytes(), reads);
-  EXPECT_EQ(libfs()->direct_write_bytes(), writes);
   ASSERT_TRUE(plain.Close(*fd).ok());
+
+  // The same switch turns FlatFS gets to the locked way: a put, a get that
+  // finds the put's entry, and one that reads the shipped collection.
+  FlatFs flat(libfs);
+  ASSERT_TRUE(flat.Put("nd", Bytes(page)).ok());
+  auto got = flat.Get("nd");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, page);
+  ASSERT_TRUE(flat.Sync().ok());
+  libfs->clerk()->ReleaseAllGlobals();
+  got = flat.Get("nd");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, page);
+  got = flat.Get("nd");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, page);
+
+  EXPECT_EQ(libfs->direct_read_bytes(), 0u);
+  EXPECT_EQ(libfs->direct_write_bytes(), 0u);
 }
 
 TEST_F(DirectPathTest, RevocationBumpsEpochAndForcesLockedPath) {

@@ -1,8 +1,10 @@
 // FlatFS functional tests: put/get/erase semantics, capacity limits,
-// rehash under load, concurrency, coexistence with PXFS on one volume.
+// rehash under load, concurrency, the key table's bound, coexistence with
+// PXFS on one volume.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -179,6 +181,78 @@ TEST_F(FlatFsTest, ConcurrentPutsDistinctKeys) {
       EXPECT_EQ(*value, key);
     }
   }
+}
+
+// Gets race puts of one key within one client: every get returns one whole
+// value (all its bytes carry one version), and no reader sees the versions
+// go backwards.
+TEST_F(FlatFsTest, ConcurrentGetsAndPutsOnOneKeySeeWholeValues) {
+  constexpr uint32_t kVersions = 2000;
+  constexpr int kReaders = 3;
+  constexpr size_t kLen = 4096;
+  auto stamped = [](uint32_t version) {
+    std::string value(kLen, '\0');
+    for (size_t i = 0; i < kLen; i += sizeof(version)) {
+      std::memcpy(value.data() + i, &version, sizeof(version));
+    }
+    return value;
+  };
+  ASSERT_TRUE(flat_->Put("hot", Bytes(stamped(0))).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::string buf(kLen, '\0');
+      uint32_t last = 0;
+      while (!stop.load()) {
+        auto n = flat_->Get("hot", std::span<char>(buf.data(), buf.size()));
+        uint32_t version = 0;
+        std::memcpy(&version, buf.data(), sizeof(version));
+        if (!n.ok() || *n != kLen || buf != stamped(version) ||
+            version < last) {
+          bad.fetch_add(1);
+        }
+        last = version;
+      }
+    });
+  }
+  for (uint32_t v = 1; v < kVersions; ++v) {
+    ASSERT_TRUE(flat_->Put("hot", Bytes(stamped(v))).ok()) << v;
+    if (v % 250 == 0) {
+      ASSERT_TRUE(flat_->Sync().ok());
+    }
+  }
+  stop.store(true);
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(*flat_->Get("hot"), stamped(kVersions - 1));
+}
+
+// Fresh keys put and erased well past the key table's bound: the table keeps
+// only the entries whose ops have not shipped, instead of one entry per key
+// ever written.
+TEST_F(FlatFsTest, KeyTableStaysBounded) {
+  constexpr int kPairs = 2 * FlatFs::kKeysMax + 1000;
+  LibFs* fs = client_->fs();
+  for (int i = 0; i < kPairs; ++i) {
+    const std::string key = "fresh" + std::to_string(i);
+    ASSERT_TRUE(flat_->Put(key, Bytes("v")).ok()) << i;
+    ASSERT_TRUE(flat_->Erase(key).ok()) << i;
+    if (i % 1000 == 999) {
+      ASSERT_LE(flat_->key_table_size(),
+                FlatFs::kKeysMax + fs->pending_ops())
+          << i;
+      ASSERT_TRUE(flat_->Sync().ok());
+    }
+  }
+  EXPECT_LE(flat_->key_table_size(), FlatFs::kKeysMax);
+  EXPECT_EQ(flat_->Get("fresh0").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(flat_->Get("fresh" + std::to_string(kPairs - 1)).code(),
+            ErrorCode::kNotFound);
 }
 
 TEST_F(FlatFsTest, VisibleToSecondClientAfterSync) {

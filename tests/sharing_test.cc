@@ -156,6 +156,28 @@ TEST_F(SharingTest, FlatFsSharedBetweenClients) {
   EXPECT_EQ(flat1.Get("x").code(), ErrorCode::kNotFound);
 }
 
+// Client 2 replaces a value client 1 reads the pinned way: the put revokes
+// client 1's bucket lock, so client 1's next get takes the locked way and
+// sees the new value, and the get after it is pinned again.
+TEST_F(SharingTest, FlatFsReplacementByAnotherClientIsSeen) {
+  FlatFs flat1(client1_->fs());
+  FlatFs flat2(client2_->fs());
+  LibFs* fs1 = client1_->fs();
+  const std::string v1 = "first version";
+  const std::string v2 = "second, longer version";
+  ASSERT_TRUE(flat1.Put("k", std::span<const char>(v1.data(), v1.size())).ok());
+  uint64_t direct = fs1->direct_read_bytes();
+  EXPECT_EQ(*flat1.Get("k"), v1);
+  EXPECT_EQ(fs1->direct_read_bytes(), direct + v1.size());
+
+  ASSERT_TRUE(flat2.Put("k", std::span<const char>(v2.data(), v2.size())).ok());
+  direct = fs1->direct_read_bytes();
+  EXPECT_EQ(*flat1.Get("k"), v2);
+  EXPECT_EQ(fs1->direct_read_bytes(), direct);
+  EXPECT_EQ(*flat1.Get("k"), v2);
+  EXPECT_EQ(fs1->direct_read_bytes(), direct + v2.size());
+}
+
 TEST_F(SharingTest, CrossInterfaceSharing) {
   // FlatFS put, PXFS sees the object in the flat collection via raw access;
   // both share the TFS and volume (paper §6.2).
