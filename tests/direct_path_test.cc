@@ -4,13 +4,15 @@
 //    in-place overwrites run against the cached extent map (counters
 //    advance, results match the locked path), appends/extends fall back,
 //    revocation by a second client bumps the direct epoch and forces the
-//    locked path, a concurrent reader never observes a torn page, files
-//    past the map cap work through call-sized maps, an extend's stored map
-//    shares the chunks it does not touch, data calls racing a Close of
-//    their fd never touch a freed fd entry, and the map cache keeps more
-//    than 4,096 small maps, stays within its slot budget, and gives a
-//    referenced map a second chance (also while readers race evictions and
-//    a truncate).
+//    locked path, an open of a file mapped under the current epoch skips
+//    the clerk (but O_TRUNC, a write open of a read map, and a client
+//    without the direct path do not), a concurrent reader never observes
+//    a torn page, files past the map cap work through call-sized maps, an
+//    extend's stored map shares the chunks it does not touch, data calls
+//    racing a Close of their fd never touch a freed fd entry, and the map
+//    cache keeps more than 4,096 small maps, stays within its slot budget,
+//    and gives a referenced map a second chance (also while readers race
+//    evictions and a truncate).
 //  * DirectPathCrashTest.CleanSweep*: the crash simulator enumerates states
 //    across a direct overwrite and across a revoke-triggered batch ship on a
 //    shared directory; every image must recover consistently.
@@ -269,6 +271,101 @@ TEST_F(DirectPathTest, RevocationBumpsEpochAndForcesLockedPath) {
   EXPECT_EQ(libfs()->direct_read_bytes(), direct + kPage);
   EXPECT_EQ(buf, page);
   ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+// --- Map-authorized open ---------------------------------------------------
+
+// Opens `path` with `flags`, reads it whole, closes it.
+std::string OpenReadClose(Pxfs* fs, const std::string& path, int flags) {
+  auto fd = fs->Open(path, flags);
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  if (!fd.ok()) {
+    return "";
+  }
+  std::string buf(4 * kPage, '\0');
+  auto n = fs->Pread(*fd, 0, std::span<char>(buf.data(), buf.size()));
+  EXPECT_TRUE(n.ok()) << n.status().ToString();
+  buf.resize(n.ok() ? *n : 0);
+  EXPECT_TRUE(fs->Close(*fd).ok());
+  return buf;
+}
+
+TEST_F(DirectPathTest, OpenOfMappedFileSkipsTheClerk) {
+  MakeFile("/d/o", 2, 'o');
+  ASSERT_EQ(OpenReadClose(fs_.get(), "/d/o", kOpenRead),
+            std::string(2 * kPage, 'o'));
+  LockClerk* clerk = libfs()->clerk();
+  const uint64_t grants = clerk->local_grants();
+  const uint64_t direct = libfs()->direct_read_bytes();
+  EXPECT_EQ(OpenReadClose(fs_.get(), "/d/o", kOpenRead),
+            std::string(2 * kPage, 'o'));
+  EXPECT_EQ(OpenReadClose(fs_.get(), "/d/o", kOpenRead | kOpenWrite),
+            std::string(2 * kPage, 'o'));
+  EXPECT_EQ(clerk->local_grants(), grants);
+  EXPECT_EQ(libfs()->direct_read_bytes(), direct + 4 * kPage);
+}
+
+TEST_F(DirectPathTest, TruncatingOpenOfMappedFileTruncates) {
+  MakeFile("/d/t", 2, 't');
+  ASSERT_EQ(OpenReadClose(fs_.get(), "/d/t", kOpenRead),
+            std::string(2 * kPage, 't'));
+  LockClerk* clerk = libfs()->clerk();
+  const uint64_t grants = clerk->local_grants();
+  auto fd = fs_->Open("/d/t", kOpenWrite | kOpenTrunc);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  EXPECT_GT(clerk->local_grants(), grants);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  auto st = fs_->Stat("/d/t");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, 0u);
+  EXPECT_EQ(OpenReadClose(fs_.get(), "/d/t", kOpenRead), "");
+}
+
+TEST_F(DirectPathTest, WriteOpenOfReadMappedFileGoesThroughTheClerk) {
+  MakeFile("/d/w", 1, 'w');
+  // Drop the writable map the create left, then map the file for reading.
+  libfs()->clerk()->ReleaseAllGlobals();
+  ASSERT_EQ(OpenReadClose(fs_.get(), "/d/w", kOpenRead),
+            std::string(kPage, 'w'));
+  auto st = fs_->Stat("/d/w");
+  ASSERT_TRUE(st.ok());
+  auto map = libfs()->LookupDirect(st->oid);
+  ASSERT_NE(map, nullptr);
+  ASSERT_FALSE(map->writable);
+
+  LockClerk* clerk = libfs()->clerk();
+  uint64_t grants = clerk->local_grants();
+  auto fd = fs_->Open("/d/w", kOpenRead);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(clerk->local_grants(), grants);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  fd = fs_->Open("/d/w", kOpenWrite);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  EXPECT_GT(clerk->local_grants(), grants);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+TEST_F(DirectPathTest, EveryOpenGoesThroughTheClerkWithoutDirectData) {
+  LibFs::Options options = EagerClientOptions();
+  options.direct_data = false;
+  auto client = sys_->NewClient(options);
+  ASSERT_TRUE(client.ok());
+  LockClerk* clerk = (*client)->fs()->clerk();
+  Pxfs plain((*client)->fs());
+  ASSERT_TRUE(plain.Mkdir("/nd").ok());
+  auto fd = plain.Open("/nd/f", kOpenCreate | kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(plain.Write(*fd, Bytes(std::string(kPage, 'n'))).ok());
+  ASSERT_TRUE(plain.Close(*fd).ok());
+  // The first open caches the name; each open then takes the file lock.
+  ASSERT_EQ(OpenReadClose(&plain, "/nd/f", kOpenRead), std::string(kPage, 'n'));
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t grants = clerk->local_grants();
+    auto rfd = plain.Open("/nd/f", kOpenRead);
+    ASSERT_TRUE(rfd.ok());
+    EXPECT_EQ(clerk->local_grants(), grants + 1) << i;
+    ASSERT_TRUE(plain.Close(*rfd).ok());
+  }
 }
 
 // A reader hammering the direct path while another client overwrites the
