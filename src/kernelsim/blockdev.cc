@@ -1,16 +1,19 @@
 #include "src/kernelsim/blockdev.h"
 
+#include <sys/mman.h>
+
 namespace aerie {
 
 Result<std::unique_ptr<RamDisk>> RamDisk::Create(uint64_t block_count) {
   if (block_count == 0) {
     return Status(ErrorCode::kInvalidArgument, "empty disk");
   }
-  auto data = std::make_unique<char[]>(block_count * kBlockSize);
-  std::memset(data.get(), 0, block_count * kBlockSize);
-  return std::unique_ptr<RamDisk>(
-      new RamDisk(std::move(data), block_count));
+  AERIE_ASSIGN_OR_RETURN(char* data,
+                         MapPresentMemory(block_count * kBlockSize));
+  return std::unique_ptr<RamDisk>(new RamDisk(data, block_count));
 }
+
+RamDisk::~RamDisk() { ::munmap(data_, block_count_ * kBlockSize); }
 
 Status RamDisk::Write(uint64_t block, uint64_t offset_in_block,
                       std::span<const char> data) {

@@ -17,6 +17,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
+#include "src/scm/pmem.h"
 
 namespace aerie {
 
@@ -25,15 +26,21 @@ inline constexpr uint64_t kLinesPerBlock = kBlockSize / 64;
 
 class RamDisk {
  public:
+  // The blocks live in present memory (MapPresentMemory), like the SCM
+  // region the kernel file systems are compared against.
   static Result<std::unique_ptr<RamDisk>> Create(uint64_t block_count);
+  ~RamDisk();
+
+  RamDisk(const RamDisk&) = delete;
+  RamDisk& operator=(const RamDisk&) = delete;
 
   uint64_t block_count() const { return block_count_; }
 
   // Direct pointer to a block's bytes (reads are plain memory loads, as on
   // a RAM disk whose pages live in the page cache).
-  char* BlockPtr(uint64_t block) { return data_.get() + block * kBlockSize; }
+  char* BlockPtr(uint64_t block) { return data_ + block * kBlockSize; }
   const char* BlockPtr(uint64_t block) const {
-    return data_.get() + block * kBlockSize;
+    return data_ + block * kBlockSize;
   }
 
   // Writes `data` (<= kBlockSize at `offset_in_block`) with streaming stores
@@ -54,8 +61,8 @@ class RamDisk {
   uint64_t lines_flushed() const { return lines_flushed_.load(); }
 
  private:
-  RamDisk(std::unique_ptr<char[]> data, uint64_t block_count)
-      : data_(std::move(data)), block_count_(block_count) {}
+  RamDisk(char* data, uint64_t block_count)
+      : data_(data), block_count_(block_count) {}
 
   void Charge(uint64_t lines) {
     lines_flushed_.fetch_add(lines, std::memory_order_relaxed);
@@ -65,7 +72,7 @@ class RamDisk {
     }
   }
 
-  std::unique_ptr<char[]> data_;
+  char* data_;
   uint64_t block_count_;
   std::atomic<uint64_t> write_ns_{0};
   std::atomic<uint64_t> blocks_written_{0};

@@ -1,6 +1,5 @@
 #include "src/osd/collection.h"
 
-#include <atomic>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -68,14 +67,6 @@ namespace {
 
 HeaderRep* HeaderAt(const OsdContext& ctx, Oid oid) {
   return reinterpret_cast<HeaderRep*>(ctx.region->PtrAt(oid.offset()));
-}
-
-// Clients read collections while the TFS applies their batches, so words it
-// publishes with PersistU64 are loaded with acquire: the bytes it staged
-// before a publish are then visible.
-uint64_t LoadPublished(const void* word) {
-  return static_cast<const std::atomic<uint64_t>*>(word)->load(
-      std::memory_order_acquire);
 }
 
 TableRep* TableAt(const OsdContext& ctx, const HeaderRep* hdr) {

@@ -123,13 +123,15 @@ Result<MFile> MFile::Open(const OsdContext& ctx, Oid oid) {
   return MFile(ctx, oid);
 }
 
-uint64_t MFile::size() const { return HeaderAt(ctx_, oid_)->size; }
+uint64_t MFile::size() const {
+  return LoadPublished(&HeaderAt(ctx_, oid_)->size);
+}
 bool MFile::single_extent() const {
   return (HeaderAt(ctx_, oid_)->flags & kFlagSingleExtent) != 0;
 }
 uint64_t MFile::capacity() const { return HeaderAt(ctx_, oid_)->capacity; }
 uint32_t MFile::acl() const {
-  return static_cast<uint32_t>(HeaderAt(ctx_, oid_)->acl);
+  return static_cast<uint32_t>(LoadPublished(&HeaderAt(ctx_, oid_)->acl));
 }
 void MFile::SetAcl(uint32_t new_acl) {
   AERIE_SPAN("osd", "mfile_set_acl");
@@ -137,7 +139,7 @@ void MFile::SetAcl(uint32_t new_acl) {
 }
 
 uint64_t MFile::link_count() const {
-  return HeaderAt(ctx_, oid_)->link_count;
+  return LoadPublished(&HeaderAt(ctx_, oid_)->link_count);
 }
 void MFile::SetLinkCount(uint64_t n) {
   AERIE_SPAN("osd", "mfile_set_links");
@@ -150,9 +152,9 @@ Result<uint64_t> MFile::ExtentForPage(uint64_t page_index) const {
     if (page_index * kScmPageSize >= hdr->capacity) {
       return Status(ErrorCode::kNotFound, "beyond single extent");
     }
-    return RootOffset(hdr->root) + page_index * kScmPageSize;
+    return RootOffset(LoadPublished(&hdr->root)) + page_index * kScmPageSize;
   }
-  const uint64_t packed = hdr->root;
+  const uint64_t packed = LoadPublished(&hdr->root);
   if (RootOffset(packed) == 0) {
     return Status(ErrorCode::kNotFound, "empty file");
   }
@@ -165,7 +167,7 @@ Result<uint64_t> MFile::ExtentForPage(uint64_t page_index) const {
     const uint64_t stride = Coverage(level - 1);
     const uint64_t slot = page_index / stride;
     page_index %= stride;
-    const uint64_t next = BlockAt(ctx_, block)[slot];
+    const uint64_t next = LoadPublished(&BlockAt(ctx_, block)[slot]);
     if (next == 0) {
       return Status(ErrorCode::kNotFound, "hole");
     }
@@ -176,13 +178,15 @@ Result<uint64_t> MFile::ExtentForPage(uint64_t page_index) const {
 
 Result<uint64_t> MFile::Read(uint64_t offset, std::span<char> out) const {
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
-  const uint64_t file_size = hdr->size;
+  const uint64_t file_size = LoadPublished(&hdr->size);
   if (offset >= file_size) {
     return 0;
   }
   const uint64_t want = std::min<uint64_t>(out.size(), file_size - offset);
   if (hdr->flags & kFlagSingleExtent) {
-    std::memcpy(out.data(), ctx_.region->PtrAt(RootOffset(hdr->root)) + offset,
+    std::memcpy(out.data(),
+                ctx_.region->PtrAt(RootOffset(LoadPublished(&hdr->root))) +
+                    offset,
                 want);
     return want;
   }
@@ -227,13 +231,13 @@ MFile::DirectExtentMap MFile::SnapshotExtents(uint64_t first_page,
                                               uint64_t end_page) const {
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   DirectExtentMap map;
-  map.size = hdr->size;
+  map.size = LoadPublished(&hdr->size);
   map.first_page = map.end_page = first_page;
   map.Own(first_page, end_page);
   const uint64_t mapped_end =
       std::min(end_page, (map.size + kScmPageSize - 1) / kScmPageSize);
   if (hdr->flags & kFlagSingleExtent) {
-    const uint64_t base = RootOffset(hdr->root);
+    const uint64_t base = RootOffset(LoadPublished(&hdr->root));
     for (uint64_t p = first_page; p < mapped_end; ++p) {
       map.set_extent(p, base + p * kScmPageSize);
     }
@@ -455,7 +459,7 @@ Status MFile::AttachRun(uint64_t page_index, uint64_t extent_offset,
                            LeafFor(page_index + i, /*create=*/true));
     uint64_t* first = &leaf[(page_index + i) % kPointersPerBlock];
     for (uint64_t k = 0; k < n; ++k) {
-      first[k] = extent_offset + (i + k) * kScmPageSize;
+      StorePublished(&first[k], extent_offset + (i + k) * kScmPageSize);
     }
     ctx_.region->WlFlush(first, n * sizeof(uint64_t), kLeafSite);
     return OkStatus();
@@ -537,10 +541,10 @@ void MFile::FreePages(std::vector<uint64_t> pages,
   static const int kSlotSite = RegisterPersistSite("osd.mfile.clear.flush");
   ctx_.alloc->ClearPages(&pages, kBitmapSite);
   for (uint64_t* slot : slots) {
-    *slot = 0;
+    StorePublished(slot, 0);
     ctx_.region->WlFlush(slot, sizeof(uint64_t), kSlotSite);
   }
-  *field = value;
+  StorePublished(field, value);
   ctx_.region->WlFlush(field, sizeof(uint64_t));
   ctx_.region->Fence();
   ctx_.alloc->ReleasePages(pages);
@@ -609,15 +613,16 @@ bool WalkExtents(const OsdContext& ctx, uint64_t block, uint32_t level,
   const uint64_t* slots = BlockAt(ctx, block);
   const uint64_t stride = Coverage(level - 1);
   for (uint64_t i = 0; i < MFile::kPointersPerBlock; ++i) {
-    if (slots[i] == 0) {
+    const uint64_t slot = LoadPublished(&slots[i]);
+    if (slot == 0) {
       continue;
     }
     if (level == 1) {
-      if (!visit(base_page + i, slots[i])) {
+      if (!visit(base_page + i, slot)) {
         return false;
       }
     } else {
-      if (!WalkExtents(ctx, slots[i], level - 1, base_page + i * stride,
+      if (!WalkExtents(ctx, slot, level - 1, base_page + i * stride,
                        visit)) {
         return false;
       }
@@ -631,14 +636,15 @@ bool WalkExtents(const OsdContext& ctx, uint64_t block, uint32_t level,
 Status MFile::ForEachExtent(
     const std::function<bool(uint64_t, uint64_t)>& visit) const {
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
+  const uint64_t packed = LoadPublished(&hdr->root);
   if (hdr->flags & kFlagSingleExtent) {
-    visit(0, RootOffset(hdr->root));
+    visit(0, RootOffset(packed));
     return OkStatus();
   }
-  if (RootOffset(hdr->root) == 0) {
+  if (RootOffset(packed) == 0) {
     return OkStatus();
   }
-  WalkExtents(ctx_, RootOffset(hdr->root), RootHeight(hdr->root), 0, visit);
+  WalkExtents(ctx_, RootOffset(packed), RootHeight(packed), 0, visit);
   return OkStatus();
 }
 

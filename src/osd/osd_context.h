@@ -8,6 +8,9 @@
 #ifndef AERIE_SRC_OSD_OSD_CONTEXT_H_
 #define AERIE_SRC_OSD_OSD_CONTEXT_H_
 
+#include <atomic>
+#include <cstdint>
+
 #include "src/osd/buddy.h"
 #include "src/scm/pmem.h"
 
@@ -19,6 +22,20 @@ struct OsdContext {
 
   bool can_allocate() const { return alloc != nullptr; }
 };
+
+// Clients read storage objects while the TFS applies their batches, so words
+// the TFS publishes (PersistU64, or StorePublished before a flush) are
+// loaded with acquire: the bytes it staged before a publish are then
+// visible.
+inline uint64_t LoadPublished(const void* word) {
+  return static_cast<const std::atomic<uint64_t>*>(word)->load(
+      std::memory_order_acquire);
+}
+
+inline void StorePublished(void* word, uint64_t value) {
+  static_cast<std::atomic<uint64_t>*>(word)->store(value,
+                                                   std::memory_order_release);
+}
 
 }  // namespace aerie
 

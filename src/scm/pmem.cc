@@ -7,6 +7,15 @@
 #include <cerrno>
 #include <cstring>
 
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23  // Linux 5.14; older kernels refuse it
+#endif
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 #include "src/common/clock.h"
 #include "src/obs/trace.h"
 #include "src/scm/crash_sim.h"
@@ -28,20 +37,62 @@ obs::ScmLayerCounters& ChargedLayer(obs::SpanStat* caller) {
   return caller != nullptr ? caller->scm_layer() : unattributed;
 }
 
+#if defined(__x86_64__)
+// CLWB writes a line back and leaves it cached; CLFLUSH also evicts it, so
+// the next access to a just-persisted line misses. Both are ordered by the
+// mfence of Fence/BFlush.
+bool CpuHasClwb() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+         (ebx & bit_CLWB) != 0;
+}
+
+__attribute__((target("clwb"))) void WriteBackLines(uintptr_t p,
+                                                   uintptr_t end) {
+  for (; p < end; p += kCacheLineSize) {
+    _mm_clwb(reinterpret_cast<void*>(p));
+  }
+}
+
+void FlushLines(uintptr_t p, uintptr_t end) {
+  for (; p < end; p += kCacheLineSize) {
+    __builtin_ia32_clflush(reinterpret_cast<const void*>(p));
+  }
+}
+#endif
+
 }  // namespace
 
-Result<std::unique_ptr<ScmRegion>> ScmRegion::CreateAnonymous(size_t size) {
-  void* mem = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+Result<char*> MapPresentMemory(size_t size) {
+  const size_t len = (size + kScmPageSize - 1) & ~(kScmPageSize - 1);
+  // Over-map by a huge page and keep the 2 MiB-aligned `len` bytes inside.
+  void* raw = ::mmap(nullptr, len + kHugePageSize, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (mem == MAP_FAILED) {
+  if (raw == MAP_FAILED) {
     return Status(ErrorCode::kOutOfSpace,
                   std::string("mmap failed: ") + std::strerror(errno));
   }
-  // Pre-fault the whole mapping: real SCM is present memory, so benchmarks
-  // must not observe first-touch page-fault costs on the data path.
-  std::memset(mem, 0, size);
-  return std::unique_ptr<ScmRegion>(
-      new ScmRegion(static_cast<char*>(mem), size, -1, ""));
+  const auto start = reinterpret_cast<uintptr_t>(raw);
+  const uintptr_t aligned = (start + kHugePageSize - 1) & ~(kHugePageSize - 1);
+  char* const mem = reinterpret_cast<char*>(aligned);
+  if (aligned != start) {
+    ::munmap(raw, aligned - start);
+  }
+  ::munmap(mem + len, start + kHugePageSize - aligned);
+  // Real SCM is present memory, so benchmarks must not observe first-touch
+  // page-fault costs on the data path. The kernel hands out zeroed pages;
+  // populating them is all that is left to do. Huge pages are advice: where
+  // the kernel has none, the range stays on 4 KiB pages.
+  (void)::madvise(mem, len, MADV_HUGEPAGE);
+  if (::madvise(mem, len, MADV_POPULATE_WRITE) != 0) {
+    std::memset(mem, 0, len);
+  }
+  return mem;
+}
+
+Result<std::unique_ptr<ScmRegion>> ScmRegion::CreateAnonymous(size_t size) {
+  AERIE_ASSIGN_OR_RETURN(char* mem, MapPresentMemory(size));
+  return std::unique_ptr<ScmRegion>(new ScmRegion(mem, size, -1, ""));
 }
 
 Result<std::unique_ptr<ScmRegion>> ScmRegion::OpenFileBacked(
@@ -94,10 +145,13 @@ void ScmRegion::WlFlush(const void* addr, size_t len, int site) {
   AERIE_SPAN("scm", "wl_flush");
   const uint64_t lines = LinesCovering(addr, len);
 #if defined(__x86_64__)
-  auto p = reinterpret_cast<uintptr_t>(addr) & ~(kCacheLineSize - 1);
+  static const bool has_clwb = CpuHasClwb();
+  const auto p = reinterpret_cast<uintptr_t>(addr) & ~(kCacheLineSize - 1);
   const auto end = reinterpret_cast<uintptr_t>(addr) + len;
-  for (; p < end; p += kCacheLineSize) {
-    __builtin_ia32_clflush(reinterpret_cast<const void*>(p));
+  if (has_clwb) {
+    WriteBackLines(p, end);
+  } else {
+    FlushLines(p, end);
   }
 #else
   std::atomic_thread_fence(std::memory_order_seq_cst);

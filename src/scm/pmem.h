@@ -5,14 +5,20 @@
 // / write-combining flush). ScmRegion reproduces that mechanism:
 //
 //  * the region is an mmap'ed range of DRAM (anonymous, or file-backed so a
-//    "machine crash + reboot" can be simulated by reopening the file);
+//    "machine crash + reboot" can be simulated by reopening the file). An
+//    anonymous region is 2 MiB-aligned, asks for transparent huge pages and
+//    is populated by the kernel before first use (MapPresentMemory), as a
+//    DAX mapping of real SCM on 2 MiB pages would be;
 //  * persistence primitives mirror Mnemosyne's (paper §5.1):
-//      - WlFlush  : write + flush a cache line     (x86 clflush)
+//      - WlFlush  : write back the cache lines     (x86 CLWB where the CPU
+//                   has it, else clflush)
 //      - BFlush   : drain write-combining buffers   (x86 mfence after NT store)
-//      - Fence    : order writes to SCM             (x86 mfence)
+//      - Fence    : order writes to SCM             (x86 mfence; also orders
+//                   CLWB)
 //      - StreamWrite : non-temporal streaming copy into the log
 //  * a latency model charges a configurable delay per persisted cache line,
-//    which is how Figure 6's sensitivity study is produced.
+//    which is how Figure 6's sensitivity study is produced. The charge is per
+//    line whichever instruction wrote it back.
 //
 // The memory controller is assumed to make aligned 64-bit stores atomic
 // (paper assumption, from BPFS), which the consistency protocols rely on.
@@ -34,6 +40,16 @@ class CrashSimulator;
 
 inline constexpr size_t kCacheLineSize = 64;
 inline constexpr size_t kScmPageSize = 4096;
+inline constexpr size_t kHugePageSize = 2u << 20;
+
+// Maps `size` bytes of private anonymous memory that is present before first
+// use: the range is 2 MiB-aligned, advised for transparent huge pages, and
+// populated by the kernel (MADV_POPULATE_WRITE; a memset where the kernel
+// refuses), so it reads zero and no access takes a first-touch fault. The
+// SCM region and the kernel baselines' RAM disk both take their memory from
+// here, so both sides of a comparison sit on the same pages. Release the
+// range with munmap(ptr, size).
+Result<char*> MapPresentMemory(size_t size);
 
 // Sentinel for persistence calls that are not registered as suppressible
 // sites in the crash-simulation mutation registry (src/scm/crash_sim.h).
@@ -82,7 +98,8 @@ struct ScmStats {
 // after a simulated reboot.
 class ScmRegion {
  public:
-  // Creates an anonymous (non-reopenable) region of `size` bytes.
+  // Creates an anonymous (non-reopenable) region of `size` bytes in present
+  // memory (MapPresentMemory).
   static Result<std::unique_ptr<ScmRegion>> CreateAnonymous(size_t size);
 
   // Creates or opens a file-backed region; reopening the same path after a
@@ -116,7 +133,7 @@ class ScmRegion {
   // simulator can suppress a registered site to prove the checker detects
   // the resulting ordering bug. Sites default to kNoPersistSite.
 
-  // Flushes the cache lines covering [addr, addr+len) to SCM.
+  // Writes the cache lines covering [addr, addr+len) back to SCM.
   void WlFlush(const void* addr, size_t len, int site = kNoPersistSite);
 
   // Orders subsequent SCM writes after preceding ones.

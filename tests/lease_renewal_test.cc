@@ -75,20 +75,21 @@ TEST(LeaseRenewalTest, BatchRpcRenewsLapsedLease) {
   }
 }
 
-// Webproxy-style churn: leases shorter than the renewal interval, and a
-// workload that — after the first create warms the directory lock — runs
-// entirely on cached locks, exactly like the name-cache webproxy bench. No
-// other client contends, so the lapsed leases are never reclaimed (expiry is
-// lazy), and only op RPCs — pool refills and the batch ships themselves —
-// ever touch the service. Every batch therefore ships under a lapsed lease
-// and must still apply. Two clients run the same loop in disjoint
-// directories to add service-side interleaving without lock conflicts
-// (conflicts would legitimately fence a lapsed client, a different
-// scenario covered by tfs_test's DroppedLocksRejectBatch).
+// Webproxy-style churn: leases that lapse between renewals, and a workload
+// that — after the first create warms the directory lock — runs entirely on
+// cached locks, exactly like the name-cache webproxy bench. No other client
+// contends, so the lapsed leases are never reclaimed (expiry is lazy), and
+// only op RPCs — pool refills and the batch ships themselves — ever touch
+// the service. Every batch therefore ships under a lapsed lease and must
+// still apply. The leases are the default length, so they outlive the
+// warmup on a loaded host, and each round lapses them explicitly. Two
+// clients run the same loop in disjoint directories to add service-side
+// interleaving without lock conflicts (conflicts would legitimately fence a
+// lapsed client, a different scenario covered by tfs_test's
+// DroppedLocksRejectBatch).
 TEST(LeaseRenewalTest, ShortLeaseChurnLosesNoAcknowledgedCreates) {
   AerieSystem::Options options;
   options.region_bytes = 64ull << 20;
-  options.lock.lease_ms = 40;
   auto sys = AerieSystem::Create(options);
   ASSERT_TRUE(sys.ok()) << sys.status().ToString();
 
@@ -127,10 +128,12 @@ TEST(LeaseRenewalTest, ShortLeaseChurnLosesNoAcknowledgedCreates) {
       create(fa, "/pa/o" + std::to_string(seq));
       create(fb, "/pb/o" + std::to_string(seq));
     }
-    // Let both leases lapse with the burst still buffered, then ship: the
-    // batch RPC arrives under a lapsed (but unreclaimed) lease every round.
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    // Lapse both leases with the burst still buffered, then ship: the batch
+    // RPC arrives under a lapsed (but unreclaimed) lease every round.
+    (*sys)->lock_service()->ExpireLeaseForTesting((*a)->id());
+    (*sys)->lock_service()->ExpireLeaseForTesting((*b)->id());
     ASSERT_FALSE((*sys)->lock_service()->LeaseValid((*a)->id()));
+    ASSERT_FALSE((*sys)->lock_service()->LeaseValid((*b)->id()));
     ASSERT_TRUE(fa.SyncAll().ok());
     ASSERT_TRUE(fb.SyncAll().ok());
   }

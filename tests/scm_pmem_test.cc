@@ -2,11 +2,17 @@
 // latency model, file-backed reopen (simulated reboot), and per-layer media
 // accounting through the obs layer tag.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/obs/obs.h"
@@ -111,6 +117,116 @@ TEST(ScmRegionTest, HardProtectValidatesArguments) {
             ErrorCode::kInvalidArgument);  // out of range
   EXPECT_TRUE(r->HardProtect(4096, 4096, 1).ok());   // read-only
   EXPECT_TRUE(r->HardProtect(4096, 4096, 3).ok());   // back to rw
+}
+
+// An anonymous region is present memory on 2 MiB boundaries: every page is
+// resident before the first access, and every byte reads zero.
+TEST(ScmRegionTest, AnonymousRegionIsAlignedPresentAndZero) {
+  const size_t size = 6 * kHugePageSize;
+  auto region = ScmRegion::CreateAnonymous(size);
+  ASSERT_TRUE(region.ok());
+  ScmRegion* r = region->get();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(r->base()) % kHugePageSize, 0u);
+
+  std::vector<unsigned char> resident(size / kScmPageSize);
+  ASSERT_EQ(::mincore(r->base(), size, resident.data()), 0);
+  size_t absent = 0;
+  for (unsigned char page : resident) {
+    absent += (page & 1) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(absent, 0u) << "pages not populated at creation";
+
+  const auto* words = reinterpret_cast<const uint64_t*>(r->base());
+  uint64_t ored = 0;
+  for (size_t i = 0; i < size / sizeof(uint64_t); ++i) {
+    ored |= words[i];
+  }
+  EXPECT_EQ(ored, 0u);
+}
+
+// Where the host allows transparent huge pages at all, the region's mapping
+// is eligible for them.
+TEST(ScmRegionTest, AnonymousRegionIsAdvisedForHugePages) {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(thp, mode);
+  if (mode.empty() || mode.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages unavailable: '" << mode << "'";
+  }
+  auto region = ScmRegion::CreateAnonymous(2 * kHugePageSize);
+  ASSERT_TRUE(region.ok());
+  const auto base = reinterpret_cast<uintptr_t>((*region)->base());
+
+  // The smaps entry of the mapping that holds the region's base.
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool in_region = false;
+  std::string eligible;
+  while (std::getline(smaps, line)) {
+    uintptr_t lo = 0, hi = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      in_region = lo <= base && base < hi;
+    } else if (in_region && line.rfind("THPeligible:", 0) == 0) {
+      eligible = line;
+    }
+  }
+  ASSERT_FALSE(eligible.empty()) << "no smaps entry for the region";
+  EXPECT_NE(eligible.find('1'), std::string::npos) << eligible;
+}
+
+// A 4 KiB HardProtect inside a 2 MiB page splits it: the protected page
+// faults on a write, its neighbours stay writable.
+TEST(ScmRegionDeathTest, ReadOnlyPageInsideHugePageFaultsOnWrite) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto region = ScmRegion::CreateAnonymous(2 * kHugePageSize);
+  ASSERT_TRUE(region.ok());
+  ScmRegion* r = region->get();
+  const uint64_t page = kHugePageSize + 16 * kScmPageSize;
+  ASSERT_TRUE(r->HardProtect(page, kScmPageSize, 1).ok());
+
+  volatile char* const locked = r->PtrAt(page);
+  EXPECT_EQ(locked[0], 0);  // still readable
+  EXPECT_DEATH(locked[0] = 1, "");
+
+  volatile char* const next = r->PtrAt(page + kScmPageSize);
+  volatile char* const prev = r->PtrAt(page - 1);
+  next[0] = 7;
+  prev[0] = 9;
+  EXPECT_EQ(next[0], 7);
+  EXPECT_EQ(prev[0], 9);
+}
+
+// Creation over-maps and trims to the aligned range; the destructor returns
+// exactly that range: all of it, and nothing mapped beyond it.
+TEST(ScmRegionTest, DestructorUnmapsExactlyWhatCreationKept) {
+  const size_t size = kHugePageSize + 8 * kScmPageSize;
+  auto region = ScmRegion::CreateAnonymous(size);
+  ASSERT_TRUE(region.ok());
+  char* const base = (*region)->base();
+
+  // The over-mapped slack past the region was given back at creation, so a
+  // guard page fits right behind it.
+  void* guard = ::mmap(base + size, kScmPageSize, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE, -1,
+                       0);
+  ASSERT_EQ(guard, static_cast<void*>(base + size)) << std::strerror(errno);
+  *static_cast<char*>(guard) = 0x5a;
+
+  region->reset();
+
+  void* again = ::mmap(base, size, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE, -1,
+                       0);
+  EXPECT_EQ(again, static_cast<void*>(base)) << "region range not unmapped";
+  unsigned char resident = 0;
+  ASSERT_EQ(::mincore(guard, kScmPageSize, &resident), 0) << "guard unmapped";
+  EXPECT_EQ(*static_cast<char*>(guard), 0x5a);
+  if (again != MAP_FAILED) {
+    ::munmap(again, size);
+  }
+  ::munmap(guard, kScmPageSize);
 }
 
 // Per-layer media accounting: a primitive charges scm.layer.<layer>.* of the
