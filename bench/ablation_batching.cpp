@@ -9,7 +9,6 @@
 // releases). Every logged op counts at least 96 B, so max_pending_ops is
 // raised past batch_bytes / 96 to keep the op-count backpressure mark from
 // firing first. The ops/batch column shows what was shipped.
-#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -80,19 +79,6 @@ int main() {
                      ops);
   }
 
-  // Attribution pass: short span-mode run at the paper-optimal 8MB batch.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        Seed() + 21);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

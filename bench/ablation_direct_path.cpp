@@ -10,8 +10,8 @@
 //
 // With the path on, warmed reads and overwrites are a userspace memcpy
 // guarded by the clerk's direct-access epoch: no lock RPC, no clerk mutex,
-// no service involvement — so the span attribution pass should show the
-// rpc layer's self-time collapse to noise.
+// no service involvement — so the record's layer rows should show the rpc
+// layer's CPU and rpc waits collapse to noise.
 //
 // A last point, cache_churn, reads (path on) over a file set whose extent
 // maps outgrow the map cache's budget, so its stores evict: it reports the
@@ -259,13 +259,6 @@ int main() {
   report.AddValue("cache_churn.evictions_per_kop", churn.evictions_per_kop,
                   "1/kop");
 
-  // Attribution pass: short span-mode rerun with the direct path ON. The
-  // point of the PR: rpc/lock layers should carry ~no self-time on the
-  // warmed read/overwrite loop.
-  SpanAttributionPass([&] {
-    MeasurePxfs(true, pages, std::min(seconds, 0.5));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

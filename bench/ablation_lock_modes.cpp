@@ -4,7 +4,6 @@
 // locks locally, so metadata-heavy single-client workloads avoid per-file
 // lock RPCs entirely. With explicit (X) locks every file lock is a service
 // acquisition. Reports throughput and the clerk's global-acquire counts.
-#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -55,20 +54,6 @@ int main() {
                      *tput, ops);
   }
 
-  // Attribution pass: short span-mode hierarchical-lock run (the default
-  // configuration), so clerk/lock self-time lands in the record.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        Seed() + 77);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

@@ -4,7 +4,6 @@
 //
 // Runs each workload on PXFS with the cache enabled and disabled (PXFS-NNC)
 // and reports throughput, speedup, and cache hit rates.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -61,20 +60,6 @@ int main() {
     report.AddValue(workload + ".hit_rate", hit_rate, "percent");
   }
 
-  // Attribution pass: short span-mode Webproxy run (the workload with the
-  // largest name-cache speedup) on cached PXFS.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kWebproxy, scale), "/bench",
-        Seed() + 33);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

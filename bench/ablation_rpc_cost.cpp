@@ -5,7 +5,6 @@
 // Sweeps the modeled loopback round trip from free to 50us, with batching
 // on (8MB) and off (per-op shipping). With batching, throughput should be
 // almost flat — the design goal; without it, RPC cost dominates.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -57,27 +56,6 @@ int main() {
                 tput[0]);
   }
 
-  // Attribution pass: short span-mode per-op run at a 10us round trip, where
-  // rpc self-time dominates and shows up clearly in the layer table.
-  SpanAttributionPass([&] {
-    SystemUnderTest::Options options = DefaultSutOptions();
-    options.rpc_delay_ns = 10000;
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, options);
-    BENCH_CHECK_OK(sut);
-    LibFs::Options libfs_options;
-    libfs_options.eager_ship = true;
-    auto client = (*sut)->aerie()->NewClient(libfs_options);
-    BENCH_CHECK_OK(client);
-    Pxfs pxfs((*client)->fs());
-    PxfsAdapter adapter(&pxfs);
-    FilebenchRunner runner(
-        &adapter, FilebenchProfile::Paper(FilebenchKind::kFileserver, scale),
-        "/bench", Seed() + 13);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

@@ -105,25 +105,14 @@ inline obs::BenchReport MakeReport(const char* bench) {
   return report;
 }
 
-// Runs `fn` with trace spans forced on against a zeroed registry, then
-// restores the previous mode. Span recording perturbs throughput, so every
-// bench measures first and attributes afterwards on a short rerun; call
-// report.CaptureAttribution() right after this returns.
-template <typename Fn>
-inline void SpanAttributionPass(Fn&& fn) {
-  obs::ResetAll();
-  const obs::Mode saved = obs::CurrentMode();
-  obs::SetMode(obs::Mode::kSpans);
-  fn();
-  obs::SetMode(saved);
-}
-
-// Finishes a record: write to $AERIE_BENCH_JSON (if set) and surface the
-// path on stdout so driver logs show where each record landed. When the
-// sampling profiler is live (AERIE_PROF), also flush its folded-stack /
-// profile-JSON artifacts ($AERIE_PROF_FOLDED / $AERIE_PROF_JSON) and print
-// the top self-CPU frames so a bench run doubles as a profile run.
-inline void FinishReport(const obs::BenchReport& report) {
+// Finishes a record: snapshot the measured run's attribution into it, write
+// it to $AERIE_BENCH_JSON (if set) and surface the path on stdout so sweep
+// logs show where each record landed. When the sampling profiler is live
+// (AERIE_PROF), also flush its folded-stack / profile-JSON artifacts
+// ($AERIE_PROF_FOLDED / $AERIE_PROF_JSON) and print the top self-CPU frames
+// so a bench run doubles as a profile run.
+inline void FinishReport(obs::BenchReport& report) {
+  report.CaptureAttribution();
   const std::string path = report.WriteIfConfigured();
   if (!path.empty()) {
     std::printf("BENCH_JSON_FILE %s\n", path.c_str());

@@ -207,20 +207,6 @@ int main() {
               obs::DumpText().c_str());
   std::printf("OBS_JSON %s\n", obs::DumpJson().c_str());
 
-  // Attribution pass: rerun stat/open over a slice of the tree with spans
-  // on, so the record carries vfs-layer self-time like every other bench.
-  bench::SpanAttributionPass([&] {
-    const size_t slice = std::min<size_t>(files.size(), 2000);
-    vfs.DropCaches();
-    for (size_t i = 0; i < slice; ++i) {
-      (void)vfs.Stat(files[i]);
-      auto fd = vfs.Open(files[i], kOpenRead);
-      if (fd.ok()) {
-        (void)vfs.Close(*fd);
-      }
-    }
-  });
-  report.CaptureAttribution();
   bench::FinishReport(report);
   const std::string trace_path = obs::WriteTraceFileIfConfigured();
   if (!trace_path.empty()) {

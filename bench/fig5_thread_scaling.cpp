@@ -9,7 +9,6 @@
 // NOTE: this host has a single CPU core, so absolute scaling flattens; the
 // *relative* per-system ordering and the FlatFS-vs-PXFS contention gap are
 // the reproducible shapes (EXPERIMENTS.md discusses this).
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -138,15 +137,6 @@ int main() {
     std::printf("\n");
   }
 
-  // Attribution pass: a short span-mode two-thread Webproxy run on PXFS
-  // (the contended configuration the figure is about).
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    RunThreads(sut->get(), FilebenchKind::kWebproxy, scale,
-               std::min(seconds, 0.5), 2, false);
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

@@ -9,7 +9,6 @@
 // Expected shapes: the PXFS/ext4 gap narrows as write latency grows (block
 // access amortizes better), and FlatFS's specialization benefit shrinks as
 // storage cost dominates software cost.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -102,21 +101,6 @@ int main() {
     std::printf("\n");
   }
 
-  // Attribution pass: short span-mode Fileserver run on PXFS at the 1000ns
-  // point, where flush self-time starts to matter.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        Seed() + 9);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    (*sut)->SetWriteLatency(1000);
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

@@ -4,7 +4,8 @@
 // the table/figure harnesses compose.
 //
 // A custom reporter captures every run's ns/op into the shared BenchReport
-// record (AERIE_BENCH_JSON), alongside an scm+clerk span attribution pass.
+// record (AERIE_BENCH_JSON), whose layer rows attribute the benchmarks' own
+// sampled CPU to the osd/scm/clerk spans they exercise.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -195,31 +196,6 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   obs::BenchReport* report_;
 };
 
-// Exercises the span-instrumented scm flush path and the clerk fast paths so
-// the record's layer table covers the substrate this binary calibrates.
-void RunAttributionWorkload() {
-  auto* fx = Fixture();
-  auto* slot = reinterpret_cast<uint64_t*>(
-      fx->region->PtrAt(fx->region->size() - kScmPageSize));
-  char* dst = fx->region->PtrAt(fx->region->size() - 2 * kScmPageSize);
-  std::string src(4096, 'x');
-  for (uint64_t i = 0; i < 20000; ++i) {
-    fx->region->PersistU64(slot, i);
-  }
-  for (int i = 0; i < 2000; ++i) {
-    fx->region->StreamWrite(dst, src.data(), src.size());
-    fx->region->BFlush();
-  }
-  LockService service;
-  DirectLockClient stub(&service, 1);
-  LockClerk clerk(&stub);
-  service.RegisterClient(1, &clerk);
-  for (int i = 0; i < 20000; ++i) {
-    (void)clerk.Acquire(42, LockMode::kShared);
-    clerk.Release(42);
-  }
-}
-
 }  // namespace
 }  // namespace aerie
 
@@ -234,8 +210,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  SpanAttributionPass([] { aerie::RunAttributionWorkload(); });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

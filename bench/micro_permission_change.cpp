@@ -84,31 +84,6 @@ int main() {
     std::printf("\n");
   }
 
-  // Attribution pass: extent create/destroy persists through the SCM
-  // primitives, so the record carries scm-layer flush self-time.
-  SpanAttributionPass([&] {
-    auto region = ScmRegion::CreateAnonymous(64ull << 20);
-    BENCH_CHECK_OK(region);
-    ScmManager::Options options;
-    options.max_extents = 1 << 10;
-    auto mgr = ScmManager::Format(region->get(), options);
-    BENCH_CHECK_OK(mgr);
-    ProcessContext ctx({0});
-    (*mgr)->RegisterContext(&ctx);
-    for (int i = 0; i < 200; ++i) {
-      const uint64_t start = (*mgr)->data_start();
-      BENCH_CHECK_STATUS(
-          (*mgr)->CreateExtent(start, 4 * kScmPageSize, MakeAcl(0, 3)));
-      BENCH_CHECK_STATUS(
-          (*mgr)->TouchRange(&ctx, start, 4 * kScmPageSize, 1));
-      BENCH_CHECK_STATUS(
-          (*mgr)->MprotectExtent(start, MakeAcl(0, kAclRightRead)));
-      BENCH_CHECK_STATUS((*mgr)->MprotectExtent(start, MakeAcl(0, 3)));
-      BENCH_CHECK_STATUS((*mgr)->DestroyExtent(start));
-    }
-    (*mgr)->UnregisterContext(&ctx);
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

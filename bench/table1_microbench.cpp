@@ -98,27 +98,7 @@ int main() {
                 kPaper[row].ramfs, kPaper[row].ext3, kPaper[row].ext4);
   }
 
-  // Per-layer attribution pass: rerun the PXFS microbenches with trace
-  // spans enabled on a fresh SUT. Spans perturb measured latencies, so this
-  // runs after (and separately from) the main table's measurements; its
-  // breakdown comes solely from the obs registry.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FsInterface* fs = (*sut)->fs();
-    BENCH_CHECK_STATUS(fs->Mkdir("/micro"));
-    BENCH_CHECK_OK(BenchSeqRead(fs, "/micro", config));
-    BENCH_CHECK_OK(BenchSeqWrite(fs, "/micro", config));
-    BENCH_CHECK_OK(BenchRandRead(fs, "/micro", config, seed + 17));
-    BENCH_CHECK_OK(BenchRandWrite(fs, "/micro", config, seed + 18));
-    BENCH_CHECK_OK(BenchOpen(fs, "/micro", config));
-    BENCH_CHECK_OK(BenchCreate(fs, "/micro", config));
-    BENCH_CHECK_OK(BenchDelete(fs, "/micro", config));
-    BENCH_CHECK_OK(BenchAppend(fs, "/micro", config));
-  });
-  report.CaptureAttribution();
-
-  std::printf("\n== PXFS per-layer breakdown (instrumented pass) ==\n%s",
+  std::printf("\n== Per-layer breakdown of the measured runs ==\n%s",
               obs::LayerBreakdownText().c_str());
   std::printf("\nOBS_JSON %s\n", obs::DumpJson().c_str());
   FinishReport(report);

@@ -1,7 +1,6 @@
 // Table 2: average (and 95th-percentile) latency per workload operation for
 // the FileBench profiles on PXFS, PXFS-NNC, RamFS, ext3, ext4 (paper
 // §7.2.2).
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -74,19 +73,6 @@ int main() {
                 kPaper[p].ext4);
   }
 
-  // Attribution pass: a short span-mode Fileserver run on PXFS.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        seed);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

@@ -9,7 +9,6 @@
 // session) driven by its own thread, operating in its own directory to
 // avoid lock contention between clients — exactly the paper's setup modulo
 // the process/thread substitution (DESIGN.md §4).
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -160,19 +159,11 @@ int main() {
   std::printf("\n");
   // AERIE_OBS=spans AERIE_TRACE_FILE=trace.json turns the last configuration
   // into a loadable Perfetto timeline (client tracks + clerk/TFS activity).
-  // Written before the attribution pass below, which resets the recorder.
   const std::string trace_path = obs::WriteTraceFileIfConfigured();
   if (!trace_path.empty()) {
     std::printf("TRACE_FILE %s\n", trace_path.c_str());
   }
 
-  // Attribution pass: a short span-mode two-client Fileserver run.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    RunClients(sut->get(), 2, false, false, scale, std::min(seconds, 0.5));
-  });
-  report.CaptureAttribution();
   FinishReport(report);
   return 0;
 }

@@ -101,55 +101,35 @@ void BenchReport::AddValue(const std::string& name, double value,
 }
 
 void BenchReport::CaptureAttribution(size_t top_spans) {
-  layers_.clear();
-  hot_spans_.clear();
   // Flush profiler rings first so span cpu_ns includes samples from the
-  // final partial collector interval of the attribution pass.
+  // final partial collector interval of the measured run.
   if (prof::IsRunning()) {
     prof::DrainNow();
   }
   const auto snaps = Registry::Instance().Collect();
-  std::vector<LayerRow> layers;
-  std::vector<SpanRow> spans;
-  for (const MetricSnapshot& snap : snaps) {
-    if (snap.kind != Metric::Kind::kSpan || snap.hist.count() == 0) {
-      continue;
-    }
-    const std::string layer(LayerOf(snap.name));
-    auto it = std::find_if(layers.begin(), layers.end(),
-                           [&](const LayerRow& r) { return r.layer == layer; });
-    if (it == layers.end()) {
-      layers.push_back(LayerRow{});
-      it = layers.end() - 1;
-      it->layer = layer;
-    }
-    it->spans += snap.hist.count();
-    it->self_ns += snap.span_self_ns;
-    it->total_ns += snap.span_total_ns;
-    it->cpu_ns += snap.span_cpu_ns;
-    it->lock_wait_ns += snap.span_lock_wait_ns;
-    it->rpc_wait_ns += snap.span_rpc_wait_ns;
-    it->other_wait_ns += snap.span_other_wait_ns;
-    spans.push_back(SpanRow{snap.name, snap.hist.count(), snap.span_self_ns});
-  }
-  std::sort(layers.begin(), layers.end(),
+  layers_ = LayerRows(snaps);
+  std::stable_sort(layers_.begin(), layers_.end(),
             [](const LayerRow& a, const LayerRow& b) {
-              return a.self_ns > b.self_ns;
+              return a.cpu_ns > b.cpu_ns;
             });
-  std::sort(spans.begin(), spans.end(),
-            [](const SpanRow& a, const SpanRow& b) {
-              return a.self_ns > b.self_ns;
-            });
-  if (spans.size() > top_spans) {
-    spans.resize(top_spans);
+  hot_spans_.clear();
+  for (const MetricSnapshot& snap : snaps) {
+    if (snap.kind == Metric::Kind::kSpan && snap.span_cpu_ns != 0) {
+      hot_spans_.push_back(SpanRow{snap.name, snap.span_cpu_ns});
+    }
   }
-  layers_ = std::move(layers);
-  hot_spans_ = std::move(spans);
+  std::stable_sort(hot_spans_.begin(), hot_spans_.end(),
+            [](const SpanRow& a, const SpanRow& b) {
+              return a.cpu_ns > b.cpu_ns;
+            });
+  if (hot_spans_.size() > top_spans) {
+    hot_spans_.resize(top_spans);
+  }
 }
 
 std::string BenchReport::ToJson() const {
   std::string out = "{";
-  char buf[512];
+  char buf[32];
   std::snprintf(buf, sizeof(buf), "\"schema_version\":%d,",
                 kBenchReportSchemaVersion);
   out += buf;
@@ -192,30 +172,19 @@ std::string BenchReport::ToJson() const {
   }
   out += "],";
 
+  const auto us = [](uint64_t ns) {
+    return JsonNumber(static_cast<double>(ns) / 1e3);
+  };
   out += "\"layers\":[";
   for (size_t i = 0; i < layers_.size(); ++i) {
     const LayerRow& row = layers_[i];
     if (i != 0) {
       out += ",";
     }
-    // cpu/wait come from the profiling plane: cpu_us is sampled on-CPU time
-    // (zero when AERIE_PROF is off), *_wait_us is instrumented off-CPU time.
-    std::snprintf(buf, sizeof(buf),
-                  "{\"layer\":\"%s\",\"spans\":%llu,\"self_ns\":%llu,"
-                  "\"total_ns\":%llu,\"cpu_us\":%s,\"lock_wait_us\":%s,"
-                  "\"rpc_wait_us\":%s,\"other_wait_us\":%s}",
-                  JsonEscape(row.layer).c_str(),
-                  static_cast<unsigned long long>(row.spans),
-                  static_cast<unsigned long long>(row.self_ns),
-                  static_cast<unsigned long long>(row.total_ns),
-                  JsonNumber(static_cast<double>(row.cpu_ns) / 1e3).c_str(),
-                  JsonNumber(static_cast<double>(row.lock_wait_ns) / 1e3)
-                      .c_str(),
-                  JsonNumber(static_cast<double>(row.rpc_wait_ns) / 1e3)
-                      .c_str(),
-                  JsonNumber(static_cast<double>(row.other_wait_ns) / 1e3)
-                      .c_str());
-    out += buf;
+    out += "{\"layer\":\"" + JsonEscape(row.layer) + "\",\"cpu_us\":" +
+           us(row.cpu_ns) + ",\"lock_wait_us\":" + us(row.lock_wait_ns) +
+           ",\"rpc_wait_us\":" + us(row.rpc_wait_ns) +
+           ",\"other_wait_us\":" + us(row.other_wait_ns) + "}";
   }
   out += "],";
 
@@ -225,19 +194,8 @@ std::string BenchReport::ToJson() const {
     if (i != 0) {
       out += ",";
     }
-    const double mean_self_us =
-        row.count > 0
-            ? static_cast<double>(row.self_ns) / 1e3 /
-                  static_cast<double>(row.count)
-            : 0.0;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"count\":%llu,\"self_ns\":%llu,"
-                  "\"mean_self_us\":%s}",
-                  JsonEscape(row.name).c_str(),
-                  static_cast<unsigned long long>(row.count),
-                  static_cast<unsigned long long>(row.self_ns),
-                  JsonNumber(mean_self_us).c_str());
-    out += buf;
+    out += "{\"name\":\"" + JsonEscape(row.name) + "\",\"cpu_us\":" +
+           us(row.cpu_ns) + "}";
   }
   out += "]}";
   return out;

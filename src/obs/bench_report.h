@@ -7,10 +7,12 @@
 //   * config   — scale/seconds/threads/seed plus bench-specific knobs,
 //   * metrics  — named rows carrying ops/s and/or a latency distribution
 //     (p50/p95/p99 straight from aerie::Histogram) or a plain scalar,
-//   * attribution — per-layer exclusive self-time and the top span sites by
-//     self time, captured from the obs registry after a short span-mode
-//     pass (see bench::SpanAttributionPass), so every run doubles as a
-//     hot-path attribution report.
+//   * attribution — per-layer sampled CPU and off-CPU waits, and the
+//     spans ranked by sampled CPU, snapshotted from the obs registry at the
+//     end of the measured run itself. The CPU comes from the SIGPROF
+//     sampler (AERIE_PROF, src/obs/profiler.h), the waits from the
+//     instrumented wait sites (obs::ScopedWait); both charge the thread's
+//     layer tag, which counters mode keeps, so no separate pass is needed.
 //
 // The record is written to $AERIE_BENCH_JSON when that variable is set (the
 // driver points each binary at build/bench_reports/<name>.json); the
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/obs/obs.h"
 
 namespace aerie {
 namespace obs {
@@ -31,7 +34,7 @@ namespace obs {
 // Bump when the JSON layout changes shape (adding optional fields is not a
 // bump; renaming/removing/retyping is). tools/bench_schema.json and
 // tools/bench_diff.py track this constant.
-inline constexpr int kBenchReportSchemaVersion = 1;
+inline constexpr int kBenchReportSchemaVersion = 2;
 
 class BenchReport {
  public:
@@ -57,9 +60,9 @@ class BenchReport {
   void AddValue(const std::string& name, double value,
                 const std::string& unit);
 
-  // Snapshots per-layer exclusive self-time and the `top_spans` hottest
-  // span sites from the obs registry. Call after the bench's span-mode
-  // attribution pass; the snapshot replaces any previous capture.
+  // Snapshots per-layer sampled CPU and off-CPU waits, and the `top_spans`
+  // spans with the most sampled CPU, from the obs registry. Call once the
+  // measured run is done; the snapshot replaces any previous capture.
   void CaptureAttribution(size_t top_spans = 12);
 
   // Serializes the whole record as one JSON object.
@@ -86,23 +89,9 @@ class BenchReport {
     double value = 0;
     std::string unit;
   };
-  struct LayerRow {
-    std::string layer;
-    uint64_t spans = 0;
-    uint64_t self_ns = 0;
-    uint64_t total_ns = 0;
-    // Profiler plane: sampled CPU and attributed off-CPU wait (emitted as
-    // cpu_us/lock_wait_us/rpc_wait_us/other_wait_us — optional fields in
-    // the schema, so no version bump).
-    uint64_t cpu_ns = 0;
-    uint64_t lock_wait_ns = 0;
-    uint64_t rpc_wait_ns = 0;
-    uint64_t other_wait_ns = 0;
-  };
   struct SpanRow {
     std::string name;
-    uint64_t count = 0;
-    uint64_t self_ns = 0;
+    uint64_t cpu_ns = 0;
   };
 
   std::string bench_;

@@ -103,7 +103,7 @@ ScmLayerCounters& ScmLayerCountersFor(std::string_view layer) {
 }
 
 void AddWaitNsToCurrentSpan(WaitKind kind, uint64_t ns) {
-  if (!SpansOn()) {
+  if (!CountersOn()) {
     return;
   }
   SpanStat* stat = CurrentSpanTag();
@@ -113,13 +113,11 @@ void AddWaitNsToCurrentSpan(WaitKind kind, uint64_t ns) {
 }
 
 ScopedWait::ScopedWait(WaitKind kind, uint64_t* total_ns) {
-  const bool span_live = SpansOn() && CurrentSpanTag() != nullptr;
-  const bool want_total = total_ns != nullptr && CountersOn();
-  if (!span_live && !want_total) {
+  if (!CountersOn() || (CurrentSpanTag() == nullptr && total_ns == nullptr)) {
     return;
   }
   kind_ = kind;
-  total_ns_ = want_total ? total_ns : nullptr;
+  total_ns_ = total_ns;
   start_ns_ = NowNanos();
 }
 
@@ -495,24 +493,18 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-struct LayerRow {
-  std::string layer;
-  uint64_t spans = 0;
-  uint64_t self_ns = 0;
-  uint64_t total_ns = 0;
-  uint64_t cpu_ns = 0;
-  uint64_t lock_wait_ns = 0;
-  uint64_t rpc_wait_ns = 0;
-  uint64_t other_wait_ns = 0;
-};
+}  // namespace
 
 std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps) {
   std::map<std::string, LayerRow> layers;
   for (const MetricSnapshot& snap : snaps) {
     // Counters mode records no span calls, but the sampler still credits
-    // CPU through the layer tag; keep those rows.
+    // CPU and the wait sites still charge waits through the layer tag; keep
+    // those rows.
+    const uint64_t waited = snap.span_lock_wait_ns + snap.span_rpc_wait_ns +
+                            snap.span_other_wait_ns;
     if (snap.kind != Metric::Kind::kSpan ||
-        (snap.hist.count() == 0 && snap.span_cpu_ns == 0)) {
+        (snap.hist.count() == 0 && snap.span_cpu_ns == 0 && waited == 0)) {
       continue;
     }
     const std::string layer(LayerOf(snap.name));
@@ -533,8 +525,6 @@ std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string DumpText() {
   const auto snaps = Registry::Instance().Collect();

@@ -33,8 +33,9 @@
 // guarded by a single relaxed load + branch, so `off` costs one predictable
 // branch per call site. `counters` adds the layer tag (a clock-free TLS
 // store on span entry and exit); `spans` adds timing and trace events.
-// obs::SetMode() overrides the environment at runtime (benches enable span
-// mode only for their breakdown pass).
+// obs::SetMode() overrides the environment at runtime. Benches measure in
+// counters mode and take their per-layer CPU from the sampling profiler
+// (src/obs/profiler.h), so span mode is for traces and telemetry.
 //
 // Naming convention: `layer.op.metric`, e.g. `scm.flush.lines`,
 // `clerk.acquire.global`, `rpc.tfs.apply_batch.bytes_out`. Span names are
@@ -488,16 +489,18 @@ class ScopedSpan {
   detail::TraceLink trace_;
 };
 
-// Charges `ns` of off-CPU wait of `kind` to the calling thread's innermost
-// live span. No-op when spans are off or no span is live.
+// Charges `ns` of off-CPU wait of `kind` to the calling thread's layer tag
+// (its innermost live span). No-op when counters are off or no span is
+// live.
 void AddWaitNsToCurrentSpan(WaitKind kind, uint64_t ns);
 
-// RAII off-CPU wait measurement for an instrumented blocking site: charges
-// the wall time between construction and destruction as `kind` wait to the
-// calling thread's innermost live span. When `total_ns` is non-null the
-// measured time is also accumulated there whenever counters are on, even
+// RAII off-CPU wait measurement for an instrumented blocking site: whenever
+// counters are on, charges the wall time between construction and
+// destruction as `kind` wait to the calling thread's layer tag. When
+// `total_ns` is non-null the measured time is also accumulated there, even
 // without a live span — the lock service feeds lock.wait.latency_us from
-// it in plain counters mode. Inert (one clock-free branch) otherwise.
+// it. Inert (one clock-free branch) when counters are off, or when there is
+// neither a tag nor a total to charge.
 class ScopedWait {
  public:
   explicit ScopedWait(WaitKind kind, uint64_t* total_ns = nullptr);
@@ -583,6 +586,24 @@ class ScopedRegistration {
 };
 
 // --- Exporters (benches print these; EXPERIMENTS.md records the JSON) ---
+
+// One layer's span totals: the sums over every span whose name has the
+// layer prefix. spans/self_ns/total_ns are measured in span mode only;
+// cpu_ns (sampled) and the waits are charged through the layer tag in any
+// mode that keeps it.
+struct LayerRow {
+  std::string layer;
+  uint64_t spans = 0;
+  uint64_t self_ns = 0;
+  uint64_t total_ns = 0;
+  uint64_t cpu_ns = 0;
+  uint64_t lock_wait_ns = 0;
+  uint64_t rpc_wait_ns = 0;
+  uint64_t other_wait_ns = 0;
+};
+// Aggregates the span rows of a snapshot by layer, sorted by layer name. A
+// layer is kept when any of its spans was called, sampled or waited.
+std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps);
 
 // Human-readable dump of every metric, sorted by name.
 std::string DumpText();

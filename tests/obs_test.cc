@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/obs/bench_report.h"
+#include "src/obs/profiler.h"
 
 namespace aerie {
 namespace obs {
@@ -369,11 +372,17 @@ TEST_F(ObsTest, DumpJsonContainsMetricsAndLayers) {
   EXPECT_NE(table.find("testlayer"), std::string::npos);
 }
 
+// The record's attribution comes from the measured run in counters mode:
+// one sampled period and one lock wait charged through the layer tag.
 TEST_F(ObsTest, BenchReportJsonShape) {
-  SetMode(Mode::kSpans);
+  prof::Options opt;
+  opt.manual = true;
+  ASSERT_TRUE(prof::Start(opt));
   {
     AERIE_SPAN("benchlayer", "hot_op");
-    SpinDelayNanos(5'000);
+    const uintptr_t frames[1] = {0x10};
+    ASSERT_TRUE(prof::InjectSampleForTesting(CurrentSpanTag(), frames, 1));
+    AddWaitNsToCurrentSpan(WaitKind::kLock, 3'000);
   }
   BenchReport report("unit_test_bench");
   report.SetConfig("scale", 0.5);
@@ -385,9 +394,13 @@ TEST_F(ObsTest, BenchReportJsonShape) {
   report.AddThroughput("pxfs.iters", 1234.5);
   report.AddValue("vfs.stat.avg_us", 3.25, "us");
   report.CaptureAttribution();
+  const double cpu_us =
+      static_cast<double>(prof::GetStats().period_ns) / 1e3;
+  prof::Stop();
+  prof::ResetForTesting();
 
   const std::string json = report.ToJson();
-  EXPECT_EQ(json.rfind("{\"schema_version\":1,", 0), 0u);
+  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);
   EXPECT_NE(json.find("\"bench\":\"unit_test_bench\""), std::string::npos);
   EXPECT_NE(json.find("\"git_sha\":"), std::string::npos);
   EXPECT_NE(json.find("\"scale\":0.5"), std::string::npos);
@@ -399,11 +412,34 @@ TEST_F(ObsTest, BenchReportJsonShape) {
   EXPECT_NE(json.find("\"name\":\"pxfs.iters\",\"ops_per_sec\":1234.5"),
             std::string::npos);
   EXPECT_NE(json.find("\"value\":3.25,\"unit\":\"us\""), std::string::npos);
-  // The span recorded above must surface both as a layer row and a ranked
-  // hot-span row.
-  EXPECT_NE(json.find("\"layer\":\"benchlayer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"benchlayer.hot_op\",\"count\":1"),
-            std::string::npos);
+  // The sample and the wait surface as the layer's row, and the sampled
+  // span as a ranked hot-span row.
+  char row[160];
+  std::snprintf(row, sizeof(row),
+                "{\"layer\":\"benchlayer\",\"cpu_us\":%.12g,"
+                "\"lock_wait_us\":3,\"rpc_wait_us\":0,\"other_wait_us\":0}",
+                cpu_us);
+  EXPECT_NE(json.find(row), std::string::npos) << json;
+  std::snprintf(row, sizeof(row),
+                "{\"name\":\"benchlayer.hot_op\",\"cpu_us\":%.12g}", cpu_us);
+  EXPECT_NE(json.find(row), std::string::npos) << json;
+}
+
+// A layer whose spans only waited (no call timed, no sample taken) still
+// gets a row, so a record shows where a run blocked.
+TEST_F(ObsTest, LayerRowsKeepWaitOnlyLayers) {
+  {
+    AERIE_SPAN("waitonly", "blocked");
+    AddWaitNsToCurrentSpan(WaitKind::kRpc, 7'000);
+  }
+  const auto rows = LayerRows(Registry::Instance().Collect());
+  const auto it = std::find_if(rows.begin(), rows.end(), [](const LayerRow& r) {
+    return r.layer == "waitonly";
+  });
+  ASSERT_NE(it, rows.end());
+  EXPECT_EQ(it->spans, 0u);
+  EXPECT_EQ(it->cpu_ns, 0u);
+  EXPECT_EQ(it->rpc_wait_ns, 7'000u);
 }
 
 TEST_F(ObsTest, RpcMethodStatsUseRegisteredNames) {

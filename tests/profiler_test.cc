@@ -7,7 +7,8 @@
 //   * folded-stack export determinism with a synthetic span workload,
 //   * counters-mode attribution through the layer tag (sample rings, span
 //     cpu_ns and the layer tables without span-mode timing),
-//   * off-CPU lock-wait attribution for a deliberately contended lock,
+//   * off-CPU lock-wait attribution for a deliberately contended lock, in
+//     span mode and in counters mode,
 //   * composition of SIGPROF + SIGUSR1 sigdump + the CHECK-failure
 //     post-mortem dump firing concurrently (ISSUE satellite: the three
 //     signal consumers must coexist).
@@ -255,12 +256,23 @@ class NullSink : public RevocationSink {
   void OnRevoke(LockId, LockMode) override {}
 };
 
+// Runs its test once per obs mode that keeps the layer tag: span mode, and
+// counters mode, where bench records take their waits from.
+class ProfilerModeTest : public ProfilerTest,
+                         public ::testing::WithParamInterface<Mode> {
+ protected:
+  void SetUp() override {
+    ProfilerTest::SetUp();
+    SetMode(GetParam());
+  }
+};
+
 // A deliberately contended lock: client 2 blocks in
 // LockService::Acquire(wait=true) while client 1 holds the lock
 // exclusively for ~20ms. The blocked span must accumulate lock_wait_ns,
 // the lock.wait.latency_us histogram must record the wait, and the
 // lock.waiters gauge must return to zero.
-TEST_F(ProfilerTest, ContendedLockAttributesOffCpuWait) {
+TEST_P(ProfilerModeTest, ContendedLockAttributesOffCpuWait) {
   LockService service;
   NullSink sink1, sink2;
   service.RegisterClient(1, &sink1);
@@ -298,6 +310,13 @@ TEST_F(ProfilerTest, ContendedLockAttributesOffCpuWait) {
   EXPECT_EQ(Registry::Instance().GetGauge("lock.waiters").value(), 0);
   EXPECT_TRUE(service.Release(2, 100).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, ProfilerModeTest,
+                         ::testing::Values(Mode::kSpans, Mode::kCounters),
+                         [](const ::testing::TestParamInfo<Mode>& mode) {
+                           return mode.param == Mode::kSpans ? "spans"
+                                                             : "counters";
+                         });
 
 // ScopedWait in counters-only mode: no span to attribute to, but the
 // total_ns accumulator (what lock.wait.latency_us is built from) must

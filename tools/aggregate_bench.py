@@ -5,9 +5,10 @@ tools/run_benches.sh points each bench binary at its own record file via
 AERIE_BENCH_JSON, then calls this to merge them into the trajectory file
 that gets checked in per PR and diffed by tools/bench_diff.py.
 
-Also prints the ranked hot-path table: span self-time merged across every
-bench's attribution pass, so one glance shows where the implementation
-spends its time (paper Fig 1 flavor, but continuously tracked).
+Also prints the ranked hot-path table: each span's sampled CPU merged
+across every bench's measured run, so one glance shows where the
+implementation spends its time (paper Fig 1 flavor, but continuously
+tracked).
 
 Stdlib only — CI runs this with no installed packages.
 
@@ -40,22 +41,19 @@ def load_records(paths):
 
 
 def hot_path_table(records, top=15):
-    """Merge hot_spans across records; rank by total self-time."""
-    merged = {}  # span name -> [self_ns, count, set(benches)]
+    """Merge hot_spans across records; rank by total sampled CPU."""
+    merged = {}  # span name -> [cpu_us, set(benches)]
     for bench, record in records.items():
         for span in record.get("hot_spans", []):
-            entry = merged.setdefault(span["name"], [0, 0, set()])
-            entry[0] += span["self_ns"]
-            entry[1] += span["count"]
-            entry[2].add(bench)
+            entry = merged.setdefault(span["name"], [0.0, set()])
+            entry[0] += span["cpu_us"]
+            entry[1].add(bench)
     rows = sorted(merged.items(), key=lambda kv: kv[1][0], reverse=True)
-    total_self = sum(e[0] for e in merged.values()) or 1
-    lines = ["%-28s %10s %12s %8s  %s" %
-             ("span", "self(ms)", "count", "share", "benches")]
-    for name, (self_ns, count, benches) in rows[:top]:
-        lines.append("%-28s %10.2f %12d %7.1f%%  %s" %
-                     (name, self_ns / 1e6, count,
-                      100.0 * self_ns / total_self,
+    total_cpu = sum(e[0] for e in merged.values()) or 1
+    lines = ["%-28s %10s %8s  %s" % ("span", "cpu(ms)", "share", "benches")]
+    for name, (cpu_us, benches) in rows[:top]:
+        lines.append("%-28s %10.2f %7.1f%%  %s" %
+                     (name, cpu_us / 1e3, 100.0 * cpu_us / total_cpu,
                       ",".join(sorted(benches)[:3]) +
                       ("..." if len(benches) > 3 else "")))
     return "\n".join(lines)
@@ -82,7 +80,7 @@ def main(argv=None):
         return 1
 
     aggregate = {
-        "schema_version": 1,
+        "schema_version": 2,
         "generated_utc": datetime.datetime.now(datetime.timezone.utc)
                          .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "git_sha": args.git_sha,
@@ -103,7 +101,7 @@ def main(argv=None):
     print("aggregate_bench: wrote %s (%d benches, %d metrics, git=%s%s)" %
           (args.out, len(records), metric_count, args.git_sha,
            ", quick" if args.quick else ""))
-    print("\n# Hot paths (span self-time across all attribution passes)")
+    print("\n# Hot paths (sampled span CPU across all measured runs)")
     print(hot_path_table(records))
     return 0
 

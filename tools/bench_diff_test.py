@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_diff.py (and the schema validator's core,
-plus validate_profile.py's no-span-share gate).
+plus validate_profile.py's no-span-share and record gates).
 
 Builds synthetic aggregates, perturbs them, and asserts the gate fires on a
 real regression (20% throughput drop, 2x p99) but not on within-noise
@@ -25,7 +25,7 @@ def make_aggregate():
     hist = {"count": 1000, "min": 800, "mean": 1500.0, "p50": 1400,
             "p95": 2600, "p99": 4000, "max": 9000}
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "generated_utc": "2026-08-08T00:00:00Z",
         "git_sha": "abc123",
         "quick": False,
@@ -33,7 +33,7 @@ def make_aggregate():
         "host": {"os": "Linux", "machine": "x86_64", "cpus": 4},
         "benches": {
             "table2_filebench": {
-                "schema_version": 1,
+                "schema_version": 2,
                 "bench": "table2_filebench",
                 "git_sha": "abc123",
                 "config": {"scale": 0.05, "seconds": 0.5},
@@ -45,13 +45,28 @@ def make_aggregate():
                     {"name": "vfs.share", "value": 40.0, "unit": "percent"},
                     {"name": "BM_PersistU64", "value": 55.0, "unit": "ns/op"},
                 ],
-                "layers": [{"layer": "tfs", "spans": 100,
-                            "self_ns": 5000000, "total_ns": 9000000}],
-                "hot_spans": [{"name": "tfs.write", "count": 100,
-                               "self_ns": 5000000, "mean_self_us": 50.0}],
+                "layers": [{"layer": "tfs", "cpu_us": 5000.0,
+                            "lock_wait_us": 120.0, "rpc_wait_us": 0,
+                            "other_wait_us": 0}],
+                "hot_spans": [{"name": "tfs.write", "cpu_us": 5000.0}],
             }
         },
     }
+
+
+def make_v1_aggregate():
+    """The same sweep in the schema v1 shape of the checked-in baselines
+    (BENCH_20260808.json, bench/overhead/, bench/direct/): span-mode layer
+    rows and hot spans ranked by self time."""
+    old = make_aggregate()
+    old["schema_version"] = 1
+    record = old["benches"]["table2_filebench"]
+    record["schema_version"] = 1
+    record["layers"] = [{"layer": "tfs", "spans": 100, "self_ns": 5000000,
+                         "total_ns": 9000000}]
+    record["hot_spans"] = [{"name": "tfs.write", "count": 100,
+                            "self_ns": 5000000, "mean_self_us": 50.0}]
+    return old
 
 
 def write_tmp(data, directory):
@@ -149,6 +164,17 @@ class BenchDiffTest(unittest.TestCase):
         # A record without any pair must not pass silently.
         self.assertEqual(bench_diff.main([self.base_path] + pair), 2)
 
+    def test_v1_baseline_diffs_against_v2_sweep(self):
+        # bench_diff compares only metrics, so CI's gate against a v1
+        # baseline keeps working after the record's attribution changed.
+        v1_path = write_tmp(make_v1_aggregate(), self.tmp.name)
+        same = write_tmp(copy.deepcopy(self.base), self.tmp.name)
+        self.assertEqual(bench_diff.main([v1_path, same]), 0)
+        new = copy.deepcopy(self.base)
+        self.metrics(new)[0]["ops_per_sec"] *= 0.80
+        self.assertEqual(
+            bench_diff.main([v1_path, write_tmp(new, self.tmp.name)]), 1)
+
     def test_improvement_passes(self):
         new = copy.deepcopy(self.base)
         self.metrics(new)[0]["ops_per_sec"] *= 1.5
@@ -173,6 +199,11 @@ class ValidateBenchTest(unittest.TestCase):
         path = write_tmp(bad, self.tmp.name)
         self.assertEqual(validate_bench.main([path]), 1)
 
+    def test_v1_aggregate_rejected(self):
+        # v1 layer rows carry span-mode self time the record no longer has.
+        path = write_tmp(make_v1_aggregate(), self.tmp.name)
+        self.assertEqual(validate_bench.main([path]), 1)
+
     def test_unknown_key_rejected(self):
         bad = make_aggregate()
         bad["benches"]["table2_filebench"]["metrics"][0]["bogus"] = 1
@@ -187,7 +218,8 @@ class ValidateBenchTest(unittest.TestCase):
 
 
 class ValidateProfileGateTest(unittest.TestCase):
-    """The --max-no-span-share gate of tools/validate_profile.py."""
+    """The --max-no-span-share and --record gates of
+    tools/validate_profile.py."""
 
     ENTRIES = [
         (["(none)", "(no_span)", "main", "RunForSeconds", "Loop"], 3),
@@ -202,6 +234,15 @@ class ValidateProfileGateTest(unittest.TestCase):
     def test_frame_absent_yields_none(self):
         self.assertIsNone(
             validate_profile.no_span_share(self.ENTRIES, "NoSuchFrame"))
+
+    def test_record_gap_counts_only_span_tagged_samples(self):
+        doc = {"period_ns": 1000000, "stacks": [
+            {"layer": "pxfs", "span": "pxfs.open", "count": 7},
+            {"layer": "(none)", "span": "(no_span)", "count": 50},
+        ]}
+        record = {"layers": [{"layer": "pxfs", "cpu_us": 6000.0},
+                             {"layer": "tfs", "cpu_us": 0.0}]}
+        self.assertEqual(validate_profile.record_cpu_gap(doc, record), (6, 7))
 
     def test_span_names_are_not_frames(self):
         # "pxfs.open" is the span column, not a stack frame.

@@ -21,10 +21,12 @@
 # AERIE_BENCH_SCALE=1.0 with longer windows reproduces the paper's
 # configurations on bigger machines.
 #
-# Profiling: the SIGPROF sampler (src/obs/profiler.cc) is on by default so
-# every record carries per-layer cpu_us / lock_wait_us / rpc_wait_us and each
-# bench leaves <name>.folded + <name>.prof.json next to its record (feed the
-# .folded file to flamegraph.pl or speedscope). AERIE_PROF=0 disables it.
+# Attribution: every bench runs once, in counters mode, with the SIGPROF
+# sampler (src/obs/profiler.cc) on. Its record's per-layer cpu_us and the
+# hot spans are that run's samples, and the lock/rpc/other waits are that
+# run's instrumented waits. Each bench also leaves <name>.folded +
+# <name>.prof.json under bench_reports/profiles/ (feed the .folded file to
+# flamegraph.pl or speedscope).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -53,7 +55,6 @@ if [[ ! -x "$BUILD/bench/table1_microbench" ]]; then
 fi
 
 export AERIE_BENCH_SEED="${AERIE_BENCH_SEED:-42}"
-export AERIE_PROF="${AERIE_PROF:-1}"
 export AERIE_GIT_SHA="${AERIE_GIT_SHA:-$(git -C "$ROOT" rev-parse --short=12 HEAD 2>/dev/null || echo unknown)}"
 if [[ -z "$OUT" ]]; then
   OUT="$ROOT/BENCH_$(date -u +%Y%m%d).json"
@@ -67,11 +68,10 @@ rm -rf "$REPORTS"
 mkdir -p "$REPORTS" "$PROFILES"
 
 # run_bench <binary> <scale> <seconds> [threads] [extra args...]
-# Measurement runs in counters mode; each binary flips to span mode itself
-# for its short attribution pass, so spans never perturb the numbers. When
-# AERIE_PROF=1 the sampler runs for the whole process and the folded-stack /
-# profile-JSON artifacts land next to the record; each pair is validated
-# right after the run so a silently-empty profile fails the sweep.
+# One profiled run per binary: the record, the folded stacks and the profile
+# JSON all describe the run whose numbers the record reports. The profile
+# pair is validated right after the run so a silently-empty profile fails
+# the sweep.
 run_bench() {
   local name="$1" scale="$2" seconds="$3" threads="${4:-1}"
   shift 4 || shift $#
@@ -80,23 +80,18 @@ run_bench() {
   fi
   echo
   echo "=== $name (scale=$scale seconds=$seconds threads=$threads) ==="
-  local prof_env=()
-  if [[ "$AERIE_PROF" == 1 ]]; then
-    prof_env=(AERIE_PROF_FOLDED="$PROFILES/$name.folded"
-              AERIE_PROF_JSON="$PROFILES/$name.prof.json")
-  fi
   env AERIE_OBS=counters \
+      AERIE_PROF=1 \
+      AERIE_PROF_FOLDED="$PROFILES/$name.folded" \
+      AERIE_PROF_JSON="$PROFILES/$name.prof.json" \
       AERIE_BENCH_SCALE="$scale" \
       AERIE_BENCH_SECONDS="$seconds" \
       AERIE_BENCH_THREADS="$threads" \
       AERIE_BENCH_JSON="$REPORTS/$name.json" \
-      "${prof_env[@]}" \
     "$BUILD/bench/$name" "$@"
-  if [[ "$AERIE_PROF" == 1 ]]; then
-    python3 "$ROOT/tools/validate_profile.py" \
-      --folded "$PROFILES/$name.folded" --json "$PROFILES/$name.prof.json" \
-      --min-samples 1
-  fi
+  python3 "$ROOT/tools/validate_profile.py" \
+    --folded "$PROFILES/$name.folded" --json "$PROFILES/$name.prof.json" \
+    --min-samples 1
 }
 
 if [[ "$QUICK" == 1 ]]; then

@@ -25,6 +25,14 @@ Semantic gates:
                     stack has a frame containing FRAME, at most share F may
                     fold under `(none);(no_span)`, i.e. carry no layer tag.
                     Fails when no stack contains FRAME.
+  --record R        consistency gate (needs --json): the bench record R
+                    (AERIE_BENCH_JSON) of the same process must attribute
+                    the profile's span-tagged CPU: its layers' summed cpu_us,
+                    in samples of period_ns, may not exceed the JSON's
+                    span-tagged count, nor fall short of it by more than
+                    RECORD_CPU_TOLERANCE. The record is snapshotted before
+                    the profile's final drain at exit, so it can only miss
+                    the last samples.
 
 Exit code 0 when every named artifact conforms, 1 with per-path errors.
 
@@ -33,6 +41,7 @@ Usage:
   tools/validate_profile.py --folded prof.folded --json prof.json
   tools/validate_profile.py --folded prof.folded \
       --within RunForSeconds --max-no-span-share 0.10
+  tools/validate_profile.py --json prof.json --record record.json
 """
 
 import argparse
@@ -49,6 +58,12 @@ from validate_bench import Validator  # noqa: E402
 FOLDED_LINE = re.compile(r"^([^ ;]+(?:;[^ ;]+)+) (\d+)$")
 # Samples taken outside any span (no layer tag) fold under this prefix.
 NO_SPAN_PREFIX = ["(none)", "(no_span)"]
+# Largest share of the profile's span-tagged CPU a bench record may miss.
+# Measured: ablation_lock_modes at the ctest scale (0.02, 0.2 s) missed 0
+# of 109-116 samples in 10 of 10 runs, and every record of a --quick sweep
+# but fig1's missed 0 (fig1 resets the registry after building its tree).
+# 2% leaves room for a sample or two landing in the exit path.
+RECORD_CPU_TOLERANCE = 0.02
 
 
 def read_folded(path, errors):
@@ -103,17 +118,26 @@ def no_span_share(entries, frame):
     return None if within == 0 else (untagged / within, untagged, within)
 
 
+def record_cpu_gap(doc, record):
+    """(record, profile) span-tagged CPU of one process, in samples."""
+    period_us = doc["period_ns"] / 1e3
+    record_us = sum(layer["cpu_us"] for layer in record.get("layers", []))
+    tagged = sum(s["count"] for s in doc.get("stacks", [])
+                 if s["span"] != NO_SPAN_PREFIX[1])
+    return round(record_us / period_us), tagged
+
+
 def check_json(path, schema_path, errors):
-    """Returns the json document's sample count."""
+    """Returns the parsed profile JSON (None if unreadable)."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except OSError as e:
         errors.append("%s: cannot read: %s" % (path, e))
-        return 0
+        return None
     except json.JSONDecodeError as e:
         errors.append("%s: invalid JSON: %s" % (path, e))
-        return 0
+        return None
     with open(schema_path) as f:
         schema = json.load(f)
     validator = Validator(schema)
@@ -125,7 +149,7 @@ def check_json(path, schema_path, errors):
     if stack_total > doc.get("samples", 0):
         errors.append("%s: stack counts sum to %d > samples %d"
                       % (path, stack_total, doc.get("samples", 0)))
-    return doc.get("samples", 0)
+    return doc
 
 
 def main():
@@ -142,6 +166,9 @@ def main():
     parser.add_argument("--max-no-span-share", type=float, default=None)
     parser.add_argument("--within", metavar="FRAME",
                         help="frame substring scoping --max-no-span-share")
+    parser.add_argument("--record",
+                        help="bench record whose layer cpu_us must match "
+                             "the --json profile")
     args = parser.parse_args()
     if not args.folded and not args.json_path:
         parser.error("nothing to validate: pass --folded and/or --json")
@@ -149,10 +176,12 @@ def main():
         parser.error("--max-no-span-share and --within go together")
     if args.max_no_span_share is not None and not args.folded:
         parser.error("--max-no-span-share needs --folded")
+    if args.record and not args.json_path:
+        parser.error("--record needs --json")
 
     errors = []
     folded_total = json_total = 0
-    share = None
+    share = gap = None
     if args.folded:
         entries = read_folded(args.folded, errors)
         folded_total = check_folded(args.folded, entries, errors)
@@ -168,7 +197,23 @@ def main():
                                  args.within, share[0],
                                  args.max_no_span_share))
     if args.json_path:
-        json_total = check_json(args.json_path, args.schema, errors)
+        doc = check_json(args.json_path, args.schema, errors)
+        json_total = doc.get("samples", 0) if doc else 0
+        if doc and args.record:
+            try:
+                with open(args.record) as f:
+                    gap = record_cpu_gap(doc, json.load(f))
+            except (OSError, ValueError) as e:
+                errors.append("%s: cannot read: %s" % (args.record, e))
+            else:
+                recorded, tagged = gap
+                if not tagged * (1 - RECORD_CPU_TOLERANCE) <= recorded \
+                        <= tagged:
+                    errors.append(
+                        "%s: layers' cpu_us sum to %d samples, profile %s "
+                        "has %d span-tagged samples (allowed: %.0f%% fewer, "
+                        "none more)" % (args.record, recorded, args.json_path,
+                                        tagged, 100 * RECORD_CPU_TOLERANCE))
 
     if args.min_samples > 0:
         if args.folded and folded_total < args.min_samples:
@@ -191,6 +236,8 @@ def main():
                      % (args.within, share[0], share[1], share[2]))
     if args.json_path:
         parts.append("%s (%d samples)" % (args.json_path, json_total))
+    if gap is not None:
+        parts.append("record holds %d of %d span-tagged samples" % gap)
     print("OK: " + ", ".join(parts))
     return 0
 
