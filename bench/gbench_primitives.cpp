@@ -60,6 +60,27 @@ void BM_StreamWriteBFlush4K(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamWriteBFlush4K);
 
+// Run-sized copies: the direct path streams each extent run with one call,
+// so a file write of 64 KiB or 1 MiB in one run is one StreamWrite.
+void BM_StreamWriteBFlush(benchmark::State& state) {
+  auto* fx = Fixture();
+  const auto bytes = static_cast<size_t>(state.range(0));
+  auto dst = fx->volume->context().alloc->AllocBytes(bytes);
+  if (!dst.ok()) {
+    state.SkipWithError(dst.status().ToString().c_str());
+    return;
+  }
+  std::string src(bytes, 'x');
+  for (auto _ : state) {
+    fx->region->StreamWrite(fx->region->PtrAt(*dst), src.data(), src.size());
+    fx->region->BFlush();
+    benchmark::ClobberMemory();
+  }
+  (void)fx->volume->context().alloc->FreeBytes(*dst, bytes);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_StreamWriteBFlush)->Arg(64 << 10)->Arg(1 << 20);
+
 void BM_CollectionInsert(benchmark::State& state) {
   auto* fx = Fixture();
   auto coll = Collection::Create(fx->volume->context(), 0);
@@ -105,6 +126,32 @@ void BM_MFileRead4K(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_MFileRead4K);
+
+// The direct read path over one 32-page extent run: one memcpy per call.
+void BM_MFileReadDirect32PageRun(benchmark::State& state) {
+  constexpr uint64_t kPages = 32;
+  auto* fx = Fixture();
+  OsdContext ctx = fx->volume->context();
+  auto file = MFile::Create(ctx, 0);
+  std::vector<uint64_t> run;
+  if (!file.ok() ||
+      !ctx.alloc->AllocPages(kPages, BuddyAllocator::kMaxOrder, &run).ok() ||
+      !file->AttachRun(0, run[0], kPages).ok() ||
+      !file->SetSize(kPages * kScmPageSize).ok()) {
+    state.SkipWithError("cannot build a 32-page run");
+    return;
+  }
+  const MFile::DirectExtentMap map = file->SnapshotExtents(0, kPages);
+  std::string buf(kPages * kScmPageSize, '\0');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MFile::ReadDirect(
+        ctx.region, map, 0, std::span<char>(buf.data(), buf.size())));
+  }
+  (void)file->Destroy();
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               kPages * kScmPageSize));
+}
+BENCHMARK(BM_MFileReadDirect32PageRun);
 
 void BM_OidEncodeDecode(benchmark::State& state) {
   uint64_t offset = 64;

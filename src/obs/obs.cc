@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include <cstdio>
 #include <cstdlib>
@@ -341,7 +342,9 @@ void Registry::ResetAll() {
 }
 
 void ResetAll() {
-  Registry::Instance().ResetAll();
+  // A drain credits each sample to the folded profile and to its span's
+  // cpu_ns together, so both restart under one drain lock.
+  prof::Reset([] { Registry::Instance().ResetAll(); });
   ResetFlightRecorder();
 }
 

@@ -615,7 +615,9 @@ std::string DumpJson();
 // Per-layer table (layer, spans, self ms, mean self us) from span data.
 std::string LayerBreakdownText();
 
-// Zeroes all metrics (alias for Registry::Instance().ResetAll()).
+// Zeroes all metrics, the flight recorder and the sampling profiler's
+// folded aggregate (Registry::ResetAll plus prof::Reset), so span cpu_ns
+// and the profile restart from the same point.
 void ResetAll();
 
 // --- SCM write-amplification accounting -----------------------------------

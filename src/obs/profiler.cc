@@ -650,7 +650,7 @@ bool InjectSampleForTesting(SpanStat* span, const uintptr_t* frames,
   return true;
 }
 
-void ResetForTesting() {
+void Reset(const std::function<void()>& also) {
   GlobalState& g = G();
   std::lock_guard drain(g.drain_mu);
   std::vector<std::shared_ptr<Ring>> rings;
@@ -664,10 +664,15 @@ void ResetForTesting() {
                      std::memory_order_release);
     ring->dropped.store(0, std::memory_order_relaxed);
   }
-  std::lock_guard lk(g.agg_mu);
-  g.agg.clear();
-  g.samples.store(0, std::memory_order_relaxed);
-  g_no_ring.store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard lk(g.agg_mu);
+    g.agg.clear();
+    g.samples.store(0, std::memory_order_relaxed);
+    g_no_ring.store(0, std::memory_order_relaxed);
+  }
+  if (also) {
+    also();
+  }
 }
 
 }  // namespace prof

@@ -33,6 +33,7 @@
 #define AERIE_SRC_OBS_PROFILER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "src/obs/obs.h"
@@ -106,12 +107,17 @@ std::string TopText(size_t top_n = 20);
 // name files; drains first. Returns true if anything was written.
 bool WriteProfileFilesIfConfigured();
 
-// Test hooks. InjectSampleForTesting appends one synthetic sample to the
-// calling thread's ring exactly as the signal handler would (registering
-// the thread if needed); returns false on ring overflow, which it counts.
+// Discards pending samples and the folded aggregate, then runs `also`
+// while still holding the drain lock, so no drain lands between the two.
+// obs::ResetAll passes the registry reset, which zeroes span cpu_ns: a
+// record and the profile of the same process then count the same samples.
+void Reset(const std::function<void()>& also = nullptr);
+
+// Test hook: appends one synthetic sample to the calling thread's ring
+// exactly as the signal handler would (registering the thread if needed);
+// returns false on ring overflow, which it counts.
 bool InjectSampleForTesting(SpanStat* span, const uintptr_t* frames,
                             int num_frames);
-void ResetForTesting();
 
 }  // namespace prof
 }  // namespace obs

@@ -61,6 +61,34 @@ Result<uint64_t> AllocZeroedBlock(const OsdContext& ctx) {
   return *off;
 }
 
+// Visits file bytes [offset, offset + len) one run at a time. A run is a
+// stretch of pages each backed by the region page after its predecessor's,
+// or a stretch of holes; extent_of(page) gives the region offset backing
+// `page`, 0 for a hole. fn(done, at, chunk) gets the bytes visited before
+// the run, the region offset of the run's first byte (0 in a hole) and the
+// run's length in bytes, so each run costs one copy.
+template <typename ExtentOf, typename Fn>
+void ForEachRun(uint64_t offset, uint64_t len, ExtentOf extent_of, Fn fn) {
+  const uint64_t end_page = (offset + len + kScmPageSize - 1) / kScmPageSize;
+  uint64_t done = 0;
+  while (done < len) {
+    const uint64_t pos = offset + done;
+    const uint64_t page = pos / kScmPageSize;
+    const uint64_t extent = extent_of(page);
+    uint64_t pages = 1;
+    while (page + pages < end_page &&
+           extent_of(page + pages) ==
+               (extent == 0 ? 0 : extent + pages * kScmPageSize)) {
+      pages++;
+    }
+    const uint64_t in_page = pos % kScmPageSize;
+    const uint64_t chunk =
+        std::min(len - done, pages * kScmPageSize - in_page);
+    fn(done, extent == 0 ? 0 : extent + in_page, chunk);
+    done += chunk;
+  }
+}
+
 }  // namespace
 
 Result<MFile> MFile::Create(const OsdContext& ctx, uint32_t acl) {
@@ -190,22 +218,17 @@ Result<uint64_t> MFile::Read(uint64_t offset, std::span<char> out) const {
                 want);
     return want;
   }
-  uint64_t done = 0;
-  while (done < want) {
-    const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
-    const uint64_t in_page = pos % kScmPageSize;
-    const uint64_t chunk = std::min(want - done, kScmPageSize - in_page);
-    auto extent = ExtentForPage(page);
-    if (extent.ok()) {
-      std::memcpy(out.data() + done, ctx_.region->PtrAt(*extent) + in_page,
-                  chunk);
-    } else {
-      std::memset(out.data() + done, 0, chunk);  // sparse hole reads zero
-    }
-    done += chunk;
-  }
-  return done;
+  ForEachRun(
+      offset, want,
+      [this](uint64_t page) { return ExtentForPage(page).value_or(0); },
+      [&](uint64_t done, uint64_t at, uint64_t chunk) {
+        if (at != 0) {
+          std::memcpy(out.data() + done, ctx_.region->PtrAt(at), chunk);
+        } else {
+          std::memset(out.data() + done, 0, chunk);  // sparse hole reads zero
+        }
+      });
+  return want;
 }
 
 void MFile::DirectExtentMap::Own(uint64_t first, uint64_t last) {
@@ -267,21 +290,16 @@ uint64_t MFile::ReadDirect(ScmRegion* region, const DirectExtentMap& map,
     return 0;
   }
   const uint64_t want = std::min<uint64_t>(out.size(), map.size - offset);
-  uint64_t done = 0;
-  while (done < want) {
-    const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
-    const uint64_t in_page = pos % kScmPageSize;
-    const uint64_t chunk = std::min(want - done, kScmPageSize - in_page);
-    const uint64_t extent = map.extent(page);
-    if (extent != 0) {
-      std::memcpy(out.data() + done, region->PtrAt(extent) + in_page, chunk);
-    } else {
-      std::memset(out.data() + done, 0, chunk);  // sparse hole reads zero
-    }
-    done += chunk;
-  }
-  return done;
+  ForEachRun(
+      offset, want, [&map](uint64_t page) { return map.extent(page); },
+      [&](uint64_t done, uint64_t at, uint64_t chunk) {
+        if (at != 0) {
+          std::memcpy(out.data() + done, region->PtrAt(at), chunk);
+        } else {
+          std::memset(out.data() + done, 0, chunk);  // sparse hole reads zero
+        }
+      });
+  return want;
 }
 
 Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
@@ -299,17 +317,11 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
       return Status(ErrorCode::kNotFound, "hole");
     }
   }
-  uint64_t done = 0;
-  while (done < data.size()) {
-    const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
-    const uint64_t in_page = pos % kScmPageSize;
-    const uint64_t chunk =
-        std::min<uint64_t>(data.size() - done, kScmPageSize - in_page);
-    region->StreamWrite(region->PtrAt(map.extent(page)) + in_page,
-                        data.data() + done, chunk);
-    done += chunk;
-  }
+  ForEachRun(
+      offset, data.size(), [&map](uint64_t page) { return map.extent(page); },
+      [&](uint64_t done, uint64_t at, uint64_t chunk) {
+        region->StreamWrite(region->PtrAt(at), data.data() + done, chunk);
+      });
   // Every PXFS data write, pinned or locked, ends here: this drain is its
   // entire durability story, so it is a registered mutation target
   // (suppressing it must fail crash_sim).
@@ -337,19 +349,14 @@ Status MFile::WriteInPlace(uint64_t offset, std::span<const char> data) {
   for (uint64_t p = first_page; p <= last_page; ++p) {
     AERIE_RETURN_IF_ERROR(ExtentForPage(p).status());
   }
-  uint64_t done = 0;
-  while (done < data.size()) {
-    const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
-    const uint64_t in_page = pos % kScmPageSize;
-    const uint64_t chunk =
-        std::min<uint64_t>(data.size() - done, kScmPageSize - in_page);
-    auto extent = ExtentForPage(page);
-    AERIE_CHECK(extent.ok());
-    ctx_.region->StreamWrite(ctx_.region->PtrAt(*extent) + in_page,
-                             data.data() + done, chunk);
-    done += chunk;
-  }
+  ForEachRun(
+      offset, data.size(),
+      [this](uint64_t page) { return ExtentForPage(page).value_or(0); },
+      [&](uint64_t done, uint64_t at, uint64_t chunk) {
+        AERIE_CHECK(at != 0);
+        ctx_.region->StreamWrite(ctx_.region->PtrAt(at), data.data() + done,
+                                 chunk);
+      });
   return OkStatus();
 }
 

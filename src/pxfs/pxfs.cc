@@ -700,9 +700,19 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
       for (uint64_t i = 0; i < run.pages; ++i, ++p) {
         const uint64_t extent = run.offset + i * kScmPageSize;
         m.set_extent(p, extent);
-        if (p * kScmPageSize < offset || (p + 1) * kScmPageSize > end) {
-          // The unwritten rest of the page must read as zeros.
-          std::memset(ctx_.region->PtrAt(extent), 0, kScmPageSize);
+        // The bytes of the page the write leaves unwritten must read as
+        // zeros. Those before it fall inside the new size, so they are
+        // streamed and drained with the data; those past its end show only
+        // once a later write extends the file over them.
+        const uint64_t page_start = p * kScmPageSize;
+        char* const page = ctx_.region->PtrAt(extent);
+        if (page_start < offset) {
+          static const char kZeros[kScmPageSize] = {};
+          ctx_.region->StreamWrite(page, kZeros, offset - page_start);
+        }
+        if (page_start + kScmPageSize > end) {
+          std::memset(page + (end - page_start), 0,
+                      page_start + kScmPageSize - end);
         }
       }
       MetaOp op;

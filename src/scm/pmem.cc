@@ -61,6 +61,40 @@ void FlushLines(uintptr_t p, uintptr_t end) {
 }
 #endif
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AERIE_SANITIZED 1
+#endif
+
+// StreamWrite's copy (see pmem.h). SSE2 is baseline x86-64, so MOVNT needs
+// no CPUID check; sanitizers do not see the intrinsics' stores, so their
+// builds copy with memcpy.
+void StreamCopy(char* dst, const char* src, size_t len) {
+#if defined(__x86_64__) && !defined(AERIE_SANITIZED)
+  if (len >= kStreamNonTemporalMinBytes) {
+    const size_t head =
+        -reinterpret_cast<uintptr_t>(dst) & (kCacheLineSize - 1);
+    std::memcpy(dst, src, head);
+    size_t done = head;
+    for (; len - done >= kCacheLineSize; done += kCacheLineSize) {
+      const auto* in = reinterpret_cast<const __m128i*>(src + done);
+      auto* out = reinterpret_cast<__m128i*>(dst + done);
+      const __m128i a = _mm_loadu_si128(in);
+      const __m128i b = _mm_loadu_si128(in + 1);
+      const __m128i c = _mm_loadu_si128(in + 2);
+      const __m128i d = _mm_loadu_si128(in + 3);
+      _mm_stream_si128(out, a);
+      _mm_stream_si128(out + 1, b);
+      _mm_stream_si128(out + 2, c);
+      _mm_stream_si128(out + 3, d);
+    }
+    dst += done;
+    src += done;
+    len -= done;
+  }
+#endif
+  std::memcpy(dst, src, len);
+}
+
 }  // namespace
 
 Result<char*> MapPresentMemory(size_t size) {
@@ -174,9 +208,9 @@ void ScmRegion::Fence(int site) {
 }
 
 void ScmRegion::StreamWrite(void* dst, const void* src, size_t len) {
-  // A portable stand-in for MOVNT streaming stores: a plain copy, with the
-  // persistence cost deferred to BFlush() exactly as WC buffering defers it.
-  std::memcpy(dst, src, len);
+  // The persistence cost is deferred to BFlush(), exactly as WC buffering
+  // defers it: BFlush's fence drains the buffers these stores fill.
+  StreamCopy(static_cast<char*>(dst), static_cast<const char*>(src), len);
   stats_.bytes_streamed.Add(len);
   if (obs::CountersOn() && len != 0) {
     ChargedLayer(obs::CurrentSpanTag()).bytes_streamed.Add(len);

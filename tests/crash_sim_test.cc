@@ -26,15 +26,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/libfs/system.h"
+#include "src/osd/collection.h"
 #include "src/pxfs/pxfs.h"
 #include "src/scm/crash_sim.h"
 #include "src/tfs/fsck.h"
+#include "src/tfs/pool_map.h"
 #include "src/txlog/redo_log.h"
 
 namespace aerie {
@@ -391,6 +394,65 @@ TEST(CrashSimTest, RunWriteTruncateUnlinkSweep) {
   auto report = RunFsck(t.sys->volume());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
+  ::unlink(options.image_path.c_str());
+}
+
+// Stamps every extent page pooled to a client, and so in no file yet, with
+// stale bytes, as a page some other file freed holds on real SCM. The
+// simulator, attached afterwards, takes them as persistent, so an image that
+// drops a store to such a page shows the stale bytes.
+void StampPooledExtents(SystemUnderTest* t) {
+  const OsdContext ctx = t->client->fs()->read_context();
+  auto sys = Collection::Open(ctx, t->sys->volume()->root_oid());
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  auto map_oid = sys->Lookup("pool_map");
+  ASSERT_TRUE(map_oid.ok()) << map_oid.status().ToString();
+  auto map = PoolMap::Open(ctx, Oid(*map_oid));
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  int stamped = 0;
+  map->ForEach([&](Oid oid) {
+    if (oid.type() == ObjType::kExtent) {
+      std::memset(ctx.region->PtrAt(oid.offset()), 0x5a, kScmPageSize);
+      stamped++;
+    }
+  });
+  ASSERT_GT(stamped, 3);
+}
+
+// A write at offset 100 into a new file fills a page it covers only in
+// part: every image that holds the write reads its first 100 bytes as zeros,
+// never as the stale bytes of the pooled page.
+TEST(CrashSimTest, PwriteIntoNewFileReadsZerosBeforeTheWrite) {
+  SystemUnderTest t = BootPrimedSystem();
+  StampPooledExtents(&t);
+  CrashSimOptions options;
+  options.seed = 20261019;
+  options.max_images = 300;
+  options.random_draws_per_point = 2;
+  options.stop_on_failure = false;
+  options.image_path = UniqueImagePath("pwrite_gap");
+  options = CrashSimOptions::FromEnv(options);
+  const std::string path = "/w/gap";
+  const std::string payload = RunPayload(1, 2 * 4096);
+  const std::string data = std::string(100, '\0') + payload;
+  const std::vector<uint64_t> freed;
+  RunExpectations expect;
+  {
+    CrashSimulator sim(t.sys->scm_region(), options,
+                       RunChecker(&freed, &expect));
+    expect[path] = {kAbsent, "", data};
+    auto fd = t.fs->Open(path, kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(
+        t.fs->Pwrite(*fd, 100,
+                     std::span<const char>(payload.data(), payload.size()))
+            .ok());
+    ASSERT_TRUE(t.fs->Close(*fd).ok());
+    expect[path] = {data};
+    EXPECT_TRUE(sim.ok()) << sim.Report();
+    EXPECT_GT(sim.images_checked(), 0u);
+    std::fprintf(stderr, "%s\n", sim.Report().c_str());
+  }
   ::unlink(options.image_path.c_str());
 }
 

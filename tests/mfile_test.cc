@@ -2,7 +2,9 @@
 // writes, truncation, single-extent mode, destroy, property sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -239,6 +241,86 @@ TEST_F(MFileTest, SingleExtentDestroyFreesStorage) {
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE(file->Destroy().ok());
   EXPECT_EQ(ctx_.alloc->pages_free(), free_start);
+}
+
+// ReadDirect and WriteDirect copy one extent run at a time. The hand-built
+// map holds a run of three adjacent pages, then a page whose extent does not
+// follow the run's (the region page that would is a decoy no file page
+// maps), then a hole, then a second run. Ranges that start and end mid-page
+// across those boundaries must match a reference buffer, and no copy may
+// read or write the decoy.
+TEST(DirectExtentMapTest, ReadAndWriteDirectCopyOneRunAtATime) {
+  constexpr uint64_t kRegionPages = 64;
+  auto region = ScmRegion::CreateAnonymous(kRegionPages * kScmPageSize);
+  ASSERT_TRUE(region.ok());
+  ScmRegion* r = region->get();
+  for (uint64_t i = 0; i < kRegionPages * kScmPageSize; ++i) {
+    r->base()[i] = static_cast<char>(i / kScmPageSize * 37 + i % 251);
+  }
+  constexpr uint64_t kDecoy = 13;
+  // Region page backing each file page; 0 is the hole.
+  constexpr uint64_t kBacking[] = {10, 11, 12, 20, 0, 30, 31};
+  constexpr uint64_t kPages = std::size(kBacking);
+  MFile::DirectExtentMap map;
+  map.size = kPages * kScmPageSize - 100;
+  map.Own(0, kPages);
+  std::string model(map.size, '\0');
+  for (uint64_t p = 0; p < kPages; ++p) {
+    map.set_extent(p, kBacking[p] * kScmPageSize);
+    const uint64_t bytes = std::min(kScmPageSize, map.size - p * kScmPageSize);
+    if (kBacking[p] != 0) {
+      std::memcpy(model.data() + p * kScmPageSize,
+                  r->PtrAt(kBacking[p] * kScmPageSize), bytes);
+    }
+  }
+  const std::string decoy(r->PtrAt(kDecoy * kScmPageSize), kScmPageSize);
+  auto read_all = [&] {
+    std::string out(map.size, 'x');
+    EXPECT_EQ(MFile::ReadDirect(r, map, 0, std::span<char>(out)), map.size);
+    return out;
+  };
+
+  constexpr uint64_t kPage = kScmPageSize;
+  const std::pair<uint64_t, uint64_t> reads[] = {
+      {100, 3 * kPage - 1},              // inside the first run
+      {2 * kPage + 7, 3 * kPage + 9},     // run into the stray page
+      {kPage + 3000, 4 * kPage + 5},      // run, stray page, hole
+      {3 * kPage + 50, 5 * kPage + 70},   // stray page, hole, second run
+      {kPage - 1, map.size + 500},        // clamped at the size
+  };
+  for (const auto& [begin, end] : reads) {
+    SCOPED_TRACE(::testing::Message() << "read [" << begin << ", " << end
+                                      << ")");
+    std::string out(end - begin, 'x');
+    const uint64_t n = MFile::ReadDirect(r, map, begin, std::span<char>(out));
+    ASSERT_EQ(n, std::min(end, map.size) - begin);
+    EXPECT_EQ(out.substr(0, n), model.substr(begin, n));
+  }
+
+  const std::pair<uint64_t, uint64_t> writes[] = {
+      {100, 3 * kPage - 1},
+      {2 * kPage + 7, 3 * kPage + 9},
+      {5 * kPage + 1, map.size - 200},
+      {kPage + 3000, 4 * kPage + 5},  // reaches the hole: refused whole
+  };
+  for (const auto& [begin, end] : writes) {
+    SCOPED_TRACE(::testing::Message() << "write [" << begin << ", " << end
+                                      << ")");
+    std::string data(end - begin, '\0');
+    for (uint64_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<char>('a' + (begin + i * 7) % 26);
+    }
+    const Status st = MFile::WriteDirect(r, map, begin, data);
+    if (end > 4 * kPage && begin < 5 * kPage) {
+      EXPECT_EQ(st.code(), ErrorCode::kNotFound);
+    } else {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      model.replace(begin, data.size(), data);
+    }
+    EXPECT_EQ(read_all(), model);
+  }
+  EXPECT_EQ(std::string(r->PtrAt(kDecoy * kScmPageSize), kScmPageSize),
+            decoy);
 }
 
 class MFileRandomIoTest : public ::testing::TestWithParam<uint64_t> {};

@@ -397,7 +397,7 @@ TEST_F(ObsTest, BenchReportJsonShape) {
   const double cpu_us =
       static_cast<double>(prof::GetStats().period_ns) / 1e3;
   prof::Stop();
-  prof::ResetForTesting();
+  prof::Reset();
 
   const std::string json = report.ToJson();
   EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);

@@ -37,13 +37,13 @@ class ProfilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     prof::Stop();
-    prof::ResetForTesting();
+    prof::Reset();
     SetMode(Mode::kSpans);
     ResetAll();
   }
   void TearDown() override {
     prof::Stop();
-    prof::ResetForTesting();
+    prof::Reset();
     SetMode(Mode::kCounters);
     ResetAll();
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -68,6 +69,52 @@ TEST(ScmRegionTest, StreamWriteChargedAtBFlush) {
   // Second BFlush has nothing pending.
   r->BFlush();
   EXPECT_EQ(r->stats().lines_flushed.load(), lines_before + 4);
+}
+
+// The copy kernel: from kStreamNonTemporalMinBytes on, whole line-aligned
+// lines take streaming stores and a partial head or tail line plain ones.
+// At every destination alignment within a line, from a misaligned source,
+// and at lengths around the line and page sizes and that threshold, the
+// copy is byte-exact, leaves every byte outside the destination range
+// alone, and is charged what a per-call count of the lines covering the
+// range charges.
+TEST(ScmRegionTest, StreamWriteCopiesExactlyAtEveryAlignment) {
+  constexpr size_t kMaxLen = 1 << 20;
+  auto region = ScmRegion::CreateAnonymous(kMaxLen + 2 * kScmPageSize);
+  ASSERT_TRUE(region.ok());
+  ScmRegion* r = region->get();
+  std::vector<char> src(kMaxLen + kCacheLineSize);
+  for (size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<char>(i * 131 + i / 251 + 7);
+  }
+  auto untouched = [](const char* begin, const char* end) {
+    return std::all_of(begin, end, [](char c) { return c == '\xcc'; });
+  };
+  for (const size_t dst_off : {0, 1, 17, 63}) {
+    for (const size_t src_off : {0, 5}) {
+      for (const size_t len :
+           {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
+            size_t{127}, size_t{4096}, size_t{4113},
+            kStreamNonTemporalMinBytes - 1, kStreamNonTemporalMinBytes,
+            kStreamNonTemporalMinBytes + 65, kMaxLen}) {
+        SCOPED_TRACE(::testing::Message() << "dst_off " << dst_off
+                                          << " src_off " << src_off
+                                          << " len " << len);
+        std::memset(r->base(), 0xcc, r->size());
+        char* const dst = r->PtrAt(kCacheLineSize + dst_off);
+        const uint64_t bytes = r->stats().bytes_streamed.load();
+        const uint64_t lines = r->stats().lines_flushed.load();
+        r->StreamWrite(dst, src.data() + src_off, len);
+        r->BFlush();
+        EXPECT_EQ(r->stats().bytes_streamed.load() - bytes, len);
+        EXPECT_EQ(r->stats().lines_flushed.load() - lines,
+                  (dst_off + len + kCacheLineSize - 1) / kCacheLineSize);
+        EXPECT_EQ(std::memcmp(dst, src.data() + src_off, len), 0);
+        EXPECT_TRUE(untouched(r->base(), dst));
+        EXPECT_TRUE(untouched(dst + len, r->base() + r->size()));
+      }
+    }
+  }
 }
 
 TEST(ScmRegionTest, WriteLatencyModelInjectsDelay) {

@@ -70,8 +70,9 @@ mkdir -p "$REPORTS" "$PROFILES"
 # run_bench <binary> <scale> <seconds> [threads] [extra args...]
 # One profiled run per binary: the record, the folded stacks and the profile
 # JSON all describe the run whose numbers the record reports. The profile
-# pair is validated right after the run so a silently-empty profile fails
-# the sweep.
+# pair is validated right after the run, and the record's per-layer cpu_us
+# against it, so a silently-empty profile or a record that counts other
+# samples than its profile fails the sweep.
 run_bench() {
   local name="$1" scale="$2" seconds="$3" threads="${4:-1}"
   shift 4 || shift $#
@@ -91,7 +92,7 @@ run_bench() {
     "$BUILD/bench/$name" "$@"
   python3 "$ROOT/tools/validate_profile.py" \
     --folded "$PROFILES/$name.folded" --json "$PROFILES/$name.prof.json" \
-    --min-samples 1
+    --record "$REPORTS/$name.json" --min-samples 1
 }
 
 if [[ "$QUICK" == 1 ]]; then
