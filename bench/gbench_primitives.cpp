@@ -86,8 +86,8 @@ void BM_CollectionInsert(benchmark::State& state) {
   auto coll = Collection::Create(fx->volume->context(), 0);
   uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        coll->Insert("key" + std::to_string(i++), i).ok());
+    benchmark::DoNotOptimize(coll->Insert("key" + std::to_string(i), i).ok());
+    i++;
   }
 }
 BENCHMARK(BM_CollectionInsert);
@@ -107,7 +107,9 @@ void BM_CollectionLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectionLookup)->Arg(100)->Arg(10000);
 
-void BM_MFileRead4K(benchmark::State& state) {
+// The direct read path over single pages of a 64-page file: one page's
+// memcpy per call.
+void BM_MFileReadDirect4K(benchmark::State& state) {
   auto* fx = Fixture();
   OsdContext ctx = fx->volume->context();
   auto file = MFile::Create(ctx, 0);
@@ -116,16 +118,17 @@ void BM_MFileRead4K(benchmark::State& state) {
     (void)file->AttachRun(p, *extent, 1);
   }
   (void)file->SetSize(64 * kScmPageSize);
+  const MFile::DirectExtentMap map = file->SnapshotExtents(0, 64);
   std::string buf(4096, '\0');
   uint64_t p = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        file->Read((p++ % 64) * kScmPageSize,
-                   std::span<char>(buf.data(), buf.size())));
+        MFile::ReadDirect(ctx.region, map, (p++ % 64) * kScmPageSize,
+                          std::span<char>(buf.data(), buf.size())));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
-BENCHMARK(BM_MFileRead4K);
+BENCHMARK(BM_MFileReadDirect4K);
 
 // The direct read path over one 32-page extent run: one memcpy per call.
 void BM_MFileReadDirect32PageRun(benchmark::State& state) {

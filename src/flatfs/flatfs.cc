@@ -145,9 +145,10 @@ Status FlatFs::Put(std::string_view key, std::span<const char> data) {
   AERIE_ASSIGN_OR_RETURN(
       entry.oid, fs_->TakePooled(ObjType::kMFile, options_.file_capacity));
   AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, entry.oid));
-  AERIE_RETURN_IF_ERROR(mfile.WriteInPlace(0, data));
-  ctx_.region->BFlush();
   AERIE_ASSIGN_OR_RETURN(entry.extent, mfile.ExtentForPage(0));
+  ctx_.region->StreamWrite(ctx_.region->PtrAt(entry.extent), data.data(),
+                           data.size());
+  ctx_.region->BFlush();
   entry.size = data.size();
 
   AERIE_ASSIGN_OR_RETURN(LockId lock, LockBucket(key, /*write=*/true));

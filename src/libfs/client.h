@@ -157,15 +157,16 @@ class LibFs {
   Status ServiceWrite(Oid file, uint64_t offset, std::span<const char> data);
 
   // --- Extent-map cache (DESIGN.md §10) ---
-  // A cached extent-map snapshot plus the clerk direct-access epoch it was
-  // validated under. Interface layers build one with the file lock held (so
-  // the snapshot is coherent) and reuse it either under the lock again or
-  // lock-free: pin the clerk epoch, memcpy, unpin. `writable` records
-  // whether the snapshot was validated with exclusive authority (required
-  // for writes).
+  // An extent map plus the clerk direct-access epoch it was validated
+  // under. Interface layers build one with the file lock held (so the map
+  // is coherent), from a snapshot of the mFile or as an edited copy that
+  // adds the layer's own unshipped changes, and reuse it either under the
+  // lock again or lock-free: pin the clerk epoch, memcpy, unpin. `writable`
+  // records whether the map was validated with exclusive authority
+  // (required for writes).
   struct DirectMap {
     MFile::DirectExtentMap map;
-    uint64_t epoch = 0;  // 0: built for one locked call, never cached
+    uint64_t epoch = 0;  // 0: never cached
     bool writable = false;
   };
 
@@ -179,15 +180,15 @@ class LibFs {
   // does. A map must fit the whole budget (PXFS caches at most
   // Pxfs::kDirectMaxPages pages per map).
   void StoreDirect(Oid file, std::shared_ptr<const DirectMap> map);
-  // Drops one file's snapshot (a local change the layer does not fold into
-  // a stored map: truncate, oid recycling) or all of them (lock release
-  // hooks).
+  // Drops one file's map (a local change the layer stores no current map
+  // for: an edit without an epoch, oid recycling) or all of them (lock
+  // release hooks).
   void InvalidateDirect(Oid file);
   void ClearDirectCache();
 
   // The cache's budget in extent slots (8 bytes each): 8 MiB of extent
   // words. Each map is charged one slot per page it covers plus
-  // kDirectEntrySlots for the map object, its chunk vector and its index
+  // kDirectEntrySlots for the map object, its inner nodes and its index
   // node, so the budget bounds memory whatever the mix of map sizes.
   static constexpr uint64_t kDirectCacheSlots = 1 << 20;
   static constexpr uint64_t kDirectEntrySlots = 32;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/common/check.h"
 #include "src/scm/crash_sim.h"
 
 namespace aerie {
@@ -61,23 +60,44 @@ Result<uint64_t> AllocZeroedBlock(const OsdContext& ctx) {
   return *off;
 }
 
+// Visits the leaf blocks under `block` (at `level` >= 1) in page order:
+// visit(base_page, slots) gets a leaf's first page index and its
+// kPointersPerBlock slots, and returns false to stop the walk.
+template <typename Fn>
+bool WalkLeaves(const OsdContext& ctx, uint64_t block, uint32_t level,
+                uint64_t base_page, Fn&& visit) {
+  const uint64_t* slots = BlockAt(ctx, block);
+  if (level == 1) {
+    return visit(base_page, slots);
+  }
+  const uint64_t stride = Coverage(level - 1);
+  for (uint64_t i = 0; i < MFile::kPointersPerBlock; ++i) {
+    const uint64_t child = LoadPublished(&slots[i]);
+    if (child != 0 &&
+        !WalkLeaves(ctx, child, level - 1, base_page + i * stride, visit)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Visits file bytes [offset, offset + len) one run at a time. A run is a
 // stretch of pages each backed by the region page after its predecessor's,
-// or a stretch of holes; extent_of(page) gives the region offset backing
-// `page`, 0 for a hole. fn(done, at, chunk) gets the bytes visited before
+// or a stretch of holes. fn(done, at, chunk) gets the bytes visited before
 // the run, the region offset of the run's first byte (0 in a hole) and the
 // run's length in bytes, so each run costs one copy.
-template <typename ExtentOf, typename Fn>
-void ForEachRun(uint64_t offset, uint64_t len, ExtentOf extent_of, Fn fn) {
+template <typename Fn>
+void ForEachRun(const MFile::DirectExtentMap& map, uint64_t offset,
+                uint64_t len, Fn fn) {
   const uint64_t end_page = (offset + len + kScmPageSize - 1) / kScmPageSize;
   uint64_t done = 0;
   while (done < len) {
     const uint64_t pos = offset + done;
     const uint64_t page = pos / kScmPageSize;
-    const uint64_t extent = extent_of(page);
+    const uint64_t extent = map.extent(page);
     uint64_t pages = 1;
     while (page + pages < end_page &&
-           extent_of(page + pages) ==
+           map.extent(page + pages) ==
                (extent == 0 ? 0 : extent + pages * kScmPageSize)) {
       pages++;
     }
@@ -204,50 +224,100 @@ Result<uint64_t> MFile::ExtentForPage(uint64_t page_index) const {
   return block;
 }
 
-Result<uint64_t> MFile::Read(uint64_t offset, std::span<char> out) const {
-  const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
-  const uint64_t file_size = LoadPublished(&hdr->size);
-  if (offset >= file_size) {
-    return 0;
-  }
-  const uint64_t want = std::min<uint64_t>(out.size(), file_size - offset);
-  if (hdr->flags & kFlagSingleExtent) {
-    std::memcpy(out.data(),
-                ctx_.region->PtrAt(RootOffset(LoadPublished(&hdr->root))) +
-                    offset,
-                want);
-    return want;
-  }
-  ForEachRun(
-      offset, want,
-      [this](uint64_t page) { return ExtentForPage(page).value_or(0); },
-      [&](uint64_t done, uint64_t at, uint64_t chunk) {
-        if (at != 0) {
-          std::memcpy(out.data() + done, ctx_.region->PtrAt(at), chunk);
-        } else {
-          std::memset(out.data() + done, 0, chunk);  // sparse hole reads zero
-        }
-      });
-  return want;
+namespace {
+
+using ExtentMap = MFile::DirectExtentMap;
+
+// Pages a map node of `height` spans.
+uint64_t NodePages(uint32_t height) {
+  return ExtentMap::kChunkPages << (ExtentMap::kFanoutBits * height);
 }
 
-void MFile::DirectExtentMap::Own(uint64_t first, uint64_t last) {
-  if (end_page < last) {
-    end_page = last;
-    chunks.resize((end_page - first_page + kChunkPages - 1) / kChunkPages);
-  }
-  for (uint64_t c = 0; c < chunks.size(); ++c) {
-    const uint64_t begin = first_page + c * kChunkPages;
-    const uint64_t pages = std::min(kChunkPages, end_page - begin);
-    if (chunks[c] == nullptr) {
-      chunks[c] = std::make_shared<Chunk>(pages, 0);
-    } else if (chunks[c]->size() != pages ||
-               (begin < last && first < begin + kChunkPages)) {
-      auto copy = std::make_shared<Chunk>(*chunks[c]);
-      copy->resize(pages, 0);
-      chunks[c] = std::move(copy);
+// `node` made private to the map being edited: created if missing, copied
+// if it may be shared. Callers walk from the root down, so a node is only
+// checked once its parent is private; then a use count of 1 means that
+// parent is the only path to it.
+ExtentMap::Node* PrivateNode(std::shared_ptr<ExtentMap::Node>& node,
+                             uint32_t height) {
+  if (node == nullptr) {
+    node = std::make_shared<ExtentMap::Node>();
+    if (height > 0) {
+      node->kids.resize(ExtentMap::kFanout);
     }
+  } else if (node.use_count() > 1) {
+    node = std::make_shared<ExtentMap::Node>(*node);
   }
+  return node.get();
+}
+
+// Makes the chunks holding node-relative pages [lo, hi) private and long
+// enough to hold them.
+void OwnNode(std::shared_ptr<ExtentMap::Node>& node, uint32_t height,
+             uint64_t lo, uint64_t hi) {
+  ExtentMap::Node* n = PrivateNode(node, height);
+  if (height == 0) {
+    if (n->extents.size() < hi) {
+      n->extents.resize(hi, 0);
+    }
+    return;
+  }
+  const uint64_t span = NodePages(height - 1);
+  for (uint64_t k = lo / span; k * span < hi; ++k) {
+    const uint64_t base = k * span;
+    OwnNode(n->kids[k], height - 1, std::max(lo, base) - base,
+            std::min(hi, base + span) - base);
+  }
+}
+
+// Turns node-relative pages at or past `keep` into holes.
+void TrimNode(std::shared_ptr<ExtentMap::Node>& node, uint32_t height,
+              uint64_t keep) {
+  if (node == nullptr || keep >= NodePages(height) ||
+      (height == 0 && node->extents.size() <= keep)) {
+    return;
+  }
+  if (keep == 0) {
+    node.reset();
+    return;
+  }
+  ExtentMap::Node* n = PrivateNode(node, height);
+  if (height == 0) {
+    n->extents.resize(keep);
+    return;
+  }
+  const uint64_t span = NodePages(height - 1);
+  const uint64_t k = keep / span;
+  for (uint64_t j = k + 1; j < ExtentMap::kFanout; ++j) {
+    n->kids[j].reset();
+  }
+  TrimNode(n->kids[k], height - 1, keep - k * span);
+}
+
+}  // namespace
+
+void MFile::DirectExtentMap::Own(uint64_t first, uint64_t last) {
+  end_page = std::max(end_page, last);
+  if (first >= last) {
+    return;
+  }
+  while (NodePages(height) < last - first_page) {
+    if (root != nullptr) {
+      auto up = std::make_shared<Node>();
+      up->kids.resize(kFanout);
+      up->kids[0] = std::move(root);
+      root = std::move(up);
+    }
+    height++;
+  }
+  OwnNode(root, height, first - first_page, last - first_page);
+}
+
+void MFile::DirectExtentMap::Resize(uint64_t page) {
+  page = std::max(first_page, page);
+  if (page < end_page) {
+    TrimNode(root, height, page - first_page);
+  }
+  end_page = page;
 }
 
 MFile::DirectExtentMap MFile::SnapshotExtents(uint64_t first_page,
@@ -255,25 +325,37 @@ MFile::DirectExtentMap MFile::SnapshotExtents(uint64_t first_page,
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   DirectExtentMap map;
   map.size = LoadPublished(&hdr->size);
-  map.first_page = map.end_page = first_page;
-  map.Own(first_page, end_page);
+  map.first_page = first_page;
+  map.end_page = std::max(first_page, end_page);
   const uint64_t mapped_end =
       std::min(end_page, (map.size + kScmPageSize - 1) / kScmPageSize);
-  if (hdr->flags & kFlagSingleExtent) {
-    const uint64_t base = RootOffset(LoadPublished(&hdr->root));
-    for (uint64_t p = first_page; p < mapped_end; ++p) {
-      map.set_extent(p, base + p * kScmPageSize);
+  if (first_page >= mapped_end) {
+    return map;
+  }
+  if (first_page == 0 && (hdr->flags & kFlagSingleExtent) == 0) {
+    // One tree walk, in page order, stopping at the snapshot's end: a map
+    // chunk covers the same pages as a leaf block.
+    static_assert(DirectExtentMap::kChunkPages == kPointersPerBlock);
+    const uint64_t packed = LoadPublished(&hdr->root);
+    if (RootOffset(packed) != 0) {
+      WalkLeaves(ctx_, RootOffset(packed), RootHeight(packed), 0,
+                 [&](uint64_t base, const uint64_t* slots) {
+                   if (base >= mapped_end) {
+                     return false;
+                   }
+                   const uint64_t n =
+                       std::min(kPointersPerBlock, mapped_end - base);
+                   map.Own(base, base + n);
+                   uint64_t i;
+                   uint64_t* out = map.ChunkNode(base, &i)->extents.data();
+                   for (i = 0; i < n; ++i) {
+                     out[i] = LoadPublished(&slots[i]);
+                   }
+                   return true;
+                 });
     }
-  } else if (first_page == 0) {
-    // One tree walk, in page order, stopping at the snapshot's end.
-    (void)ForEachExtent([&](uint64_t page, uint64_t extent) {
-      if (page >= mapped_end) {
-        return false;
-      }
-      map.set_extent(page, extent);
-      return true;
-    });
   } else {
+    map.Own(first_page, mapped_end);
     for (uint64_t p = first_page; p < mapped_end; ++p) {
       auto extent = ExtentForPage(p);
       if (extent.ok()) {
@@ -290,15 +372,14 @@ uint64_t MFile::ReadDirect(ScmRegion* region, const DirectExtentMap& map,
     return 0;
   }
   const uint64_t want = std::min<uint64_t>(out.size(), map.size - offset);
-  ForEachRun(
-      offset, want, [&map](uint64_t page) { return map.extent(page); },
-      [&](uint64_t done, uint64_t at, uint64_t chunk) {
-        if (at != 0) {
-          std::memcpy(out.data() + done, region->PtrAt(at), chunk);
-        } else {
-          std::memset(out.data() + done, 0, chunk);  // sparse hole reads zero
-        }
-      });
+  ForEachRun(map, offset, want,
+             [&](uint64_t done, uint64_t at, uint64_t chunk) {
+               if (at != 0) {
+                 std::memcpy(out.data() + done, region->PtrAt(at), chunk);
+               } else {
+                 std::memset(out.data() + done, 0, chunk);  // holes read zero
+               }
+             });
   return want;
 }
 
@@ -317,11 +398,11 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
       return Status(ErrorCode::kNotFound, "hole");
     }
   }
-  ForEachRun(
-      offset, data.size(), [&map](uint64_t page) { return map.extent(page); },
-      [&](uint64_t done, uint64_t at, uint64_t chunk) {
-        region->StreamWrite(region->PtrAt(at), data.data() + done, chunk);
-      });
+  ForEachRun(map, offset, data.size(),
+             [&](uint64_t done, uint64_t at, uint64_t chunk) {
+               region->StreamWrite(region->PtrAt(at), data.data() + done,
+                                   chunk);
+             });
   // Every PXFS data write, pinned or locked, ends here: this drain is its
   // entire durability story, so it is a registered mutation target
   // (suppressing it must fail crash_sim).
@@ -331,33 +412,29 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
   return OkStatus();
 }
 
-Status MFile::WriteInPlace(uint64_t offset, std::span<const char> data) {
-  AERIE_SPAN("osd", "mfile_write");
-  const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
-  if (hdr->flags & kFlagSingleExtent) {
-    if (offset + data.size() > hdr->capacity) {
-      return Status(ErrorCode::kOutOfSpace, "beyond single-extent capacity");
-    }
-    ctx_.region->StreamWrite(
-        ctx_.region->PtrAt(RootOffset(hdr->root)) + offset, data.data(),
-        data.size());
-    return OkStatus();
+bool MFile::ZeroGap(ScmRegion* region, const DirectExtentMap& map,
+                    uint64_t end) {
+  const uint64_t in_page = map.size % kScmPageSize;
+  if (end <= map.size || in_page == 0) {
+    return false;
   }
-  // Verify all pages are mapped before the first byte is written.
-  const uint64_t first_page = offset / kScmPageSize;
-  const uint64_t last_page = (offset + data.size() - 1) / kScmPageSize;
-  for (uint64_t p = first_page; p <= last_page; ++p) {
-    AERIE_RETURN_IF_ERROR(ExtentForPage(p).status());
+  const uint64_t extent = map.extent(map.size / kScmPageSize);
+  if (extent == 0) {
+    return false;
   }
-  ForEachRun(
-      offset, data.size(),
-      [this](uint64_t page) { return ExtentForPage(page).value_or(0); },
-      [&](uint64_t done, uint64_t at, uint64_t chunk) {
-        AERIE_CHECK(at != 0);
-        ctx_.region->StreamWrite(ctx_.region->PtrAt(at), data.data() + done,
-                                 chunk);
-      });
-  return OkStatus();
+  StreamZeros(region, extent + in_page,
+              std::min(end - map.size, kScmPageSize - in_page));
+  return true;
+}
+
+void MFile::StreamZeros(ScmRegion* region, uint64_t at, uint64_t len) {
+  static const char kZeros[kScmPageSize] = {};
+  while (len > 0) {
+    const uint64_t n = std::min<uint64_t>(len, kScmPageSize);
+    region->StreamWrite(region->PtrAt(at), kZeros, n);
+    at += n;
+    len -= n;
+  }
 }
 
 Status MFile::GrowHeightTo(uint32_t target) {
@@ -586,9 +663,10 @@ Status MFile::Truncate(uint64_t bytes) {
   // NOTE: Truncate is metadata-only: it does NOT zero the boundary page's
   // tail. Zero-fill is a *data* effect, and data effects are the client's
   // (paper §4.2: clients write data directly; the service only changes
-  // metadata). PXFS zeroes the tail at truncate time; doing it here would
-  // replay after — and clobber — any in-place writes the client performed
-  // between batching the truncate and shipping it.
+  // metadata). Whatever later extends the file zeroes the tail first
+  // (ZeroGap); doing it here would replay after — and clobber — any
+  // in-place writes the client performed between batching the truncate and
+  // shipping it.
   const uint64_t keep_pages = (bytes + kScmPageSize - 1) / kScmPageSize;
   std::vector<uint64_t> pages;
   std::vector<uint64_t*> slots;
@@ -612,34 +690,6 @@ Status MFile::Destroy() {
   return OkStatus();
 }
 
-namespace {
-
-bool WalkExtents(const OsdContext& ctx, uint64_t block, uint32_t level,
-                 uint64_t base_page,
-                 const std::function<bool(uint64_t, uint64_t)>& visit) {
-  const uint64_t* slots = BlockAt(ctx, block);
-  const uint64_t stride = Coverage(level - 1);
-  for (uint64_t i = 0; i < MFile::kPointersPerBlock; ++i) {
-    const uint64_t slot = LoadPublished(&slots[i]);
-    if (slot == 0) {
-      continue;
-    }
-    if (level == 1) {
-      if (!visit(base_page + i, slot)) {
-        return false;
-      }
-    } else {
-      if (!WalkExtents(ctx, slot, level - 1, base_page + i * stride,
-                       visit)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Status MFile::ForEachExtent(
     const std::function<bool(uint64_t, uint64_t)>& visit) const {
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
@@ -651,7 +701,16 @@ Status MFile::ForEachExtent(
   if (RootOffset(packed) == 0) {
     return OkStatus();
   }
-  WalkExtents(ctx_, RootOffset(packed), RootHeight(packed), 0, visit);
+  WalkLeaves(ctx_, RootOffset(packed), RootHeight(packed), 0,
+             [&](uint64_t base, const uint64_t* slots) {
+               for (uint64_t i = 0; i < kPointersPerBlock; ++i) {
+                 const uint64_t extent = LoadPublished(&slots[i]);
+                 if (extent != 0 && !visit(base + i, extent)) {
+                   return false;
+                 }
+               }
+               return true;
+             });
   return OkStatus();
 }
 

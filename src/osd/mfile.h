@@ -6,8 +6,9 @@
 // or put is a single memcpy (paper §6.2).
 //
 // Responsibility split mirrors the paper:
-//   * clients read file data directly (ExtentForPage + memcpy, no service);
-//   * clients write data in place directly when the extent exists;
+//   * clients read file data directly, and write it in place where the
+//     extents exist, through a snapshot of the extent map (ReadDirect,
+//     WriteDirect: no service);
 //   * mapping changes (attaching extents a client pre-allocated, growing
 //     the tree, truncation, setting the size) are metadata and are applied
 //     by the TFS after validation.
@@ -59,9 +60,6 @@ class MFile {
   // --- Reads (untrusted clients; direct memory access) ---
   // Region offset of the extent backing `page_index`, or kNotFound (hole).
   Result<uint64_t> ExtentForPage(uint64_t page_index) const;
-  // Copies up to len bytes from `offset`; holes read as zeros. Returns bytes
-  // read (clamped by size()).
-  Result<uint64_t> Read(uint64_t offset, std::span<char> out) const;
 
   // --- Extent maps: PXFS's one data path (DESIGN.md §10) ---
   // Immutable snapshot of the offset -> extent map, taken while the caller
@@ -70,37 +68,75 @@ class MFile {
   // valid direct-access epoch from the clerk (extents are never reclaimed
   // while any client could still hold authority over them).
   //
-  // The pages are held in chunks that copies of a map share, so an edited
-  // copy of a large map costs one pointer per chunk plus the chunks it
-  // edits. A chunk is written only by the map that made it private (Own),
-  // and only before that map is shared.
+  // The pages are held in chunks of kChunkPages, under a tree of inner
+  // nodes of kFanout children; a missing chunk or subtree is all holes. So
+  // a map costs memory for the pages that are mapped, not for the offsets
+  // it spans, and copies of a map share every node: an edited copy costs
+  // the nodes on the paths to the chunks it edits. A node is written only
+  // by the map that made it private (Own, Resize), and only before that map
+  // is shared.
   struct DirectExtentMap {
-    static constexpr uint64_t kChunkPages = 512;
+    static constexpr uint32_t kChunkBits = 9;
+    static constexpr uint64_t kChunkPages = 1ull << kChunkBits;  // 512
+    static constexpr uint32_t kFanoutBits = 3;
+    static constexpr uint64_t kFanout = 1ull << kFanoutBits;  // 8
+    // A chunk's extents; pages past its end are holes.
     using Chunk = std::vector<uint64_t>;
+    struct Node {
+      Chunk extents;                            // height 0
+      std::vector<std::shared_ptr<Node>> kids;  // height > 0: kFanout
+    };
 
     uint64_t size = 0;        // file size when snapped
     uint64_t first_page = 0;  // the map covers pages [first_page, end_page)
     uint64_t end_page = 0;
-    std::vector<std::shared_ptr<Chunk>> chunks;  // last one may be short
+    // Indexed by page - first_page; a root of height h spans
+    // kChunkPages * kFanout^h pages.
+    std::shared_ptr<Node> root;
+    uint32_t height = 0;
 
+    // The node of the chunk holding `page`, or nullptr when there is none
+    // (all holes); `*i` receives the page's index in it.
+    Node* ChunkNode(uint64_t page, uint64_t* i) const {
+      *i = page - first_page;
+      Node* n = root.get();
+      for (uint32_t h = height; n != nullptr && h > 0; --h) {
+        const uint32_t shift = kChunkBits + kFanoutBits * (h - 1);
+        const uint64_t k = *i >> shift;
+        n = k < kFanout ? n->kids[k].get() : nullptr;
+        *i -= k << shift;
+      }
+      return n != nullptr && *i < kChunkPages ? n : nullptr;
+    }
     // Region offset backing `page`; 0 = hole.
     uint64_t extent(uint64_t page) const {
-      const uint64_t i = page - first_page;
-      return (*chunks[i / kChunkPages])[i % kChunkPages];
+      uint64_t i;
+      const Node* n = ChunkNode(page, &i);
+      return n != nullptr && i < n->extents.size() ? n->extents[i] : 0;
+    }
+    // The chunk holding `page`, or nullptr.
+    const Chunk* chunk(uint64_t page) const {
+      uint64_t i;
+      const Node* n = ChunkNode(page, &i);
+      return n != nullptr ? &n->extents : nullptr;
     }
     // Grows the map to cover [first, last) (new pages are holes) and gives
     // it private copies of the chunks holding those pages; set_extent may
     // then write them.
     void Own(uint64_t first, uint64_t last);
     void set_extent(uint64_t page, uint64_t extent) {
-      const uint64_t i = page - first_page;
-      (*chunks[i / kChunkPages])[i % kChunkPages] = extent;
+      uint64_t i;
+      ChunkNode(page, &i)->extents[i] = extent;
     }
+    // Makes the map end at `page`: the pages past it leave the map, and
+    // the pages it gains are holes.
+    void Resize(uint64_t page);
   };
 
   // Snapshots the size and the extents backing pages [first_page, end_page).
-  // Pages at or past the size stay holes. A snapshot from page 0 walks the
-  // tree once; others look each page up.
+  // Pages at or past the size stay holes. A paged mFile's snapshot from
+  // page 0 walks the tree once, copying each leaf block it finds; others
+  // look each page up.
   DirectExtentMap SnapshotExtents(uint64_t first_page,
                                   uint64_t end_page) const;
 
@@ -119,10 +155,16 @@ class MFile {
   static Status WriteDirect(ScmRegion* region, const DirectExtentMap& map,
                             uint64_t offset, std::span<const char> data);
 
-  // --- In-place data writes (clients, where extents already exist) ---
-  // Writes only where extents are present; returns kNotFound if any touched
-  // page lacks an extent (caller allocates + logs an attach op).
-  Status WriteInPlace(uint64_t offset, std::span<const char> data);
+  // Streams zeros over the bytes of [map.size, end) that lie in the file's
+  // last page, if that page is mapped; returns whether it streamed any. The
+  // bytes past a file's size are not kept zero, so whatever extends the
+  // file calls this first and drains the zeros with its own data. The map
+  // must cover the last page.
+  static bool ZeroGap(ScmRegion* region, const DirectExtentMap& map,
+                      uint64_t end);
+  // Streams zeros over region bytes [at, at + len). The caller drains them
+  // (BFlush) with whatever else it streams.
+  static void StreamZeros(ScmRegion* region, uint64_t at, uint64_t len);
 
   // --- Structural mutations (TFS after validation) ---
   // Maps pages [page_index, page_index + pages) to the contiguous,

@@ -1,7 +1,7 @@
 #include "src/pxfs/pxfs.h"
 
 #include <algorithm>
-#include <cstring>
+#include <map>
 
 #include "src/common/check.h"
 #include "src/obs/obs.h"
@@ -118,8 +118,8 @@ void Pxfs::ClearVolatileState() {
     overlay_.clear();
     shadows_.clear();
   }
-  // Cached direct maps fold the shadow state just dropped, and the epoch
-  // they were validated under is moving anyway (we are inside a release).
+  // Cached direct maps may be the shadows just dropped, and the epoch they
+  // were validated under is moving anyway (we are inside a release).
   fs_->ClearDirectCache();
   FlushNameCache();
 }
@@ -183,33 +183,36 @@ void Pxfs::ForgetRecycled(Oid oid) {
   fs_->InvalidateDirect(oid);
 }
 
-std::shared_ptr<Pxfs::FileShadow> Pxfs::ShadowFor(Oid file) {
+std::shared_ptr<const LibFs::DirectMap> Pxfs::ShadowFor(Oid file) {
   std::lock_guard lock(overlay_mu_);
   auto it = shadows_.find(file.raw());
   if (it == shadows_.end()) {
     return nullptr;
   }
-  if (fs_->Shipped(it->second->seq)) {
+  if (fs_->Shipped(it->second.seq)) {
     shadows_.erase(it);
     return nullptr;
   }
-  return it->second;
+  return it->second.map;
 }
 
-void Pxfs::UpdateShadow(Oid file, uint64_t seq,
-                        const std::function<void(FileShadow*)>& edit) {
-  std::lock_guard lock(overlay_mu_);
-  std::shared_ptr<FileShadow>& shadow = shadows_[file.raw()];
-  if (shadow == nullptr || fs_->Shipped(shadow->seq)) {
-    shadow = std::make_shared<FileShadow>();
+void Pxfs::SetShadow(Oid file, uint64_t seq,
+                     std::shared_ptr<const LibFs::DirectMap> map) {
+  const bool cacheable = map->epoch != 0;
+  {
+    std::lock_guard lock(overlay_mu_);
+    shadows_[file.raw()] = FileShadow{map, seq};
+    if (shadows_.size() >= shadow_sweep_at_) {
+      std::erase_if(shadows_, [this](const auto& entry) {
+        return fs_->Shipped(entry.second.seq);
+      });
+      shadow_sweep_at_ = std::max(kShadowSweepMin, 2 * shadows_.size());
+    }
   }
-  edit(shadow.get());
-  shadow->seq = seq;
-  if (shadows_.size() >= shadow_sweep_at_) {
-    std::erase_if(shadows_, [this](const auto& entry) {
-      return fs_->Shipped(entry.second->seq);
-    });
-    shadow_sweep_at_ = std::max(kShadowSweepMin, 2 * shadows_.size());
+  if (cacheable) {
+    fs_->StoreDirect(file, std::move(map));
+  } else {
+    fs_->InvalidateDirect(file);
   }
 }
 
@@ -330,10 +333,7 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache,
 
 uint64_t Pxfs::FileSize(Oid file) {
   if (auto shadow = ShadowFor(file)) {
-    std::lock_guard lock(overlay_mu_);
-    if (shadow->has_size) {
-      return shadow->size;
-    }
+    return shadow->map.size;
   }
   auto mfile = MFile::Open(ctx_, file);
   return mfile.ok() ? mfile->size() : 0;
@@ -421,13 +421,8 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
         clerk->Release(r.target.lock_id());
         return st;
       }
-      UpdateShadow(r.target, seq, [](FileShadow* shadow) {
-        shadow->extents.clear();
-        shadow->size = 0;
-        shadow->has_size = true;
-        shadow->mfile_floor = 0;  // the pending truncate frees every extent
-      });
-      fs_->InvalidateDirect(r.target);
+      // The pending truncate frees every extent: the file is an empty map.
+      SetShadow(r.target, seq, std::make_shared<LibFs::DirectMap>());
     }
     clerk->Release(r.target.lock_id());
   }
@@ -517,54 +512,53 @@ std::shared_ptr<const LibFs::DirectMap> Pxfs::PinMap(Oid file, bool write,
 }
 
 Result<std::shared_ptr<const LibFs::DirectMap>> Pxfs::LockedMap(
-    Oid file, LockMode mode, uint64_t offset, uint64_t end, bool cache) {
+    Oid file, LockMode mode, uint64_t offset, uint64_t end) {
   const bool writable = mode == LockMode::kExclusive;
-  LockClerk* clerk = fs_->clerk();
-  cache = cache && DirectUsable();
-  if (cache) {
+  if (DirectUsable()) {
     auto cached = CurrentMap(file, writable);
     if (cached != nullptr &&
         (!writable || PagesFor(end) <= kDirectMaxPages)) {
       return cached;
     }
   }
-  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
-  auto shadow = ShadowFor(file);
-  uint64_t size = mfile.size();
-  if (shadow != nullptr) {
-    std::lock_guard lock(overlay_mu_);
-    if (shadow->has_size) {
-      size = shadow->size;
+  // Validated under the clerk mutex while we hold the local grant; a
+  // failure (drain in flight, authority gone) leaves the map uncached.
+  auto grant = [&](uint64_t pages) -> uint64_t {
+    if (!DirectUsable() || pages > kDirectMaxPages) {
+      return 0;
     }
+    return fs_->clerk()->DirectGrant(file.lock_id(), mode).value_or(0);
+  };
+  if (auto shadow = ShadowFor(file)) {
+    // A shallow copy: the shadow itself stays as it is.
+    auto map = std::make_shared<LibFs::DirectMap>(*shadow);
+    map->writable = writable;
+    map->epoch = grant(writable ? std::max(map->map.end_page, PagesFor(end))
+                                : map->map.end_page);
+    return std::shared_ptr<const LibFs::DirectMap>(std::move(map));
   }
+  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
+  const uint64_t size = mfile.size();
+  const uint64_t pages = PagesFor(writable ? std::max(size, end) : size);
   auto map = std::make_shared<LibFs::DirectMap>();
   map->writable = writable;
-  const uint64_t pages = PagesFor(writable ? std::max(size, end) : size);
-  if (cache && pages <= kDirectMaxPages) {
-    // Validated under the clerk mutex while we hold the local grant; a
-    // failure (drain in flight, authority gone) leaves the map uncached.
-    map->epoch = clerk->DirectGrant(file.lock_id(), mode).value_or(0);
-  }
+  map->epoch = grant(pages);
   map->map = map->epoch != 0
                  ? mfile.SnapshotExtents(0, pages)
                  : mfile.SnapshotExtents(offset / kScmPageSize, PagesFor(end));
-  map->map.size = size;
-  if (shadow != nullptr) {
-    // Fold this client's unshipped state in: pages at or above a pending
-    // truncate's floor are holes (the apply frees their extents), and shadow
-    // extents override the persistent mapping.
-    MFile::DirectExtentMap& m = map->map;
-    std::lock_guard lock(overlay_mu_);
-    for (uint64_t p = std::max(m.first_page, shadow->mfile_floor);
-         p < m.end_page; ++p) {
-      m.set_extent(p, 0);
-    }
-    for (auto it = shadow->extents.lower_bound(m.first_page);
-         it != shadow->extents.end() && it->first < m.end_page; ++it) {
-      m.set_extent(it->first, it->second);
-    }
-  }
   return std::shared_ptr<const LibFs::DirectMap>(std::move(map));
+}
+
+Result<std::shared_ptr<LibFs::DirectMap>> Pxfs::EditableMap(
+    Oid file, const LibFs::DirectMap& map) {
+  auto edited = std::make_shared<LibFs::DirectMap>(map);
+  const MFile::DirectExtentMap& m = map.map;
+  if (m.first_page != 0 || m.end_page < PagesFor(m.size)) {
+    // Only a snapshot is ever a window, and there is no shadow to lose.
+    AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
+    edited->map = mfile.SnapshotExtents(0, PagesFor(mfile.size()));
+  }
+  return edited;
 }
 
 uint32_t Pxfs::ProtectedRights(Oid file) {
@@ -599,9 +593,9 @@ Result<uint64_t> Pxfs::ReadLocked(Oid file, uint64_t offset,
     // maps it no-access and reads are denied at the FS level (paper §5.3.3).
     return Status(ErrorCode::kPermissionDenied, "file is write-only");
   }
-  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<const LibFs::DirectMap> map,
-                         LockedMap(file, LockMode::kShared, offset,
-                                   offset + out.size(), /*cache=*/true));
+  AERIE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const LibFs::DirectMap> map,
+      LockedMap(file, LockMode::kShared, offset, offset + out.size()));
   const uint64_t n = MFile::ReadDirect(ctx_.region, map->map, offset, out);
   if (map->epoch != 0) {
     fs_->StoreDirect(file, std::move(map));
@@ -643,35 +637,31 @@ Result<uint64_t> Pxfs::WriteFile(const FdEntry& entry, uint64_t offset,
 
 Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
                                    std::span<const char> data) {
-  const uint64_t end = offset + data.size();
   const uint32_t rights = ProtectedRights(file);
   if (rights != 0 && (rights & kAclRightRead) == 0) {
     // Write-only: FS-level permissions allow the write, but memory
     // protection maps the extents no-access — route the data through the
     // trusted service (paper §5.3.3: "the library calls into the TFS for any
     // operations allowed by file system level permissions but prevented by
-    // memory protection").
+    // memory protection"). The batch ships first: the service writes the
+    // mFile at once, and an op still batched (a truncate) must not apply
+    // after it.
+    AERIE_RETURN_IF_ERROR(fs_->Sync());
     AERIE_RETURN_IF_ERROR(fs_->ServiceWrite(file, offset, data));
-    // The service set the mFile's size; only a pending size can be stale.
-    if (auto shadow = ShadowFor(file)) {
-      std::lock_guard lock(overlay_mu_);
-      if (shadow->has_size && end > shadow->size) {
-        shadow->size = end;
-      }
-    }
+    fs_->InvalidateDirect(file);
     return data.size();
   }
   if (rights != 0 && (rights & kAclRightWrite) == 0) {
     return Status(ErrorCode::kPermissionDenied, "file is read-only");
   }
-  AERIE_ASSIGN_OR_RETURN(
-      std::shared_ptr<const LibFs::DirectMap> map,
-      LockedMap(file, LockMode::kExclusive, offset, end, /*cache=*/true));
+  const uint64_t end = offset + data.size();
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<const LibFs::DirectMap> map,
+                         LockedMap(file, LockMode::kExclusive, offset, end));
 
   // Holes and growth are metadata: fill holes with pooled extent runs and
   // log one attach per run plus the new size (paper §5.3.5: the server only
-  // verifies and attaches), on a copy of the map the copy loop then runs
-  // against.
+  // verifies and attaches), on a copy of the map that the copy loop then
+  // runs against and that becomes the file's shadow.
   const uint64_t first = offset / kScmPageSize;
   const uint64_t last = PagesFor(end);
   bool edit = end > map->map.size;
@@ -679,10 +669,13 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
     edit = map->map.extent(p) == 0;
   }
   std::vector<MetaOp> ops;
+  std::shared_ptr<LibFs::DirectMap> edited;
   if (edit) {
     // The copy shares every chunk of pages the write does not touch.
-    auto edited = std::make_shared<LibFs::DirectMap>(*map);
+    AERIE_ASSIGN_OR_RETURN(edited, EditableMap(file, *map));
     MFile::DirectExtentMap& m = edited->map;
+    // A write past the size exposes the old last page's tail.
+    MFile::ZeroGap(ctx_.region, m, offset);
     m.Own(first, last);
     const uint64_t authority =
         fs_->clerk()->GlobalAuthorityOf(file.lock_id());
@@ -700,19 +693,18 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
       for (uint64_t i = 0; i < run.pages; ++i, ++p) {
         const uint64_t extent = run.offset + i * kScmPageSize;
         m.set_extent(p, extent);
-        // The bytes of the page the write leaves unwritten must read as
-        // zeros. Those before it fall inside the new size, so they are
-        // streamed and drained with the data; those past its end show only
-        // once a later write extends the file over them.
+        // The bytes of the page the write leaves unwritten but the file's
+        // size covers must read as zeros: they are streamed and drained
+        // with the data. Those past the size are zeroed by whatever extends
+        // the file over them.
         const uint64_t page_start = p * kScmPageSize;
-        char* const page = ctx_.region->PtrAt(extent);
         if (page_start < offset) {
-          static const char kZeros[kScmPageSize] = {};
-          ctx_.region->StreamWrite(page, kZeros, offset - page_start);
+          MFile::StreamZeros(ctx_.region, extent, offset - page_start);
         }
-        if (page_start + kScmPageSize > end) {
-          std::memset(page + (end - page_start), 0,
-                      page_start + kScmPageSize - end);
+        const uint64_t covered = std::min(page_start + kScmPageSize, m.size);
+        if (covered > end) {
+          MFile::StreamZeros(ctx_.region, extent + (end - page_start),
+                             covered - end);
         }
       }
       MetaOp op;
@@ -733,33 +725,18 @@ Result<uint64_t> Pxfs::WriteLocked(Oid file, uint64_t offset,
       op.a = end;
       ops.push_back(std::move(op));
     }
-    map = std::move(edited);
+    map = edited;
   }
 
   // Data writes go straight to SCM; no service involvement (§4.2).
   AERIE_RETURN_IF_ERROR(
       MFile::WriteDirect(ctx_.region, map->map, offset, data));
-  if (!ops.empty()) {
-    const std::vector<MetaOp> logged = ops;  // LogOps moves from `ops`
+  if (edited != nullptr) {
     uint64_t seq = 0;
     AERIE_RETURN_IF_ERROR(fs_->LogOps(ops, &seq));
-    UpdateShadow(file, seq, [&logged](FileShadow* shadow) {
-      for (const MetaOp& op : logged) {
-        if (op.type == MetaOpType::kAttachExtent) {
-          for (uint64_t i = 0; i < op.pages; ++i) {
-            shadow->extents[op.a + i] = op.b + i * kScmPageSize;
-          }
-        } else {
-          shadow->size = op.a;
-          shadow->has_size = true;
-        }
-      }
-    });
-  }
-  if (map->epoch != 0) {
+    SetShadow(file, seq, std::move(edited));
+  } else if (map->epoch != 0) {
     fs_->StoreDirect(file, std::move(map));
-  } else if (!ops.empty()) {
-    fs_->InvalidateDirect(file);  // a cached map no longer matches the file
   }
   return data.size();
 }
@@ -809,47 +786,38 @@ Status Pxfs::Ftruncate(int fd, uint64_t size) {
   if ((entry->flags & kOpenWrite) == 0) {
     return Status(ErrorCode::kPermissionDenied, "fd not open for write");
   }
-  const Oid oid = entry->oid;
   LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(oid.lock_id(), LockMode::kExclusive, entry->ancestors));
-  // The boundary page as it stands before the truncate, with the old size:
-  // an uncached map of that one page.
-  auto boundary = LockedMap(oid, LockMode::kExclusive, size, size + 1,
-                            /*cache=*/false);
+  AERIE_RETURN_IF_ERROR(clerk->Acquire(entry->oid.lock_id(),
+                                       LockMode::kExclusive, entry->ancestors));
+  Status st = TruncateLocked(entry->oid, size);
+  clerk->Release(entry->oid.lock_id());
+  return st;
+}
+
+Status Pxfs::TruncateLocked(Oid file, uint64_t size) {
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<const LibFs::DirectMap> map,
+                         LockedMap(file, LockMode::kExclusive, 0, size));
+  AERIE_ASSIGN_OR_RETURN(std::shared_ptr<LibFs::DirectMap> edited,
+                         EditableMap(file, *map));
+  MFile::DirectExtentMap& m = edited->map;
+  // POSIX zero-fill: growing the file brings its old last page's tail
+  // inside the size.
+  if (MFile::ZeroGap(ctx_.region, m, size)) {
+    ctx_.region->BFlush();
+  }
   MetaOp op;
   op.type = MetaOpType::kTruncate;
-  op.authority = clerk->GlobalAuthorityOf(oid.lock_id());
-  op.obj = oid;
+  op.authority = fs_->clerk()->GlobalAuthorityOf(file.lock_id());
+  op.obj = file;
   op.a = size;
   uint64_t seq = 0;
-  Status st = fs_->LogOp(std::move(op), &seq);
-  if (st.ok()) {
-    const uint64_t keep = PagesFor(size);
-    UpdateShadow(oid, seq, [size, keep](FileShadow* shadow) {
-      shadow->size = size;
-      shadow->has_size = true;
-      shadow->mfile_floor = std::min(shadow->mfile_floor, keep);
-      shadow->extents.erase(shadow->extents.lower_bound(keep),
-                            shadow->extents.end());
-    });
-    // POSIX zero-fill: the boundary page's tail must not resurface if the
-    // file is extended later. The server's apply does the same for the
-    // persistent mapping; this covers the client's pending-extent view.
-    if (boundary.ok() && size < (*boundary)->map.size &&
-        size % kScmPageSize != 0) {
-      const uint64_t extent = (*boundary)->map.extent(size / kScmPageSize);
-      if (extent != 0) {
-        char* data = ctx_.region->PtrAt(extent);
-        const uint64_t in_page = size % kScmPageSize;
-        std::memset(data + in_page, 0, kScmPageSize - in_page);
-        ctx_.region->WlFlush(data + in_page, kScmPageSize - in_page);
-      }
-    }
-    fs_->InvalidateDirect(oid);
-  }
-  clerk->Release(oid.lock_id());
-  return st;
+  AERIE_RETURN_IF_ERROR(fs_->LogOp(std::move(op), &seq));
+  // The apply frees the extents of the pages past the new size; pages a
+  // grown file gains are holes.
+  m.Resize(PagesFor(size));
+  m.size = size;
+  SetShadow(file, seq, std::move(edited));
+  return OkStatus();
 }
 
 Status Pxfs::Fsync(int fd) {

@@ -17,9 +17,10 @@
 //     in a mode that covers the open (DESIGN.md §10.2);
 //   * creates/writes take objects and extents from libFS pools, write data
 //     directly, and log metadata ops into the batch;
-//   * a volatile *shadow* layer (per-directory name overlay + per-file
-//     pending-extent/size shadows) makes this client's batched-but-unshipped
-//     updates visible to its own operations (§6.1 "Storage Objects");
+//   * a volatile *shadow* layer makes this client's batched-but-unshipped
+//     updates visible to its own operations (§6.1 "Storage Objects"): a
+//     name overlay per directory, and per file the whole-file extent map
+//     with this client's edits, which the data path reads like any map;
 //   * directory write locks are hierarchical (XH) by default, so file locks
 //     under a directory are granted locally by the clerk;
 //   * unlink-while-open: the client notifies the TFS a file is open before
@@ -35,7 +36,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -136,17 +136,13 @@ class Pxfs {
   void FlushNameCache();
 
  private:
+  // A file's map while it mirrors ops not yet shipped: the whole-file
+  // extent map with this client's edits (attached runs, size, pages a
+  // pending truncate frees as holes), stamped with the last logged op it
+  // mirrors (LibFs::LogOps). Once that op has shipped, the mFile says
+  // everything the map does and the shadow is dropped.
   struct FileShadow {
-    std::map<uint64_t, uint64_t> extents;  // page index -> extent offset
-    uint64_t size = 0;
-    bool has_size = false;
-    // Pages at or above this index have a pending truncate queued: their
-    // SCM mapping will be freed when the batch applies, so reads/writes must
-    // not trust it (only shadow extents are valid there).
-    uint64_t mfile_floor = ~0ull;
-    // The last logged op this shadow mirrors (LibFs::LogOps). Once it has
-    // shipped, the mFile says everything the shadow does and the shadow is
-    // dropped.
+    std::shared_ptr<const LibFs::DirectMap> map;
     uint64_t seq = 0;
   };
   struct DirOverlay {
@@ -203,13 +199,15 @@ class Pxfs {
   // belonged to a destroyed file or directory.
   void ForgetRecycled(Oid oid);
 
-  // `file`'s shadow while it mirrors an op not yet shipped, else nullptr.
-  std::shared_ptr<FileShadow> ShadowFor(Oid file);
-  // Applies `edit` to `file`'s live shadow (a fresh one if there is none)
-  // and stamps it with `seq`, the last op the edit mirrors, all under
-  // overlay_mu_. Sweeps shipped shadows once the map doubles in size.
-  void UpdateShadow(Oid file, uint64_t seq,
-                    const std::function<void(FileShadow*)>& edit);
+  // `file`'s shadow map while it mirrors an op not yet shipped, else
+  // nullptr.
+  std::shared_ptr<const LibFs::DirectMap> ShadowFor(Oid file);
+  // Makes `map` `file`'s shadow, stamped with `seq`, the last op it mirrors;
+  // then stores the same map in the direct cache if it carries an epoch, or
+  // drops the cached one. So a current cached map never disagrees with a
+  // live shadow. Sweeps shipped shadows once the table doubles in size.
+  void SetShadow(Oid file, uint64_t seq,
+                 std::shared_ptr<const LibFs::DirectMap> map);
 
   LockMode DirWriteMode() const {
     return options_.hierarchical_dir_locks ? LockMode::kExclusiveHier
@@ -233,6 +231,7 @@ class Pxfs {
   Result<uint64_t> ReadLocked(Oid file, uint64_t offset, std::span<char> out);
   Result<uint64_t> WriteLocked(Oid file, uint64_t offset,
                                std::span<const char> data);
+  Status TruncateLocked(Oid file, uint64_t size);
 
   // Upper bound on cacheable file size: one map entry per 4KB page.
   static constexpr uint64_t kDirectMaxPages = 1 << 16;  // 256MB
@@ -250,16 +249,21 @@ class Pxfs {
   // a writable map that already covers [0, end).
   std::shared_ptr<const LibFs::DirectMap> PinMap(Oid file, bool write,
                                                  uint64_t end);
-  // The locked way's map; the caller holds the file lock in `mode`. With
-  // `cache`, reuses the cached map when its epoch is current (and it is
-  // writable for kExclusive); it may stop short of an extending write's new
-  // pages. Otherwise snapshots the mFile and folds this client's shadow
-  // state in, covering the whole file (for kExclusive, up to `end`) under a
-  // grant epoch so the caller may cache it — unless `cache` is false, that
-  // would exceed kDirectMaxPages, the pinned way is off, or the grant
-  // fails: then it covers only [offset, end) and has epoch 0.
+  // The locked way's map; the caller holds the file lock in `mode`. In
+  // order: the cached map if its epoch is current (and it is writable, for
+  // kExclusive; it may stop short of an extending write's new pages); else
+  // the live shadow; else a snapshot of the mFile. Either of the last two
+  // covers the whole file (a snapshot for kExclusive up to `end`) under a
+  // fresh grant epoch, so the caller may cache it, unless that would exceed
+  // kDirectMaxPages, the pinned way is off, or the grant fails: then the
+  // map has epoch 0, and a snapshot covers only [offset, end).
   Result<std::shared_ptr<const LibFs::DirectMap>> LockedMap(
-      Oid file, LockMode mode, uint64_t offset, uint64_t end, bool cache);
+      Oid file, LockMode mode, uint64_t offset, uint64_t end);
+  // A private copy of `map` to edit, covering the whole file: `map`'s
+  // nodes shared, or a fresh snapshot if `map` is a window (an edited map
+  // becomes the shadow, so it must cover the whole file).
+  Result<std::shared_ptr<LibFs::DirectMap>> EditableMap(
+      Oid file, const LibFs::DirectMap& map);
   // Rights from `file`'s ACL that memory protection must enforce (paper
   // §5.3.3), or 0 (unrestricted) without enforce_memory_protection.
   uint32_t ProtectedRights(Oid file);
@@ -281,7 +285,7 @@ class Pxfs {
 
   std::mutex overlay_mu_;
   std::unordered_map<uint64_t, DirOverlay> overlay_;
-  std::unordered_map<uint64_t, std::shared_ptr<FileShadow>> shadows_;
+  std::unordered_map<uint64_t, FileShadow> shadows_;
   static constexpr size_t kShadowSweepMin = 1024;
   size_t shadow_sweep_at_ = kShadowSweepMin;
 

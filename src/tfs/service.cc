@@ -1,6 +1,6 @@
 #include "src/tfs/service.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/common/check.h"
 #include "src/obs/trace.h"
@@ -16,6 +16,10 @@ std::string OidKey(Oid oid) {
   return std::string(reinterpret_cast<const char*>(&raw), sizeof(raw));
 }
 
+uint64_t PagesFor(uint64_t bytes) {
+  return (bytes + kScmPageSize - 1) / kScmPageSize;
+}
+
 constexpr uint64_t kMaxFileBytes = 1ull << 46;
 constexpr uint64_t kMaxFilePages = kMaxFileBytes / kScmPageSize;
 
@@ -27,11 +31,10 @@ constexpr int kExtentRunOrder = 5;
 }  // namespace
 
 TrustedFsService::TrustedFsService(Volume* volume, LockService* locks,
-                                   ScmManager* scm, Options options)
+                                   ScmManager* scm)
     : volume_(volume),
       locks_(locks),
       scm_(scm),
-      options_(options),
       ctx_(volume->context()) {
   obs_registration_.AddAll(batches_applied_, ops_applied_, ops_rejected_,
                            attach_pages_, pool_objects_);
@@ -91,9 +94,6 @@ Status TrustedFsService::Bootstrap() {
 Status TrustedFsService::HoldsWriteLock(uint64_t client_id,
                                         LockId object_lock,
                                         uint64_t authority) const {
-  if (!options_.strict_lock_checks) {
-    return OkStatus();
-  }
   if (!locks_->LeaseValid(client_id)) {
     return Status(ErrorCode::kLockRevoked, "client lease expired");
   }
@@ -927,7 +927,9 @@ Result<uint64_t> TrustedFsService::ServiceRead(uint64_t client_id, Oid file,
   AERIE_SPAN("tfs", "service_read");
   (void)client_id;  // permission checks live at the interface layer
   AERIE_ASSIGN_OR_RETURN(MFile f, MFile::Open(ctx_, file));
-  return f.Read(offset, out);
+  const MFile::DirectExtentMap map =
+      f.SnapshotExtents(offset / kScmPageSize, PagesFor(offset + out.size()));
+  return MFile::ReadDirect(ctx_.region, map, offset, out);
 }
 
 Status TrustedFsService::ServiceWrite(uint64_t client_id, Oid file,
@@ -935,23 +937,45 @@ Status TrustedFsService::ServiceWrite(uint64_t client_id, Oid file,
                                       std::span<const char> data) {
   AERIE_SPAN("tfs", "service_write");
   (void)client_id;
+  if (data.empty()) {
+    return OkStatus();
+  }
   AERIE_ASSIGN_OR_RETURN(MFile f, MFile::Open(ctx_, file));
-  if (!f.single_extent()) {
-    // Allocate backing extents for any holes the write touches.
-    const uint64_t first_page = offset / kScmPageSize;
-    const uint64_t last_page = (offset + data.size() - 1) / kScmPageSize;
-    for (uint64_t p = first_page; p <= last_page; ++p) {
-      if (!f.ExtentForPage(p).ok()) {
-        AERIE_ASSIGN_OR_RETURN(uint64_t extent, ctx_.alloc->Alloc(0));
-        std::memset(ctx_.region->PtrAt(extent), 0, kScmPageSize);
-        AERIE_RETURN_IF_ERROR(f.AttachRun(p, extent, 1));
-      }
+  if (f.single_extent()) {
+    return Status(ErrorCode::kNotSupported,
+                  "service writes go to paged mFiles");
+  }
+  const uint64_t end = offset + data.size();
+  // The old last page's tail up to the write, which the write brings inside
+  // the size. The snapshot keeps the size its page was picked for, so a
+  // concurrent apply cannot move ZeroGap off the page it covers.
+  const uint64_t size = f.size();
+  MFile::DirectExtentMap tail =
+      f.SnapshotExtents(size / kScmPageSize, size / kScmPageSize + 1);
+  tail.size = size;
+  MFile::ZeroGap(ctx_.region, tail, offset);
+  // Back the write's holes with zeroed pages, sealed before they are
+  // attached.
+  MFile::DirectExtentMap map =
+      f.SnapshotExtents(offset / kScmPageSize, PagesFor(end));
+  map.Own(map.first_page, map.end_page);
+  std::vector<uint64_t> filled;
+  for (uint64_t p = map.first_page; p < map.end_page; ++p) {
+    if (map.extent(p) == 0) {
+      AERIE_ASSIGN_OR_RETURN(uint64_t extent, ctx_.alloc->Alloc(0));
+      MFile::StreamZeros(ctx_.region, extent, kScmPageSize);
+      map.set_extent(p, extent);
+      filled.push_back(p);
     }
   }
-  AERIE_RETURN_IF_ERROR(f.WriteInPlace(offset, data));
   ctx_.region->BFlush();
-  if (offset + data.size() > f.size()) {
-    AERIE_RETURN_IF_ERROR(f.SetSize(offset + data.size()));
+  for (uint64_t p : filled) {
+    AERIE_RETURN_IF_ERROR(f.AttachRun(p, map.extent(p), 1));
+  }
+  map.size = std::max(map.size, end);
+  AERIE_RETURN_IF_ERROR(MFile::WriteDirect(ctx_.region, map, offset, data));
+  if (end > f.size()) {
+    AERIE_RETURN_IF_ERROR(f.SetSize(end));
   }
   return OkStatus();
 }

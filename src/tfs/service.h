@@ -48,17 +48,9 @@ namespace aerie {
 
 class TrustedFsService {
  public:
-  struct Options {
-    // Verify lock ownership and leases on every op (disable only for
-    // ablation benchmarks measuring validation cost).
-    bool strict_lock_checks = true;
-  };
-
   // `scm` may be null (no hardware-protection propagation).
-  TrustedFsService(Volume* volume, LockService* locks, ScmManager* scm,
-                   Options options);
-  TrustedFsService(Volume* volume, LockService* locks)
-      : TrustedFsService(volume, locks, nullptr, Options{}) {}
+  TrustedFsService(Volume* volume, LockService* locks,
+                   ScmManager* scm = nullptr);
 
   // Creates the system objects (PXFS root, FlatFS namespace, orphan table,
   // pool map) on a freshly formatted volume. Idempotent.
@@ -89,7 +81,8 @@ class TrustedFsService {
   Roots GetRoots() const { return roots_; }
 
   // Fallback data path for files memory protection cannot express
-  // (write-only files, §5.3.3): full read/write through the service.
+  // (write-only files, §5.3.3): full read/write of paged mFiles through the
+  // service, copied by MFile::ReadDirect / MFile::WriteDirect.
   Result<uint64_t> ServiceRead(uint64_t client_id, Oid file, uint64_t offset,
                                std::span<char> out);
   Status ServiceWrite(uint64_t client_id, Oid file, uint64_t offset,
@@ -151,7 +144,6 @@ class TrustedFsService {
   Volume* volume_;
   LockService* locks_;
   ScmManager* scm_;
-  Options options_;
   OsdContext ctx_;
 
   Roots roots_;

@@ -456,6 +456,49 @@ TEST(CrashSimTest, PwriteIntoNewFileReadsZerosBeforeTheWrite) {
   ::unlink(options.image_path.c_str());
 }
 
+// A write past a file's size, inside its last page, leaves a gap between the
+// old size and the write. The first write leaves the rest of its page as
+// the stamped pool page held it, so every image that holds the second write
+// must read the gap as zeros, never as those stale bytes.
+TEST(CrashSimTest, PwritePastTheSizeReadsZerosInTheGap) {
+  SystemUnderTest t = BootPrimedSystem();
+  StampPooledExtents(&t);
+  CrashSimOptions options;
+  options.seed = 20261020;
+  options.max_images = 300;
+  options.random_draws_per_point = 2;
+  options.stop_on_failure = false;
+  options.image_path = UniqueImagePath("tail_gap");
+  options = CrashSimOptions::FromEnv(options);
+  const std::string path = "/w/tail_gap";
+  const std::string first = RunPayload(2, 100);
+  const std::string second = RunPayload(3, 100);
+  const std::string grown = first + std::string(100, '\0') + second;
+  const std::vector<uint64_t> freed;
+  RunExpectations expect;
+  {
+    CrashSimulator sim(t.sys->scm_region(), options,
+                       RunChecker(&freed, &expect));
+    expect[path] = {kAbsent, "", first};
+    auto fd = t.fs->Open(path, kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(
+        t.fs->Pwrite(*fd, 0, std::span<const char>(first.data(), 100)).ok());
+    ASSERT_TRUE(t.fs->SyncAll().ok());
+    expect[path] = {first, grown};
+    ASSERT_TRUE(
+        t.fs->Pwrite(*fd, 200, std::span<const char>(second.data(), 100))
+            .ok());
+    ASSERT_TRUE(t.fs->SyncAll().ok());
+    expect[path] = {grown};
+    ASSERT_TRUE(t.fs->Close(*fd).ok());
+    EXPECT_TRUE(sim.ok()) << sim.Report();
+    EXPECT_GT(sim.images_checked(), 0u);
+    std::fprintf(stderr, "%s\n", sim.Report().c_str());
+  }
+  ::unlink(options.image_path.c_str());
+}
+
 // --- Pool map -------------------------------------------------------------
 
 // Reboots on the image and requires recovery to have freed every object of

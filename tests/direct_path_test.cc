@@ -490,8 +490,10 @@ TEST_F(DirectPathTest, FdReuseRacesWithDataCalls) {
   ASSERT_TRUE(fs_->Close(fd).ok());
 }
 
-// A file spanning more than the map cap (kDirectMaxPages) is never cached:
-// every call maps just the pages it touches, so no call goes pinned.
+// A file spanning more than the map cap (kDirectMaxPages) is never cached,
+// so no call goes pinned: a call that edits nothing maps just the pages it
+// touches, and an edit works on a whole-file map that holds only the pages
+// the file has.
 TEST_F(DirectPathTest, SparseFileBeyondMapCapUsesCallSizedMaps) {
   constexpr uint64_t kFar = 1ull << 30;
   auto fd = fs_->Open("/d/sparse", kOpenCreate | kOpenRead | kOpenWrite);
@@ -538,6 +540,57 @@ TEST_F(DirectPathTest, SparseFileBeyondMapCapUsesCallSizedMaps) {
   ASSERT_TRUE(fs_->Close(*fd).ok());
 }
 
+// Maps cost memory for the pages a file has, not for the offsets it spans:
+// a write and truncates at offsets of tens of TiB edit whole-file maps of a
+// sparse file, before and after the batch applies.
+TEST_F(DirectPathTest, MultiTebibyteOffsetsMapOnlyTheirPages) {
+  constexpr uint64_t kFar = 1ull << 45;
+  constexpr uint64_t kCut = 1ull << 40;
+  constexpr uint64_t kGrown = 1ull << 44;
+  auto fd = fs_->Open("/d/vast", kOpenCreate | kOpenRead | kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  auto n = fs_->Pwrite(*fd, kFar, Bytes("x"));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  std::string buf(kPage, '\0');
+  for (int pass = 0; pass < 2; ++pass) {
+    auto st = fs_->Fstat(*fd);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st->size, kFar + 1);
+    n = fs_->Pread(*fd, kFar, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(*n, 1u);
+    EXPECT_EQ(buf[0], 'x');
+    n = fs_->Pread(*fd, kFar / 2, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(buf, std::string(kPage, '\0'));
+    ASSERT_TRUE(fs_->SyncAll().ok());
+  }
+
+  // Shrink below the page, grow again, and write inside the grown range.
+  ASSERT_TRUE(fs_->Ftruncate(*fd, kCut).ok());
+  ASSERT_TRUE(fs_->Ftruncate(*fd, kGrown).ok());
+  n = fs_->Pwrite(*fd, kCut + kPage, Bytes("y"));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  for (int pass = 0; pass < 2; ++pass) {
+    auto st = fs_->Fstat(*fd);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st->size, kGrown);
+    n = fs_->Pread(*fd, kFar, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, 0u);
+    n = fs_->Pread(*fd, kCut + kPage, std::span<char>(buf.data(), 2));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(*n, 2u);
+    EXPECT_EQ(buf.substr(0, 2), std::string("y\0", 2));
+    n = fs_->Pread(*fd, kGrown - kPage, std::span<char>(buf.data(), kPage));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, kPage);
+    EXPECT_EQ(buf, std::string(kPage, '\0'));
+    ASSERT_TRUE(fs_->SyncAll().ok());
+  }
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
 TEST_F(DirectPathTest, ExtendsShareUntouchedMapChunks) {
   // A locked extend stores an edited copy of the cached map. The copy shares
   // the chunks the write does not touch, and the map it replaced (which a
@@ -552,18 +605,19 @@ TEST_F(DirectPathTest, ExtendsShareUntouchedMapChunks) {
   const Oid oid = st->oid;
   auto before = libfs()->LookupDirect(oid);
   ASSERT_NE(before, nullptr);
-  ASSERT_EQ(before->map.chunks.size(), 1u);
+  ASSERT_NE(before->map.chunk(0), nullptr);
+  EXPECT_EQ(before->map.chunk(kChunk), nullptr);
 
   // Two pages across the first chunk boundary.
   const std::string mid(2 * kPage, 'b');
   ASSERT_TRUE(fs_->Pwrite(*fd, (kChunk - 1) * kPage, Bytes(mid)).ok());
   auto after = libfs()->LookupDirect(oid);
   ASSERT_NE(after, nullptr);
-  ASSERT_EQ(after->map.chunks.size(), 2u);
-  EXPECT_NE(after->map.chunks[0], before->map.chunks[0]);
+  ASSERT_NE(after->map.chunk(kChunk), nullptr);
+  EXPECT_NE(after->map.chunk(0), before->map.chunk(0));
   EXPECT_EQ(before->map.size, head.size());
   EXPECT_EQ(before->map.end_page, kChunk - 1);
-  ASSERT_EQ(before->map.chunks[0]->size(), kChunk - 1);
+  ASSERT_EQ(before->map.chunk(0)->size(), kChunk - 1);
   for (uint64_t p = 0; p < kChunk - 1; ++p) {
     ASSERT_EQ(before->map.extent(p), after->map.extent(p)) << p;
   }
@@ -574,8 +628,8 @@ TEST_F(DirectPathTest, ExtendsShareUntouchedMapChunks) {
   ASSERT_TRUE(fs_->Pwrite(*fd, (kChunk + 2) * kPage, Bytes(tail)).ok());
   auto extended = libfs()->LookupDirect(oid);
   ASSERT_NE(extended, nullptr);
-  EXPECT_EQ(extended->map.chunks[0], after->map.chunks[0]);
-  EXPECT_NE(extended->map.chunks[1], after->map.chunks[1]);
+  EXPECT_EQ(extended->map.chunk(0), after->map.chunk(0));
+  EXPECT_NE(extended->map.chunk(kChunk), after->map.chunk(kChunk));
 
   // Filling the hole edits a copy of the second chunk, not the chunk the
   // replaced map still reads.
@@ -585,7 +639,7 @@ TEST_F(DirectPathTest, ExtendsShareUntouchedMapChunks) {
   ASSERT_NE(filled, nullptr);
   EXPECT_EQ(extended->map.extent(kChunk + 1), 0u);
   EXPECT_NE(filled->map.extent(kChunk + 1), 0u);
-  EXPECT_EQ(filled->map.chunks[0], extended->map.chunks[0]);
+  EXPECT_EQ(filled->map.chunk(0), extended->map.chunk(0));
 
   const std::string want = head + mid + fill + tail;
   std::string buf(want.size() + kPage, '\0');
@@ -728,11 +782,17 @@ TEST_F(DirectPathTest, ReadersRaceCacheEvictionAndTruncate) {
   constexpr int kChurned = 0;
   std::atomic<int> readers_left{kReaders};
   std::atomic<int> bad{0};
+  // Readers go on past kRounds until the file has been churned as often,
+  // so the two overlap however fast the reads are.
+  std::atomic<int> churns{0};
+  std::atomic<bool> churn_done{false};
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       std::string buf(kPage, '\0');
-      for (int round = 0; round < kRounds; ++round) {
+      for (int round = 0;
+           round < kRounds || (churns.load() < kRounds && !churn_done.load());
+           ++round) {
         for (int k = 0; k < kSparseFiles; ++k) {
           const int i = (k + r * kSparseFiles / kReaders) % kSparseFiles;
           auto fd = fs_->Open(SparsePath(i), kOpenRead);
@@ -757,12 +817,12 @@ TEST_F(DirectPathTest, ReadersRaceCacheEvictionAndTruncate) {
       readers_left.fetch_sub(1);
     });
   }
-  int churns = 0;
   Status churn_status;
   std::thread churn([&] {
     auto fd = fs_->Open(SparsePath(kChurned), kOpenRead | kOpenWrite);
     if (!fd.ok()) {
       churn_status = fd.status();
+      churn_done.store(true);
       return;
     }
     const std::string page(kPage, SparseTag(kChurned));
@@ -773,6 +833,7 @@ TEST_F(DirectPathTest, ReadersRaceCacheEvictionAndTruncate) {
       }
       ++churns;
     }
+    churn_done.store(true);
     if (churn_status.ok()) {
       churn_status = fs_->Close(*fd);
     }
@@ -783,7 +844,7 @@ TEST_F(DirectPathTest, ReadersRaceCacheEvictionAndTruncate) {
   churn.join();
   EXPECT_TRUE(churn_status.ok()) << churn_status.ToString();
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_GT(churns, 0);
+  EXPECT_GE(churns.load(), kRounds);
   EXPECT_LE(libfs()->direct_cache_slots(), LibFs::kDirectCacheSlots);
   EXPECT_GT(libfs()->direct_cache_evictions(), 0u);
 }

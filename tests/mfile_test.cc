@@ -1,5 +1,6 @@
 // Tests for the mFile object: radix tree growth, sparse reads, in-place
-// writes, truncation, single-extent mode, destroy, property sweep.
+// writes through extent-map snapshots, truncation, single-extent mode,
+// destroy, property sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,30 @@
 
 namespace aerie {
 namespace {
+
+uint64_t PagesFor(uint64_t bytes) {
+  return (bytes + kScmPageSize - 1) / kScmPageSize;
+}
+
+// Reads and writes copy through a snapshot of the pages they touch, as every
+// data path does.
+uint64_t ReadAt(const MFile& file, ScmRegion* region, uint64_t offset,
+                std::span<char> out) {
+  return MFile::ReadDirect(
+      region,
+      file.SnapshotExtents(offset / kScmPageSize,
+                           PagesFor(offset + out.size())),
+      offset, out);
+}
+
+Status WriteAt(const MFile& file, ScmRegion* region, uint64_t offset,
+               std::span<const char> data) {
+  return MFile::WriteDirect(
+      region,
+      file.SnapshotExtents(offset / kScmPageSize,
+                           PagesFor(offset + data.size())),
+      offset, data);
+}
 
 class MFileTest : public ::testing::Test {
  protected:
@@ -61,9 +86,8 @@ TEST_F(MFileTest, AttachAndReadBack) {
   ASSERT_TRUE(file->SetSize(14).ok());
 
   char buf[32] = {};
-  auto n = file->Read(0, std::span<char>(buf, sizeof(buf)));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 14u);
+  EXPECT_EQ(ReadAt(*file, ctx_.region, 0, std::span<char>(buf, sizeof(buf))),
+            14u);
   EXPECT_EQ(std::string_view(buf, 14), "page zero data");
   EXPECT_EQ(*file->ExtentForPage(0), extent);
 }
@@ -106,26 +130,30 @@ TEST_F(MFileTest, SparseReadsReturnZeros) {
   ASSERT_TRUE(file->SetSize(3 * kScmPageSize).ok());
 
   std::string buf(3 * kScmPageSize, 'x');
-  auto n = file->Read(0, std::span<char>(buf.data(), buf.size()));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 3 * kScmPageSize);
+  EXPECT_EQ(ReadAt(*file, ctx_.region, 0, std::span<char>(buf)),
+            3 * kScmPageSize);
   EXPECT_EQ(buf[0], '\0');
   EXPECT_EQ(buf[2 * kScmPageSize - 1], '\0');
   EXPECT_EQ(static_cast<unsigned char>(buf[2 * kScmPageSize]), 0xee);
 }
 
-TEST_F(MFileTest, WriteInPlaceRequiresExtents) {
+TEST_F(MFileTest, WriteDirectRequiresExtents) {
   auto file = MFile::Create(ctx_, 0);
   ASSERT_TRUE(file.ok());
   const char data[] = "hello";
-  EXPECT_EQ(file->WriteInPlace(0, std::span<const char>(data, 5)).code(),
+  // Past the size, and then over a hole: both refused.
+  EXPECT_EQ(WriteAt(*file, ctx_.region, 0, std::span<const char>(data, 5))
+                .code(),
+            ErrorCode::kNotFound);
+  ASSERT_TRUE(file->SetSize(5).ok());
+  EXPECT_EQ(WriteAt(*file, ctx_.region, 0, std::span<const char>(data, 5))
+                .code(),
             ErrorCode::kNotFound);
   ASSERT_TRUE(file->AttachRun(0, NewExtent(), 1).ok());
-  EXPECT_TRUE(file->WriteInPlace(0, std::span<const char>(data, 5)).ok());
-  ctx_.region->BFlush();
-  ASSERT_TRUE(file->SetSize(5).ok());
+  EXPECT_TRUE(
+      WriteAt(*file, ctx_.region, 0, std::span<const char>(data, 5)).ok());
   char buf[8] = {};
-  EXPECT_EQ(*file->Read(0, std::span<char>(buf, 8)), 5u);
+  EXPECT_EQ(ReadAt(*file, ctx_.region, 0, std::span<char>(buf, 8)), 5u);
   EXPECT_EQ(std::string_view(buf, 5), "hello");
 }
 
@@ -134,13 +162,11 @@ TEST_F(MFileTest, CrossPageWrite) {
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE(file->AttachRun(0, NewExtent(), 1).ok());
   ASSERT_TRUE(file->AttachRun(1, NewExtent(), 1).ok());
-  std::string data(6000, 'q');
-  ASSERT_TRUE(
-      file->WriteInPlace(1000, std::span<const char>(data.data(), 6000))
-          .ok());
   ASSERT_TRUE(file->SetSize(7000).ok());
+  std::string data(6000, 'q');
+  ASSERT_TRUE(WriteAt(*file, ctx_.region, 1000, data).ok());
   std::string buf(6000, '\0');
-  EXPECT_EQ(*file->Read(1000, std::span<char>(buf.data(), 6000)), 6000u);
+  EXPECT_EQ(ReadAt(*file, ctx_.region, 1000, std::span<char>(buf)), 6000u);
   EXPECT_EQ(buf, data);
 }
 
@@ -212,25 +238,23 @@ TEST_F(MFileTest, SingleExtentCreateWriteRead) {
   ASSERT_TRUE(file.ok());
   EXPECT_TRUE(file->single_extent());
   EXPECT_GE(file->capacity(), 10000u);  // rounded to power-of-two pages
-  std::string data(9000, 'm');
-  ASSERT_TRUE(
-      file->WriteInPlace(0, std::span<const char>(data.data(), data.size()))
-          .ok());
   ASSERT_TRUE(file->SetSize(9000).ok());
+  std::string data(9000, 'm');
+  ASSERT_TRUE(WriteAt(*file, ctx_.region, 0, data).ok());
   std::string buf(9000, '\0');
-  EXPECT_EQ(*file->Read(0, std::span<char>(buf.data(), buf.size())), 9000u);
+  EXPECT_EQ(ReadAt(*file, ctx_.region, 0, std::span<char>(buf)), 9000u);
   EXPECT_EQ(buf, data);
 }
 
 TEST_F(MFileTest, SingleExtentCapacityEnforced) {
   auto file = MFile::CreateSingleExtent(ctx_, 0, 4096);
   ASSERT_TRUE(file.ok());
-  std::string data(5000, 'x');
-  EXPECT_EQ(
-      file->WriteInPlace(0, std::span<const char>(data.data(), data.size()))
-          .code(),
-      ErrorCode::kOutOfSpace);
   EXPECT_EQ(file->SetSize(5000).code(), ErrorCode::kOutOfSpace);
+  // A write can reach no further than the size, which stops at capacity.
+  ASSERT_TRUE(file->SetSize(4096).ok());
+  std::string data(5000, 'x');
+  EXPECT_EQ(WriteAt(*file, ctx_.region, 0, data).code(),
+            ErrorCode::kNotFound);
   EXPECT_EQ(file->AttachRun(0, NewExtent(), 1).code(),
             ErrorCode::kNotSupported);
 }
@@ -357,17 +381,14 @@ TEST_P(MFileRandomIoTest, RandomWritesMatchReferenceBuffer) {
         ASSERT_TRUE(file->AttachRun(p, *extent, 1).ok());
       }
     }
-    ASSERT_TRUE(
-        file->WriteInPlace(offset,
-                           std::span<const char>(data.data(), data.size()))
-            .ok());
-    std::memcpy(model.data() + offset, data.data(), len);
     if (offset + len > file->size()) {
       ASSERT_TRUE(file->SetSize(offset + len).ok());
     }
+    ASSERT_TRUE(WriteAt(*file, ctx.region, offset, data).ok());
+    std::memcpy(model.data() + offset, data.data(), len);
   }
   std::string buf(file->size(), '\0');
-  ASSERT_EQ(*file->Read(0, std::span<char>(buf.data(), buf.size())),
+  ASSERT_EQ(ReadAt(*file, ctx.region, 0, std::span<char>(buf)),
             file->size());
   EXPECT_EQ(buf, model.substr(0, file->size()));
 }

@@ -287,6 +287,61 @@ TEST_F(PxfsPosixTest, WriteOnlyFilesGoThroughTheService) {
   EXPECT_EQ(ReadAllVia(&fs, "/wonly"), data);
 }
 
+TEST_F(PxfsPosixTest, ServiceWriteAfterBatchedTruncateKeepsItsData) {
+  // The service writes the mFile at once, so a truncate still in the batch
+  // must apply before it, not free the page it wrote.
+  Pxfs::Options options;
+  options.enforce_memory_protection = true;
+  Pxfs fs(client_->fs(), options);
+  ASSERT_TRUE(fs.Create("/wtrunc").ok());
+  ASSERT_TRUE(fs.Chmod("/wtrunc", MakeAcl(0, kAclRightWrite)).ok());
+  auto fd = fs.Open("/wtrunc", kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(fs.Ftruncate(*fd, 0).ok());
+  const std::string data = "abc";
+  ASSERT_TRUE(
+      fs.Pwrite(*fd, 0, std::span<const char>(data.data(), data.size()))
+          .ok());
+  ASSERT_TRUE(fs.Close(*fd).ok());
+  ASSERT_TRUE(fs.SyncAll().ok());
+  ASSERT_TRUE(
+      fs.Chmod("/wtrunc", MakeAcl(0, kAclRightRead | kAclRightWrite)).ok());
+  EXPECT_EQ(ReadAllVia(&fs, "/wtrunc"), data);
+}
+
+TEST_F(PxfsPosixTest, WritesPastTheSizeReadZerosInTheGap) {
+  // A shrink leaves the old bytes of the last page past the new size; a
+  // write past the size, locked or through the service, must read zeros
+  // between the size and its offset.
+  Pxfs::Options options;
+  options.enforce_memory_protection = true;
+  Pxfs fs(client_->fs(), options);
+  const std::string old_bytes(kScmPageSize, 'x');
+  const std::string data = "def";
+  for (const bool service : {false, true}) {
+    const std::string path = service ? "/gap_service" : "/gap_locked";
+    SCOPED_TRACE(path);
+    auto fd = fs.Open(path, kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(fs.Write(*fd, std::span<const char>(old_bytes.data(),
+                                                    old_bytes.size()))
+                    .ok());
+    ASSERT_TRUE(fs.Ftruncate(*fd, 3).ok());
+    if (service) {
+      ASSERT_TRUE(fs.Chmod(path, MakeAcl(0, kAclRightWrite)).ok());
+    }
+    ASSERT_TRUE(
+        fs.Pwrite(*fd, 10, std::span<const char>(data.data(), data.size()))
+            .ok());
+    ASSERT_TRUE(fs.Close(*fd).ok());
+    if (service) {
+      ASSERT_TRUE(
+          fs.Chmod(path, MakeAcl(0, kAclRightRead | kAclRightWrite)).ok());
+    }
+    EXPECT_EQ(ReadAllVia(&fs, path), "xxx" + std::string(7, '\0') + data);
+  }
+}
+
 TEST_F(PxfsPosixTest, ReadOnlyAclBlocksWrites) {
   Pxfs::Options options;
   options.enforce_memory_protection = true;

@@ -1,10 +1,15 @@
 // Property-based test: PXFS under a random op stream must agree with an
 // in-memory reference model (map of path -> contents), across seeds, with
-// periodic syncs, client handoffs, and a final fsck.
+// periodic syncs, client handoffs, and a final fsck. Each seed runs in two
+// map modes: the default (cached whole-file maps, background shipping) and
+// windowed (no pinned way, so uncached maps cover only the call's pages,
+// and no flusher, so file shadows stay unshipped until a sync or a full
+// batch).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <tuple>
 
 #include "src/common/rand.h"
 #include "src/libfs/system.h"
@@ -14,18 +19,26 @@
 namespace aerie {
 namespace {
 
-class PxfsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+// (seed, windowed)
+class PxfsPropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(PxfsPropertyTest, RandomOpsMatchReferenceModel) {
+  const auto [seed, windowed] = GetParam();
   AerieSystem::Options options;
   options.region_bytes = 512ull << 20;
   auto sys = AerieSystem::Create(options);
   ASSERT_TRUE(sys.ok());
-  auto client = (*sys)->NewClient();
+  LibFs::Options client_options;
+  if (windowed) {
+    client_options.direct_data = false;
+    client_options.flush_interval_ms = 0;
+  }
+  auto client = (*sys)->NewClient(client_options);
   ASSERT_TRUE(client.ok());
   Pxfs fs((*client)->fs());
 
-  Rng rng(GetParam());
+  Rng rng(seed);
   std::map<std::string, std::string> model;  // path -> contents
   const int kDirs = 4;
   for (int d = 0; d < kDirs; ++d) {
@@ -164,8 +177,14 @@ TEST_P(PxfsPropertyTest, RandomOpsMatchReferenceModel) {
   EXPECT_EQ(report->files, model.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PxfsPropertyTest,
-                         ::testing::Values(101, 202, 303, 404));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PxfsPropertyTest,
+    ::testing::Combine(::testing::Values(101, 202, 303, 404),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<PxfsPropertyTest::ParamType>& param) {
+      return std::to_string(std::get<0>(param.param)) +
+             (std::get<1>(param.param) ? "_windowed" : "_default");
+    });
 
 }  // namespace
 }  // namespace aerie

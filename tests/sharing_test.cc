@@ -231,7 +231,9 @@ TEST_F(SharingTest, CrossInterfaceSharing) {
   auto file = MFile::Open(client2_->fs()->read_context(), Oid(*oid));
   ASSERT_TRUE(file.ok());
   std::string buf(file->size(), '\0');
-  EXPECT_EQ(*file->Read(0, std::span<char>(buf.data(), buf.size())),
+  EXPECT_EQ(MFile::ReadDirect(client2_->fs()->region(),
+                              file->SnapshotExtents(0, 1), 0,
+                              std::span<char>(buf)),
             v.size());
   EXPECT_EQ(buf, v);
 }
