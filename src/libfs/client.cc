@@ -260,16 +260,21 @@ Status LibFs::Sync() {
 
 // --- Direct data path (DESIGN.md §10) ---
 
+size_t LibFs::FindDirectLocked(uint64_t file) const {
+  return direct_maps_.Find(Mix64(file), [file](const DirectSlot& slot) {
+    return slot.file() == file;
+  });
+}
+
 std::shared_ptr<const LibFs::DirectMap> LibFs::LookupDirect(Oid file) {
   std::shared_lock lock(direct_mu_);
-  auto it = direct_maps_.find(file.offset());
-  if (it == direct_maps_.end()) {
+  const size_t i = FindDirectLocked(file.offset());
+  if (i == OpenTable<DirectSlot>::kNone) {
     return nullptr;
   }
-  if (!it->second.referenced.load()) {
-    it->second.referenced.store(true);
-  }
-  return it->second.map;
+  const DirectSlot& slot = direct_maps_.at(i);
+  slot.MarkReferenced();
+  return slot.map();
 }
 
 void LibFs::StoreDirect(Oid file, std::shared_ptr<const DirectMap> map) {
@@ -278,38 +283,36 @@ void LibFs::StoreDirect(Oid file, std::shared_ptr<const DirectMap> map) {
   AERIE_CHECK(charge <= kDirectCacheSlots);
   std::unique_lock lock(direct_mu_);
   EraseDirectLocked(file.offset());  // a replacement is stored as a new map
-  if (direct_charged_ + charge > kDirectCacheSlots) {
-    // The hand walks the map in its iteration order, giving referenced maps
-    // a second chance and evicting the rest one at a time. Ends: after two
-    // turns every map is gone.
-    auto it = direct_maps_.find(direct_hand_);
-    while (direct_charged_ + charge > kDirectCacheSlots) {
-      if (it == direct_maps_.end()) {
-        it = direct_maps_.begin();
-      }
-      if (it->second.referenced.load()) {
-        it->second.referenced.store(false);
-        ++it;
-        continue;
-      }
-      direct_charged_ -= DirectCharge(*it->second.map);
-      it = direct_maps_.erase(it);
+  // Ends: each step clears a bit or evicts a map, or passes an empty or
+  // cleared slot, and a map is left only while some charge remains.
+  size_t i = direct_hand_;
+  while (direct_charged_ + charge > kDirectCacheSlots) {
+    if (i >= direct_maps_.capacity()) {
+      i = 0;
+    }
+    DirectSlot& slot = direct_maps_.at(i);
+    if (slot.empty()) {
+      ++i;
+    } else if (slot.referenced()) {
+      slot.ClearReferenced();
+      ++i;
+    } else {
+      direct_charged_ -= DirectCharge(*slot.map());
+      direct_maps_.Erase(i);
       direct_cache_evictions_.Add(1);
     }
-    if (it != direct_maps_.end()) {
-      direct_hand_ = it->first;
-    }
   }
-  direct_maps_[file.offset()].map = std::move(map);
+  direct_hand_ = i;
+  direct_maps_.Insert(DirectSlot(file.offset(), std::move(map)));
   direct_charged_ += charge;
   PublishDirectGaugesLocked();
 }
 
 void LibFs::EraseDirectLocked(uint64_t file) {
-  auto it = direct_maps_.find(file);
-  if (it != direct_maps_.end()) {
-    direct_charged_ -= DirectCharge(*it->second.map);
-    direct_maps_.erase(it);
+  const size_t i = FindDirectLocked(file);
+  if (i != OpenTable<DirectSlot>::kNone) {
+    direct_charged_ -= DirectCharge(*direct_maps_.at(i).map());
+    direct_maps_.Erase(i);
   }
 }
 
@@ -326,7 +329,7 @@ void LibFs::InvalidateDirect(Oid file) {
 
 void LibFs::ClearDirectCache() {
   std::unique_lock lock(direct_mu_);
-  direct_maps_.clear();
+  direct_maps_.Clear();
   direct_charged_ = 0;
   PublishDirectGaugesLocked();
 }

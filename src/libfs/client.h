@@ -31,9 +31,10 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash.h"
+#include "src/common/open_table.h"
 #include "src/common/status.h"
 #include "src/lock/clerk.h"
 #include "src/osd/mfile.h"
@@ -304,22 +305,55 @@ class LibFs {
   std::condition_variable pool_cv_;  // a background refill finished
   std::map<PoolKey, Pool> pools_;
 
-  // Direct-path extent-map cache (oid offset -> snapshot), swept by a
-  // CLOCK hand. Read-mostly: lookups take the lock shared, copy only the
-  // shared_ptr and set the entry's referenced bit (a store only when it was
-  // clear, so hot lookups write no shared line). Everything else runs
-  // under the unique lock.
-  struct DirectEntry {
-    std::shared_ptr<const DirectMap> map;
-    std::atomic<bool> referenced{false};
+  // Direct-path extent-map cache (oid offset -> snapshot): an open-
+  // addressing table swept by a CLOCK hand. Read-mostly: lookups take the
+  // lock shared, copy only the shared_ptr and set the slot's referenced bit
+  // (a store only when it was clear, so hot lookups write no shared line).
+  // Everything else runs under the unique lock. The hand is a slot index:
+  // it walks the array in order, giving a referenced map a second chance
+  // (clearing its bit) and evicting an unreferenced one, then looks at the
+  // same index again, since the erase may have shifted a later map into it.
+  class DirectSlot {
+   public:
+    DirectSlot() = default;
+    DirectSlot(uint64_t file, std::shared_ptr<const DirectMap> map)
+        : file_ref_(file), map_(std::move(map)) {}
+    DirectSlot(DirectSlot&& other) noexcept { *this = std::move(other); }
+    DirectSlot& operator=(DirectSlot&& other) noexcept {
+      file_ref_.store(other.file_ref_.load());
+      map_ = std::move(other.map_);
+      return *this;
+    }
+
+    bool empty() const { return map_ == nullptr; }
+    uint64_t hash() const { return Mix64(file()); }
+    uint64_t file() const { return file_ref_.load() & ~kReferenced; }
+    const std::shared_ptr<const DirectMap>& map() const { return map_; }
+    bool referenced() const { return (file_ref_.load() & kReferenced) != 0; }
+    // Sets the bit; a const lookup may, under the shared lock.
+    void MarkReferenced() const {
+      const uint64_t word = file_ref_.load();
+      if ((word & kReferenced) == 0) {
+        file_ref_.store(word | kReferenced);
+      }
+    }
+    void ClearReferenced() { file_ref_.store(file()); }
+
+   private:
+    // OID offsets are 64-byte aligned, so bit 0 is free for the CLOCK bit.
+    static constexpr uint64_t kReferenced = 1;
+    mutable std::atomic<uint64_t> file_ref_{0};
+    std::shared_ptr<const DirectMap> map_;  // null: the slot is empty
   };
+  // Index of `file`'s slot, or OpenTable::kNone.
+  size_t FindDirectLocked(uint64_t file) const;
   // Drops `file`'s map, if cached, and its charge.
   void EraseDirectLocked(uint64_t file);
   void PublishDirectGaugesLocked();
 
   mutable std::shared_mutex direct_mu_;
-  std::unordered_map<uint64_t, DirectEntry> direct_maps_;
-  uint64_t direct_hand_ = 0;     // the file the hand resumes at, if cached
+  OpenTable<DirectSlot> direct_maps_;
+  size_t direct_hand_ = 0;  // the slot index the hand resumes at
   uint64_t direct_charged_ = 0;  // slots charged to cached maps
 };
 

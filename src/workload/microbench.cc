@@ -50,10 +50,14 @@ MicrobenchConfig MicrobenchConfig::Scaled(double scale) {
       std::max<uint64_t>(
           static_cast<uint64_t>(static_cast<double>(c.random_bytes) * scale),
           1 << 20));
+  // Open/create/delete/append rows report a p50 per run, so they keep at
+  // least 1,024 ops at any scale: fewer cannot resolve sub-microsecond
+  // changes.
   c.nfiles = std::max<uint64_t>(
-      static_cast<uint64_t>(static_cast<double>(c.nfiles) * scale), 64);
+      static_cast<uint64_t>(static_cast<double>(c.nfiles) * scale), 1024);
   c.append_count = std::max<uint64_t>(
-      static_cast<uint64_t>(static_cast<double>(c.append_count) * scale), 64);
+      static_cast<uint64_t>(static_cast<double>(c.append_count) * scale),
+      1024);
   return c;
 }
 

@@ -1,10 +1,14 @@
-// Unit tests for src/common: Status/Result, hashing, RNG, histogram.
+// Unit tests for src/common: Status/Result, hashing, RNG, histogram,
+// OpenTable.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
+#include "src/common/open_table.h"
 #include "src/common/rand.h"
 #include "src/common/status.h"
 
@@ -80,6 +84,191 @@ TEST(HashTest, Mix64IsBijectiveish) {
     seen.insert(Mix64(i));
   }
   EXPECT_EQ(seen.size(), 10000u);
+}
+
+// A test slot whose hash is chosen by the test, so probe runs, collisions
+// and wraparound can be laid out exactly. The value lives on the heap to
+// catch a move that copies or loses it.
+struct TestSlot {
+  TestSlot() = default;
+  TestSlot(uint64_t k, uint64_t h) : key(k), home(h),
+      value(std::make_unique<std::string>(std::to_string(k))) {}
+  bool empty() const { return value == nullptr; }
+  uint64_t hash() const { return home; }
+  uint64_t key = 0;
+  uint64_t home = 0;
+  std::unique_ptr<std::string> value;
+};
+
+using TestTable = OpenTable<TestSlot>;
+
+size_t FindKey(const TestTable& table, uint64_t key, uint64_t home) {
+  return table.Find(home,
+                    [key](const TestSlot& slot) { return slot.key == key; });
+}
+
+// Every key in [0, n) with its home is findable and holds its value.
+void ExpectAll(const TestTable& table, const std::vector<uint64_t>& keys,
+               uint64_t (*home)(uint64_t)) {
+  for (uint64_t key : keys) {
+    const size_t i = FindKey(table, key, home(key));
+    ASSERT_NE(i, TestTable::kNone) << key;
+    EXPECT_EQ(*table.at(i).value, std::to_string(key));
+  }
+}
+
+TEST(OpenTableTest, EmptyTableFindsNothing) {
+  TestTable table;
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_EQ(FindKey(table, 1, 1), TestTable::kNone);
+}
+
+TEST(OpenTableTest, BackwardShiftEraseAcrossTheEnd) {
+  TestTable table;
+  table.Insert(TestSlot(100, 0));  // first insert allocates 16 slots
+  ASSERT_EQ(table.capacity(), 16u);
+  table.Erase(FindKey(table, 100, 0));
+  // A run that starts at 14 and wraps: keys 1..4 all have home 14, key 5
+  // has home 0 and sits behind them at 2.
+  for (uint64_t key = 1; key <= 4; ++key) {
+    table.Insert(TestSlot(key, 14));
+  }
+  EXPECT_EQ(table.Insert(TestSlot(5, 0)), 2u);
+  EXPECT_EQ(FindKey(table, 1, 14), 14u);
+  EXPECT_EQ(FindKey(table, 3, 14), 0u);
+  // Erasing key 2 (slot 15) pulls keys 3 and 4 back across the end and key
+  // 5 back to its home.
+  table.Erase(FindKey(table, 2, 14));
+  EXPECT_EQ(FindKey(table, 3, 14), 15u);
+  EXPECT_EQ(FindKey(table, 4, 14), 0u);
+  EXPECT_EQ(FindKey(table, 5, 0), 1u);
+  EXPECT_EQ(FindKey(table, 2, 14), TestTable::kNone);
+  EXPECT_TRUE(table.at(2).empty());
+  // Erasing key 4 (slot 0) moves key 5 to its home; erasing key 1 (slot
+  // 14) then moves key 3 to its home and leaves key 5, already home, put.
+  table.Erase(FindKey(table, 4, 14));
+  EXPECT_EQ(FindKey(table, 5, 0), 0u);
+  table.Erase(FindKey(table, 1, 14));
+  EXPECT_EQ(FindKey(table, 3, 14), 14u);
+  EXPECT_EQ(FindKey(table, 5, 0), 0u);
+  EXPECT_TRUE(table.at(15).empty());
+  EXPECT_EQ(table.size(), 2u);
+  ExpectAll(table, {3}, [](uint64_t) -> uint64_t { return 14; });
+  ExpectAll(table, {5}, [](uint64_t) -> uint64_t { return 0; });
+}
+
+TEST(OpenTableTest, GrowKeepsEveryEntryAndTheLoadUnderThreeQuarters) {
+  TestTable table;
+  std::vector<uint64_t> keys;
+  auto home = [](uint64_t key) { return Mix64(key); };
+  for (uint64_t key = 0; key < 5000; ++key) {
+    table.Insert(TestSlot(key, home(key)));
+    keys.push_back(key);
+    ASSERT_LE(4 * table.size(), 3 * table.capacity());
+  }
+  EXPECT_EQ(table.size(), 5000u);
+  EXPECT_EQ(table.capacity(), 8192u);
+  ExpectAll(table, keys, home);
+  EXPECT_EQ(FindKey(table, 5000, home(5000)), TestTable::kNone);
+}
+
+TEST(OpenTableTest, EraseDuringASweepMissesNoEntry) {
+  // Crowded homes make long runs, and the last ones wrap around the end.
+  auto home = [](uint64_t key) { return Mix64(key) % 8 * 8; };
+  TestTable table;
+  std::vector<uint64_t> kept;
+  for (uint64_t key = 0; key < 40; ++key) {
+    table.Insert(TestSlot(key, home(key)));
+    if (key % 2 == 0) {
+      kept.push_back(key);
+    }
+  }
+  ASSERT_EQ(table.capacity(), 64u);
+  // A CLOCK-style pass from a mid-table hand: erase odd keys, and after an
+  // erase look at the same index again.
+  std::set<uint64_t> seen;
+  size_t i = 20;
+  for (size_t steps = 0; steps < table.capacity();) {
+    TestSlot& slot = table.at(i);
+    if (!slot.empty()) {
+      seen.insert(slot.key);
+      if (slot.key % 2 == 1) {
+        table.Erase(i);
+        continue;
+      }
+    }
+    i = (i + 1) % table.capacity();
+    ++steps;
+  }
+  EXPECT_EQ(seen.size(), 40u);
+  EXPECT_EQ(table.size(), kept.size());
+  ExpectAll(table, kept, home);
+  for (uint64_t key = 1; key < 40; key += 2) {
+    EXPECT_EQ(FindKey(table, key, home(key)), TestTable::kNone) << key;
+  }
+}
+
+TEST(OpenTableTest, ClearDropsEverythingAndTheTableRefills) {
+  TestTable table;
+  for (uint64_t key = 0; key < 100; ++key) {
+    table.Insert(TestSlot(key, key));
+  }
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_EQ(FindKey(table, 7, 7), TestTable::kNone);
+  table.Insert(TestSlot(7, 7));
+  ExpectAll(table, {7}, [](uint64_t key) { return key; });
+}
+
+// Slots keyed by SlotKey, as the PXFS name cache keys paths.
+struct StringSlot {
+  bool empty() const { return !occupied; }
+  uint64_t hash() const { return HashString(key.view()); }
+  bool occupied = false;
+  SlotKey key;
+};
+
+size_t FindString(const OpenTable<StringSlot>& table, std::string_view key) {
+  return table.Find(HashString(key), [key](const StringSlot& slot) {
+    return slot.key.view() == key;
+  });
+}
+
+TEST(OpenTableTest, OverLongKeysGoToTheHeapAndStillMatch) {
+  const std::string fits(SlotKey::kInline, 'a');
+  const std::string longer = fits + "b";
+  EXPECT_FALSE(SlotKey(fits).on_heap());
+  EXPECT_TRUE(SlotKey(longer).on_heap());
+  EXPECT_EQ(SlotKey(longer).view(), longer);
+  EXPECT_TRUE(SlotKey("").view().empty());
+
+  // Growth and backward shifts move heap keys between slots; each key
+  // still matches exactly once, and only itself.
+  OpenTable<StringSlot> table;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back("/dir" + std::to_string(i % 7) + "/" +
+                   std::string(static_cast<size_t>(i % 50), 'x') +
+                   std::to_string(i));
+    table.Insert(StringSlot{true, SlotKey(keys.back())});
+  }
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    table.Erase(FindString(table, keys[i]));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const size_t slot = FindString(table, keys[i]);
+    if (i % 3 == 0) {
+      EXPECT_EQ(slot, OpenTable<StringSlot>::kNone) << keys[i];
+    } else {
+      ASSERT_NE(slot, OpenTable<StringSlot>::kNone) << keys[i];
+      EXPECT_EQ(table.at(slot).key.view(), keys[i]);
+    }
+  }
+  // A key that shares an over-long key's inline bytes does not match it.
+  ASSERT_TRUE(SlotKey(keys[49]).on_heap());
+  EXPECT_EQ(FindString(table, keys[49].substr(0, SlotKey::kInline)),
+            OpenTable<StringSlot>::kNone);
 }
 
 TEST(RngTest, DeterministicPerSeed) {

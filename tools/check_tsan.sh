@@ -9,7 +9,7 @@ set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build=${1:-"$repo/build-tsan"}
-tests="obs_test telemetry_test trace_test rpc_test clerk_test lock_stress_test profiler_test libfs_test direct_path_test flatfs_test tfs_concurrency_test pxfs_test"
+tests="obs_test telemetry_test trace_test rpc_test clerk_test lock_stress_test profiler_test libfs_test direct_path_test flatfs_test tfs_concurrency_test pxfs_test sharing_test"
 
 cmake -B "$build" -S "$repo" -DAERIE_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
