@@ -73,7 +73,7 @@ class LibFs {
     // configuration) sends every call the locked way, and PXFS caches no
     // maps.
     bool direct_data = true;
-    LockClerk::Options clerk;
+    LockClerk::Options clerk{};
   };
 
   // `transport` carries both lock-service and TFS methods; it must outlive

@@ -73,11 +73,6 @@ void SetMode(Mode mode) {
   detail::g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
-ScopedSpan*& TlsCurrentSpan() {
-  static thread_local ScopedSpan* current = nullptr;
-  return current;
-}
-
 namespace detail {
 thread_local constinit std::atomic<SpanStat*> g_tls_span_tag{nullptr};
 }  // namespace detail
@@ -295,10 +290,8 @@ void MergeInto(std::map<std::string, MetricSnapshot>& out,
     }
     case Metric::Kind::kSpan: {
       const auto& span = static_cast<const SpanStat&>(metric);
-      snap.hist.Merge(span.SelfSnapshot());
-      snap.window.Merge(span.SelfWindowSnapshot());
-      snap.span_total_ns += span.total_ns();
-      snap.span_self_ns += span.self_ns();
+      snap.hist.Merge(span.Snapshot());
+      snap.window.Merge(span.WindowSnapshot());
       snap.span_cpu_ns += span.cpu_ns();
       snap.span_lock_wait_ns += span.lock_wait_ns();
       snap.span_rpc_wait_ns += span.rpc_wait_ns();
@@ -514,8 +507,7 @@ std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps) {
     LayerRow& row = layers[layer];
     row.layer = layer;
     row.spans += snap.hist.count();
-    row.self_ns += snap.span_self_ns;
-    row.total_ns += snap.span_total_ns;
+    row.total_ns += snap.hist.sum();
     row.cpu_ns += snap.span_cpu_ns;
     row.lock_wait_ns += snap.span_lock_wait_ns;
     row.rpc_wait_ns += snap.span_rpc_wait_ns;
@@ -553,9 +545,9 @@ std::string DumpText() {
       case Metric::Kind::kSpan:
         std::snprintf(
             buf, sizeof(buf),
-            "span    %-40s self{%s} total=%.2fms\n", snap.name.c_str(),
+            "span    %-40s {%s} total=%.2fms\n", snap.name.c_str(),
             snap.hist.SummaryString().c_str(),
-            static_cast<double>(snap.span_total_ns) / 1e6);
+            static_cast<double>(snap.hist.sum()) / 1e6);
         break;
     }
     out += buf;
@@ -567,7 +559,7 @@ std::string DumpJson() {
   const auto snaps = Registry::Instance().Collect();
   // schema_version pins the dump layout for downstream parsers (the bench
   // harness and EXPERIMENTS tooling); bump it when sections change shape.
-  std::string out = "{\"schema_version\":1,\"mode\":\"";
+  std::string out = "{\"schema_version\":2,\"mode\":\"";
   out += ModeName(CurrentMode());
   out += "\"";
   char buf[384];
@@ -607,11 +599,10 @@ std::string DumpJson() {
         case Metric::Kind::kSpan:
           std::snprintf(
               buf, sizeof(buf),
-              "{\"total_ns\":%llu,\"self_ns\":%llu,\"cpu_ns\":%llu,"
+              "{\"total_ns\":%llu,\"cpu_ns\":%llu,"
               "\"lock_wait_ns\":%llu,\"rpc_wait_ns\":%llu,"
-              "\"other_wait_ns\":%llu,\"self\":",
-              static_cast<unsigned long long>(snap.span_total_ns),
-              static_cast<unsigned long long>(snap.span_self_ns),
+              "\"other_wait_ns\":%llu,\"latency\":",
+              static_cast<unsigned long long>(snap.hist.sum()),
               static_cast<unsigned long long>(snap.span_cpu_ns),
               static_cast<unsigned long long>(snap.span_lock_wait_ns),
               static_cast<unsigned long long>(snap.span_rpc_wait_ns),
@@ -633,13 +624,12 @@ std::string DumpJson() {
     }
     first = false;
     std::snprintf(buf, sizeof(buf),
-                  "\"%s\":{\"spans\":%llu,\"self_ns\":%llu,"
+                  "\"%s\":{\"spans\":%llu,"
                   "\"total_ns\":%llu,\"cpu_ns\":%llu,"
                   "\"lock_wait_ns\":%llu,\"rpc_wait_ns\":%llu,"
                   "\"other_wait_ns\":%llu}",
                   JsonEscape(row.layer).c_str(),
                   static_cast<unsigned long long>(row.spans),
-                  static_cast<unsigned long long>(row.self_ns),
                   static_cast<unsigned long long>(row.total_ns),
                   static_cast<unsigned long long>(row.cpu_ns),
                   static_cast<unsigned long long>(row.lock_wait_ns),
@@ -704,42 +694,35 @@ std::string LayerBreakdownText() {
   std::string out;
   char buf[224];
   std::snprintf(buf, sizeof(buf),
-                "%-12s %12s %14s %14s %10s %10s %10s %10s %6s\n", "layer",
-                "spans", "self(ms)", "incl(ms)", "self/span(us)", "cpu(ms)",
-                "lockw(ms)", "rpcw(ms)", "wait%");
+                "%-12s %12s %14s %10s %10s %10s %10s %6s\n", "layer", "spans",
+                "incl(ms)", "cpu(ms)", "lockw(ms)", "rpcw(ms)", "otherw(ms)",
+                "wait%");
   out += buf;
-  uint64_t total_self = 0;
-  for (const LayerRow& row : rows) {
-    total_self += row.self_ns;
-  }
+  uint64_t total_cpu = 0;
   for (const LayerRow& row : rows) {
     const uint64_t wait_ns =
         row.lock_wait_ns + row.rpc_wait_ns + row.other_wait_ns;
-    // Wait is charged against the span that blocked (its *self* region), so
-    // wait/self is the fraction of this layer's own time spent off-CPU;
-    // clamp for cross-thread rounding.
-    const double wait_pct =
-        row.self_ns > 0
-            ? std::min(100.0, 100.0 * static_cast<double>(wait_ns) /
-                                  static_cast<double>(row.self_ns))
-            : 0.0;
+    // The layer's own time is its sampled CPU plus its charged waits; both
+    // land on the innermost span, so they never double count a nested
+    // layer.
+    const uint64_t own_ns = row.cpu_ns + wait_ns;
     std::snprintf(
         buf, sizeof(buf),
-        "%-12s %12llu %14.2f %14.2f %10.2f %10.2f %10.2f %10.2f %5.1f%%\n",
+        "%-12s %12llu %14.2f %10.2f %10.2f %10.2f %10.2f %5.1f%%\n",
         row.layer.c_str(), static_cast<unsigned long long>(row.spans),
-        static_cast<double>(row.self_ns) / 1e6,
         static_cast<double>(row.total_ns) / 1e6,
-        row.spans > 0
-            ? static_cast<double>(row.self_ns) / 1e3 /
-                  static_cast<double>(row.spans)
-            : 0.0,
         static_cast<double>(row.cpu_ns) / 1e6,
         static_cast<double>(row.lock_wait_ns) / 1e6,
-        static_cast<double>(row.rpc_wait_ns) / 1e6, wait_pct);
+        static_cast<double>(row.rpc_wait_ns) / 1e6,
+        static_cast<double>(row.other_wait_ns) / 1e6,
+        own_ns > 0 ? 100.0 * static_cast<double>(wait_ns) /
+                         static_cast<double>(own_ns)
+                   : 0.0);
     out += buf;
+    total_cpu += row.cpu_ns;
   }
-  std::snprintf(buf, sizeof(buf), "%-12s %12s %14.2f\n", "(sum)", "",
-                static_cast<double>(total_self) / 1e6);
+  std::snprintf(buf, sizeof(buf), "%-12s %12s %14s %10.2f\n", "(sum)", "", "",
+                static_cast<double>(total_cpu) / 1e6);
   out += buf;
 
   // Revocation traffic: service-side issue count and issue-to-grant latency

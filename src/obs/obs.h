@@ -17,10 +17,10 @@
 //     counters are on, a span is the thread's *layer tag*: one thread-local
 //     pointer to the innermost live span's SpanStat, which the SCM
 //     primitives charge media traffic to (scm.layer.<layer>.*) and the
-//     SIGPROF sampler attributes CPU to. In span mode spans are also timed:
-//     a child's wall time is subtracted from its parent, so each layer's
-//     *self* time is exclusive and per-layer self times sum to end-to-end
-//     wall time.
+//     SIGPROF sampler attributes CPU to. In span mode spans are also timed
+//     (inclusive wall time, for latency histograms and traces); per-layer
+//     CPU comes only from the sampler and per-layer off-CPU time only from
+//     ScopedWait.
 //
 // Metrics are either *interned* (Registry::GetCounter("layer.op.metric");
 // live forever; the AERIE_SPAN macro interns once per call site via a
@@ -305,35 +305,30 @@ struct ScmLayerCounters {
 ScmLayerCounters& ScmLayerCountersFor(std::string_view layer);
 
 // Aggregate for one span call-site family (one `layer.op`): a histogram of
-// *self* time plus exact running sums for attribution arithmetic.
+// inclusive wall time (its count and sum are the calls and total time)
+// plus the profiler plane's CPU and wait sums.
 class SpanStat final : public Metric {
  public:
   explicit SpanStat(std::string name)
-      : Metric(std::move(name), Kind::kSpan), self_hist_(std::string()) {}
+      : Metric(std::move(name), Kind::kSpan), hist_(std::string()) {}
 
   // end_ns stamps the sample into the rolling window (callers that already
   // read the clock — ScopedSpan — pass their end timestamp; 0 reads it).
-  void Record(uint64_t total_ns, uint64_t self_ns, uint64_t end_ns = 0) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    total_ns_.fetch_add(total_ns, std::memory_order_relaxed);
-    self_ns_.fetch_add(self_ns, std::memory_order_relaxed);
-    self_hist_.RecordAlways(self_ns, end_ns != 0 ? end_ns : NowNanos());
+  void Record(uint64_t total_ns, uint64_t end_ns = 0) {
+    hist_.RecordAlways(total_ns, end_ns != 0 ? end_ns : NowNanos());
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  Histogram Snapshot() const { return hist_.Snapshot(); }
+  uint64_t count() const { return Snapshot().count(); }
   // Inclusive wall time (child spans included).
-  uint64_t total_ns() const {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  // Exclusive wall time (child spans subtracted).
-  uint64_t self_ns() const { return self_ns_.load(std::memory_order_relaxed); }
-  Histogram SelfSnapshot() const { return self_hist_.Snapshot(); }
-  // Rolling-window view of self time (same window semantics as
+  uint64_t total_ns() const { return Snapshot().sum(); }
+  // Rolling-window view (same window semantics as
   // LatencyHistogram::WindowSnapshot).
-  Histogram SelfWindowSnapshot() const { return self_hist_.WindowSnapshot(); }
+  Histogram WindowSnapshot() const { return hist_.WindowSnapshot(); }
 
-  // CPU time attributed by the sampling profiler (period_ns per SIGPROF
-  // sample landing while this span was innermost on some thread) and
+  // CPU time attributed by the sampling profiler (each SIGPROF sample
+  // landing while this span was innermost on some thread carries the
+  // thread CPU time it measured since that thread's previous sample) and
   // off-CPU wait charged by instrumented wait sites. All relaxed; the
   // profiler collector is the only AddCpuNs caller, wait sites call
   // AddWaitNs from their own thread.
@@ -362,29 +357,19 @@ class SpanStat final : public Metric {
   }
 
   void Reset() override {
-    count_.store(0, std::memory_order_relaxed);
-    total_ns_.store(0, std::memory_order_relaxed);
-    self_ns_.store(0, std::memory_order_relaxed);
     cpu_ns_.store(0, std::memory_order_relaxed);
     for (auto& w : wait_ns_) {
       w.store(0, std::memory_order_relaxed);
     }
-    self_hist_.Reset();
+    hist_.Reset();
   }
 
  private:
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> total_ns_{0};
-  std::atomic<uint64_t> self_ns_{0};
   std::atomic<uint64_t> cpu_ns_{0};
   std::array<std::atomic<uint64_t>, kWaitKinds> wait_ns_{};
-  LatencyHistogram self_hist_;
+  LatencyHistogram hist_;
   std::atomic<ScmLayerCounters*> scm_layer_{nullptr};
 };
-
-// Accessor for the thread's innermost timed (span-mode) span (obs.cc).
-class ScopedSpan;
-ScopedSpan*& TlsCurrentSpan();
 
 namespace detail {
 
@@ -452,9 +437,6 @@ class ScopedSpan {
     if (!SpansOn()) {
       return;
     }
-    ScopedSpan*& tls = TlsCurrentSpan();
-    parent_ = tls;
-    tls = this;
     detail::TraceSpanBegin(stat->name().c_str(), &trace_);
     start_ns_ = NowNanos();
   }
@@ -468,12 +450,7 @@ class ScopedSpan {
       return;  // tag only: entered outside span mode
     }
     const uint64_t end_ns = NowNanos();
-    const uint64_t total = end_ns - start_ns_;
-    TlsCurrentSpan() = parent_;
-    if (parent_ != nullptr) {
-      parent_->child_ns_ += total;
-    }
-    stat_->Record(total, total >= child_ns_ ? total - child_ns_ : 0, end_ns);
+    stat_->Record(end_ns - start_ns_, end_ns);
     detail::TraceSpanEnd(stat_->name().c_str(), trace_, start_ns_, end_ns);
   }
 
@@ -483,9 +460,7 @@ class ScopedSpan {
  private:
   SpanStat* stat_ = nullptr;
   SpanStat* prev_tag_ = nullptr;  // the tag to restore on exit
-  ScopedSpan* parent_ = nullptr;  // innermost timed span (span mode)
   uint64_t start_ns_ = 0;         // 0 = untimed
-  uint64_t child_ns_ = 0;         // wall time spent in nested spans
   detail::TraceLink trace_;
 };
 
@@ -520,10 +495,8 @@ struct MetricSnapshot {
   Metric::Kind kind;
   uint64_t counter = 0;    // kCounter
   int64_t gauge = 0;       // kGauge
-  Histogram hist;          // kHistogram (values), kSpan (self time)
+  Histogram hist;          // kHistogram (values), kSpan (inclusive time)
   Histogram window;        // rolling-window view of `hist` (same kinds)
-  uint64_t span_total_ns = 0;
-  uint64_t span_self_ns = 0;
   // Profiler plane (DESIGN.md §9.4): sampled CPU + attributed off-CPU wait.
   uint64_t span_cpu_ns = 0;
   uint64_t span_lock_wait_ns = 0;
@@ -588,13 +561,12 @@ class ScopedRegistration {
 // --- Exporters (benches print these; EXPERIMENTS.md records the JSON) ---
 
 // One layer's span totals: the sums over every span whose name has the
-// layer prefix. spans/self_ns/total_ns are measured in span mode only;
-// cpu_ns (sampled) and the waits are charged through the layer tag in any
-// mode that keeps it.
+// layer prefix. spans/total_ns are measured in span mode only; cpu_ns
+// (sampled) and the waits are charged through the layer tag in any mode
+// that keeps it, and are the layer's whole time breakdown.
 struct LayerRow {
   std::string layer;
   uint64_t spans = 0;
-  uint64_t self_ns = 0;
   uint64_t total_ns = 0;
   uint64_t cpu_ns = 0;
   uint64_t lock_wait_ns = 0;
@@ -607,12 +579,14 @@ std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps);
 
 // Human-readable dump of every metric, sorted by name.
 std::string DumpText();
-// One JSON object: {"schema_version":1, "mode":..., "counters":{...},
+// One JSON object: {"schema_version":2, "mode":..., "counters":{...},
 // "gauges":{...}, "histograms":{name: summary...}, "spans":{...},
-// "layers":{...}} where "layers" aggregates span self-time by the `layer`
-// name prefix. schema_version is bumped whenever a section changes shape.
+// "layers":{...}} where "layers" aggregates span calls, inclusive time,
+// sampled CPU and waits by the `layer` name prefix. schema_version is
+// bumped whenever a section changes shape.
 std::string DumpJson();
-// Per-layer table (layer, spans, self ms, mean self us) from span data.
+// Per-layer table (layer, spans, inclusive ms, cpu ms, lock/rpc/other wait
+// ms, wait share of cpu + waits) from span data.
 std::string LayerBreakdownText();
 
 // Zeroes all metrics, the flight recorder and the sampling profiler's

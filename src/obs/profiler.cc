@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <cerrno>
+#include <ctime>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +37,7 @@ namespace {
 // (publication order is carried by the ring's head index, not the slot).
 struct Slot {
   std::atomic<uint64_t> span{0};  // SpanStat* at capture time (may be 0)
+  std::atomic<uint64_t> cpu_ns{0};  // thread CPU since its previous sample
   std::atomic<uint32_t> nframes{0};
   std::atomic<uintptr_t> frames[kMaxFrames];
 };
@@ -54,13 +56,29 @@ struct Ring {
   std::atomic<uint64_t> head{0};
   std::atomic<uint64_t> tail{0};
   std::atomic<uint64_t> dropped{0};  // overflow: handler found the ring full
+  // The owning thread's CPU clock at its previous sample (or at
+  // registration); only the owning thread touches it.
+  std::atomic<uint64_t> last_cpu_ns{0};
 };
+
+// The calling thread's CPU time. clock_gettime is async-signal-safe.
+uint64_t ThreadCpuNanos() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
 
 // Handler-visible state lives in plain file-scope atomics / initial-exec
 // TLS: the handler must not touch mutexes, the heap, or guarded statics.
 std::atomic<bool> g_running{false};
 std::atomic<uint64_t> g_no_ring{0};
 thread_local constinit std::atomic<Ring*> t_ring{nullptr};
+
+struct AggValue {
+  uint64_t count = 0;
+  uint64_t cpu_ns = 0;
+};
 
 struct AggKey {
   SpanStat* span;
@@ -79,7 +97,6 @@ struct GlobalState {
   std::vector<std::shared_ptr<Ring>> rings;  // never shrunk; threads are
                                              // long-lived in this codebase
   std::atomic<uint64_t> hz{0};
-  std::atomic<uint64_t> period_ns{0};
   std::atomic<uint64_t> ring_slots{1024};
   std::atomic<bool> handler_installed{false};
   bool manual = false;
@@ -89,7 +106,7 @@ struct GlobalState {
 
   std::mutex drain_mu;  // serializes collector passes vs DrainNow
   std::mutex agg_mu;
-  std::map<AggKey, uint64_t> agg;
+  std::map<AggKey, AggValue> agg;
   std::atomic<uint64_t> samples{0};
 };
 
@@ -107,8 +124,10 @@ uint64_t RoundUpPow2(uint64_t v) {
 }
 
 // SIGPROF handler. Constraints (DESIGN.md §9.4): relaxed atomics, errno
-// save/restore, and backtrace() only — whose one unsafe act (dlopening
-// libgcc on first use) Start() triggers ahead of time from normal context.
+// save/restore, clock_gettime, and backtrace() only — whose one unsafe act
+// (dlopening libgcc on first use) Start() triggers ahead of time from
+// normal context. A sample carries the thread CPU time since the thread's
+// previous sample; a dropped sample loses its share.
 void SampleHandler(int /*sig*/) {
   const int saved_errno = errno;
   if (g_running.load(std::memory_order_relaxed)) {
@@ -116,6 +135,9 @@ void SampleHandler(int /*sig*/) {
     if (ring == nullptr) {
       g_no_ring.fetch_add(1, std::memory_order_relaxed);
     } else {
+      const uint64_t now = ThreadCpuNanos();
+      const uint64_t cpu_ns =
+          now - ring->last_cpu_ns.exchange(now, std::memory_order_relaxed);
       const uint64_t head = ring->head.load(std::memory_order_relaxed);
       const uint64_t tail = ring->tail.load(std::memory_order_acquire);
       if (head - tail >= ring->size) {
@@ -130,6 +152,7 @@ void SampleHandler(int /*sig*/) {
         Slot& slot = ring->slots[head & ring->mask];
         slot.span.store(reinterpret_cast<uint64_t>(CurrentSpanTag()),
                         std::memory_order_relaxed);
+        slot.cpu_ns.store(cpu_ns, std::memory_order_relaxed);
         uint32_t out = 0;
         for (int i = skip; i < n && out < kMaxFrames; ++i, ++out) {
           slot.frames[out].store(reinterpret_cast<uintptr_t>(raw[i]),
@@ -143,8 +166,8 @@ void SampleHandler(int /*sig*/) {
   errno = saved_errno;
 }
 
-// Drains every ring into the aggregate map and credits each sample's period
-// to its span's cpu_ns. Called from the collector and from DrainNow.
+// Drains every ring into the aggregate map and credits each sample's CPU
+// time to its span's cpu_ns. Called from the collector and from DrainNow.
 void DrainPass() {
   GlobalState& g = G();
   std::lock_guard drain(g.drain_mu);
@@ -153,9 +176,8 @@ void DrainPass() {
     std::lock_guard lk(g.rings_mu);
     rings = g.rings;
   }
-  const uint64_t period = g.period_ns.load(std::memory_order_relaxed);
-  std::map<AggKey, uint64_t> local;
   uint64_t drained = 0;
+  std::unique_lock agg_lock(g.agg_mu);
   for (const auto& ring : rings) {
     const uint64_t head = ring->head.load(std::memory_order_acquire);
     uint64_t tail = ring->tail.load(std::memory_order_relaxed);
@@ -171,21 +193,19 @@ void DrainPass() {
       for (uint32_t i = 0; i < n; ++i) {
         key.frames.push_back(slot.frames[i].load(std::memory_order_relaxed));
       }
+      const uint64_t cpu_ns = slot.cpu_ns.load(std::memory_order_relaxed);
       if (key.span != nullptr) {
-        key.span->AddCpuNs(period);
+        key.span->AddCpuNs(cpu_ns);
       }
-      ++local[std::move(key)];
+      AggValue& value = g.agg[std::move(key)];
+      ++value.count;
+      value.cpu_ns += cpu_ns;
       ++drained;
     }
     ring->tail.store(head, std::memory_order_release);
   }
-  if (drained != 0) {
-    std::lock_guard lk(g.agg_mu);
-    for (auto& [key, count] : local) {
-      g.agg[key] += count;
-    }
-    g.samples.fetch_add(drained, std::memory_order_relaxed);
-  }
+  g.samples.fetch_add(drained, std::memory_order_relaxed);
+  agg_lock.unlock();
   // Live visibility: the sample/drop totals ride the telemetry plane as
   // gauges so aerie_top can show profiler health next to obs drops.
   static Gauge& g_samples = Registry::Instance().GetGauge("prof.samples");
@@ -267,14 +287,14 @@ struct FoldedEntry {
   std::string layer;
   std::string span;
   std::vector<std::string> frames;  // root-first, symbolized
-  uint64_t count = 0;
+  AggValue value;
 };
 
 // Snapshot of the aggregate map, symbolized, with one deterministic order:
 // sort by (layer, span, frames). Symbol names cache per pc across entries.
 std::vector<FoldedEntry> SnapshotFolded() {
   GlobalState& g = G();
-  std::map<AggKey, uint64_t> agg;
+  std::map<AggKey, AggValue> agg;
   {
     std::lock_guard lk(g.agg_mu);
     agg = g.agg;
@@ -282,11 +302,11 @@ std::vector<FoldedEntry> SnapshotFolded() {
   std::map<uintptr_t, std::string> symcache;
   std::vector<FoldedEntry> out;
   out.reserve(agg.size());
-  for (const auto& [key, count] : agg) {
+  for (const auto& [key, value] : agg) {
     FoldedEntry e;
     e.span = key.span != nullptr ? key.span->name() : "(no_span)";
     e.layer = key.span != nullptr ? std::string(LayerOf(e.span)) : "(none)";
-    e.count = count;
+    e.value = value;
     e.frames.reserve(key.frames.size());
     // Captured leaf-first; folded stacks want root-first.
     for (auto it = key.frames.rbegin(); it != key.frames.rend(); ++it) {
@@ -312,7 +332,8 @@ std::vector<FoldedEntry> SnapshotFolded() {
   for (FoldedEntry& e : out) {
     if (!merged.empty() && merged.back().layer == e.layer &&
         merged.back().span == e.span && merged.back().frames == e.frames) {
-      merged.back().count += e.count;
+      merged.back().value.count += e.value.count;
+      merged.back().value.cpu_ns += e.value.cpu_ns;
     } else {
       merged.push_back(std::move(e));
     }
@@ -330,7 +351,6 @@ bool Start(const Options& options) {
   }
   const uint64_t hz = options.hz == 0 ? 997 : options.hz;
   g.hz.store(hz, std::memory_order_relaxed);
-  g.period_ns.store(1000000000ull / hz, std::memory_order_relaxed);
   g.ring_slots.store(RoundUpPow2(options.ring_slots),
                      std::memory_order_relaxed);
   g.manual = options.manual;
@@ -445,6 +465,7 @@ void RegisterCurrentThread() {
   GlobalState& g = G();
   auto ring = std::make_shared<Ring>(
       g.ring_slots.load(std::memory_order_relaxed));
+  ring->last_cpu_ns.store(ThreadCpuNanos(), std::memory_order_relaxed);
   {
     std::lock_guard lk(g.rings_mu);
     g.rings.push_back(ring);
@@ -460,7 +481,6 @@ ProfileStats GetStats() {
   stats.samples = g.samples.load(std::memory_order_relaxed);
   stats.no_ring = g_no_ring.load(std::memory_order_relaxed);
   stats.hz = g.hz.load(std::memory_order_relaxed);
-  stats.period_ns = g.period_ns.load(std::memory_order_relaxed);
   std::lock_guard lk(g.rings_mu);
   for (const auto& ring : g.rings) {
     stats.dropped += ring->dropped.load(std::memory_order_relaxed);
@@ -480,25 +500,49 @@ std::string FoldedStacks() {
       out += frame;
     }
     std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(e.count));
+                  static_cast<unsigned long long>(e.value.count));
     out += buf;
   }
   return out;
 }
 
+namespace {
+
+// Self-CPU leaders: samples and credited CPU whose *leaf* frame is each
+// symbol, hottest first, at most top_n.
+std::vector<std::pair<std::string, AggValue>> LeafTop(
+    const std::vector<FoldedEntry>& entries, size_t top_n) {
+  std::map<std::string, AggValue> leaf;
+  for (const FoldedEntry& e : entries) {
+    AggValue& v = leaf[e.frames.empty() ? "(no_frames)" : e.frames.back()];
+    v.count += e.value.count;
+    v.cpu_ns += e.value.cpu_ns;
+  }
+  std::vector<std::pair<std::string, AggValue>> top(leaf.begin(), leaf.end());
+  std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
+    if (a.second.cpu_ns != b.second.cpu_ns) {
+      return a.second.cpu_ns > b.second.cpu_ns;
+    }
+    return a.first < b.first;
+  });
+  if (top.size() > top_n) {
+    top.resize(top_n);
+  }
+  return top;
+}
+
+}  // namespace
+
 std::string ProfileJson() {
   const std::vector<FoldedEntry> entries = SnapshotFolded();
   const ProfileStats stats = GetStats();
-  const double us_per_sample =
-      static_cast<double>(stats.period_ns) / 1000.0;
 
   std::string out;
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "{\"schema_version\":1,\"hz\":%llu,\"period_ns\":%llu,"
+                "{\"schema_version\":2,\"hz\":%llu,"
                 "\"samples\":%llu,\"dropped\":%llu,\"no_ring\":%llu",
                 static_cast<unsigned long long>(stats.hz),
-                static_cast<unsigned long long>(stats.period_ns),
                 static_cast<unsigned long long>(stats.samples),
                 static_cast<unsigned long long>(stats.dropped),
                 static_cast<unsigned long long>(stats.no_ring));
@@ -512,9 +556,10 @@ std::string ProfileJson() {
     }
     first = false;
     out += "{\"layer\":\"" + JsonEscape(e.layer) + "\",\"span\":\"" +
-           JsonEscape(e.span) + "\",\"count\":";
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(e.count));
+           JsonEscape(e.span) + "\",";
+    std::snprintf(buf, sizeof(buf), "\"count\":%llu,\"cpu_ns\":%llu",
+                  static_cast<unsigned long long>(e.value.count),
+                  static_cast<unsigned long long>(e.value.cpu_ns));
     out += buf;
     out += ",\"frames\":[";
     for (size_t i = 0; i < e.frames.size(); ++i) {
@@ -527,30 +572,17 @@ std::string ProfileJson() {
   }
   out += "]";
 
-  // Self-CPU leaders: samples whose *leaf* frame is this symbol.
-  std::map<std::string, uint64_t> leaf;
-  for (const FoldedEntry& e : entries) {
-    leaf[e.frames.empty() ? "(no_frames)" : e.frames.back()] += e.count;
-  }
-  std::vector<std::pair<std::string, uint64_t>> top(leaf.begin(), leaf.end());
-  std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (top.size() > 32) {
-    top.resize(32);
-  }
   out += ",\"top\":[";
   first = true;
-  for (const auto& [frame, count] : top) {
+  for (const auto& [frame, value] : LeafTop(entries, 32)) {
     if (!first) {
       out += ',';
     }
     first = false;
     std::snprintf(buf, sizeof(buf), "\"self_samples\":%llu,"
                   "\"self_cpu_us\":%.1f}",
-                  static_cast<unsigned long long>(count),
-                  static_cast<double>(count) * us_per_sample);
+                  static_cast<unsigned long long>(value.count),
+                  static_cast<double>(value.cpu_ns) / 1e3);
     out += "{\"frame\":\"" + JsonEscape(frame) + "\",";
     out += buf;
   }
@@ -560,20 +592,9 @@ std::string ProfileJson() {
 
 std::string TopText(size_t top_n) {
   const std::vector<FoldedEntry> entries = SnapshotFolded();
-  const ProfileStats stats = GetStats();
-  std::map<std::string, uint64_t> leaf;
-  uint64_t total = 0;
+  uint64_t total_cpu_ns = 0;
   for (const FoldedEntry& e : entries) {
-    leaf[e.frames.empty() ? "(no_frames)" : e.frames.back()] += e.count;
-    total += e.count;
-  }
-  std::vector<std::pair<std::string, uint64_t>> top(leaf.begin(), leaf.end());
-  std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (top.size() > top_n) {
-    top.resize(top_n);
+    total_cpu_ns += e.value.cpu_ns;
   }
   std::string out;
   char buf[96];
@@ -581,14 +602,14 @@ std::string TopText(size_t top_n) {
                 "samples", "cpu(ms)", "%", "frame");
   out += buf;
   size_t rank = 1;
-  for (const auto& [frame, count] : top) {
+  for (const auto& [frame, value] : LeafTop(entries, top_n)) {
     std::snprintf(
         buf, sizeof(buf), "%-4zu %10llu %10.2f %5.1f%%  ", rank++,
-        static_cast<unsigned long long>(count),
-        static_cast<double>(count * stats.period_ns) / 1e6,
-        total > 0 ? 100.0 * static_cast<double>(count) /
-                        static_cast<double>(total)
-                  : 0.0);
+        static_cast<unsigned long long>(value.count),
+        static_cast<double>(value.cpu_ns) / 1e6,
+        total_cpu_ns > 0 ? 100.0 * static_cast<double>(value.cpu_ns) /
+                               static_cast<double>(total_cpu_ns)
+                         : 0.0);
     out += buf;
     out += frame;
     out += '\n';
@@ -625,8 +646,8 @@ bool WriteProfileFilesIfConfigured() {
   return wrote;
 }
 
-bool InjectSampleForTesting(SpanStat* span, const uintptr_t* frames,
-                            int num_frames) {
+bool InjectSampleForTesting(SpanStat* span, uint64_t cpu_ns,
+                            const uintptr_t* frames, int num_frames) {
   RegisterCurrentThread();
   Ring* ring = t_ring.load(std::memory_order_relaxed);
   if (ring == nullptr) {
@@ -641,6 +662,7 @@ bool InjectSampleForTesting(SpanStat* span, const uintptr_t* frames,
   Slot& slot = ring->slots[head & ring->mask];
   slot.span.store(reinterpret_cast<uint64_t>(span),
                   std::memory_order_relaxed);
+  slot.cpu_ns.store(cpu_ns, std::memory_order_relaxed);
   uint32_t out = 0;
   for (int i = 0; i < num_frames && out < kMaxFrames; ++i, ++out) {
     slot.frames[out].store(frames[i], std::memory_order_relaxed);

@@ -11,7 +11,10 @@
 // `counters` run is attributed as fully as a `spans` run) into a
 // per-thread single-producer/single-consumer ring of atomics. A collector
 // thread drains the rings every ~100 ms into folded-stack aggregates keyed
-// by (span, frames) and credits each sample's period to the span's cpu_ns, so
+// by (span, frames) and credits each sample's CPU time — the thread's
+// CLOCK_THREAD_CPUTIME_ID delta since its previous sample, read by the
+// handler, so the credit is real CPU whatever rate the timer achieves —
+// to the span's cpu_ns, so
 // the span tables (DumpJson / LayerBreakdownText / telemetry / BenchReport)
 // decompose every layer into cpu vs. lock/rpc/other wait (the wait side is
 // obs::ScopedWait at the instrumented blocking sites).
@@ -84,8 +87,7 @@ struct ProfileStats {
   uint64_t samples = 0;      // drained into aggregates
   uint64_t dropped = 0;      // ring full (overflow accounting)
   uint64_t no_ring = 0;      // sample hit an unregistered thread
-  uint64_t hz = 0;
-  uint64_t period_ns = 0;
+  uint64_t hz = 0;           // requested timer rate
 };
 ProfileStats GetStats();
 
@@ -94,13 +96,13 @@ ProfileStats GetStats();
 // via dladdr with `0x...` fallback; samples outside any span fold under
 // `(none);(no_span)`.
 std::string FoldedStacks();
-// JSON profile: {"schema_version":1,"hz":...,"period_ns":...,"samples":...,
-// "dropped":...,"no_ring":...,"stacks":[{layer,span,count,frames[]}...],
+// JSON profile: {"schema_version":2,"hz":...,"samples":...,"dropped":...,
+// "no_ring":...,"stacks":[{layer,span,count,cpu_ns,frames[]}...],
 // "top":[{frame,self_samples,self_cpu_us}...]} — stacks sorted like
-// FoldedStacks, top ranked by leaf self samples.
+// FoldedStacks, top ranked by leaf self CPU.
 std::string ProfileJson();
-// Top-N self-CPU table (rank, samples, cpu ms, %, frame), the profiler's
-// analogue of the bench harness's hot-span table.
+// Top-N self-CPU table (rank, samples, credited cpu ms, %, frame), the
+// profiler's analogue of the bench harness's hot-span table.
 std::string TopText(size_t top_n = 20);
 
 // Writes AERIE_PROF_FOLDED / AERIE_PROF_JSON artifacts if those variables
@@ -113,11 +115,11 @@ bool WriteProfileFilesIfConfigured();
 // record and the profile of the same process then count the same samples.
 void Reset(const std::function<void()>& also = nullptr);
 
-// Test hook: appends one synthetic sample to the calling thread's ring
-// exactly as the signal handler would (registering the thread if needed);
-// returns false on ring overflow, which it counts.
-bool InjectSampleForTesting(SpanStat* span, const uintptr_t* frames,
-                            int num_frames);
+// Test hook: appends one synthetic sample carrying `cpu_ns` of CPU time to
+// the calling thread's ring as the signal handler would (registering the
+// thread if needed); returns false on ring overflow, which it counts.
+bool InjectSampleForTesting(SpanStat* span, uint64_t cpu_ns,
+                            const uintptr_t* frames, int num_frames);
 
 }  // namespace prof
 }  // namespace obs

@@ -76,22 +76,20 @@ std::string UnpackString(const uint64_t* words, int byte_capacity) {
 constexpr int kEntNameWords = kTelemetryNameBytes / 8;
 constexpr int kEntKind = kEntNameWords + 0;
 constexpr int kEntValue = kEntNameWords + 1;
-constexpr int kEntSpanTotal = kEntNameWords + 2;
-constexpr int kEntSpanSelf = kEntNameWords + 3;
-// Format v2: the profiler plane's per-span CPU/off-CPU decomposition.
-constexpr int kEntSpanCpu = kEntNameWords + 4;
-constexpr int kEntSpanLockWait = kEntNameWords + 5;
-constexpr int kEntSpanRpcWait = kEntNameWords + 6;
-constexpr int kEntSpanOtherWait = kEntNameWords + 7;
-constexpr int kEntCumCount = kEntNameWords + 8;
-constexpr int kEntCumSum = kEntNameWords + 9;
-constexpr int kEntCumMin = kEntNameWords + 10;
-constexpr int kEntCumMax = kEntNameWords + 11;
-constexpr int kEntWinCount = kEntNameWords + 12;
-constexpr int kEntWinSum = kEntNameWords + 13;
-constexpr int kEntWinMin = kEntNameWords + 14;
-constexpr int kEntWinMax = kEntNameWords + 15;
-constexpr int kEntBucketSlot = kEntNameWords + 16;
+// The profiler plane's per-span CPU/off-CPU decomposition.
+constexpr int kEntSpanCpu = kEntNameWords + 2;
+constexpr int kEntSpanLockWait = kEntNameWords + 3;
+constexpr int kEntSpanRpcWait = kEntNameWords + 4;
+constexpr int kEntSpanOtherWait = kEntNameWords + 5;
+constexpr int kEntCumCount = kEntNameWords + 6;
+constexpr int kEntCumSum = kEntNameWords + 7;
+constexpr int kEntCumMin = kEntNameWords + 8;
+constexpr int kEntCumMax = kEntNameWords + 9;
+constexpr int kEntWinCount = kEntNameWords + 10;
+constexpr int kEntWinSum = kEntNameWords + 11;
+constexpr int kEntWinMin = kEntNameWords + 12;
+constexpr int kEntWinMax = kEntNameWords + 13;
+constexpr int kEntBucketSlot = kEntNameWords + 14;
 static_assert(kEntBucketSlot + 1 == kTelemetryEntryWords,
               "entry layout must fill kTelemetryEntryWords exactly");
 
@@ -193,8 +191,6 @@ void TelemetryPublisher::PublishNow() {
         break;
       case Metric::Kind::kHistogram:
       case Metric::Kind::kSpan: {
-        ent[kEntSpanTotal] = snap.span_total_ns;
-        ent[kEntSpanSelf] = snap.span_self_ns;
         ent[kEntSpanCpu] = snap.span_cpu_ns;
         ent[kEntSpanLockWait] = snap.span_lock_wait_ns;
         ent[kEntSpanRpcWait] = snap.span_rpc_wait_ns;
@@ -309,8 +305,6 @@ bool ParseSnapshot(const std::vector<uint64_t>& w, TelemetrySnapshot* out) {
         break;
       case Metric::Kind::kHistogram:
       case Metric::Kind::kSpan: {
-        m.span_total_ns = ent[kEntSpanTotal];
-        m.span_self_ns = ent[kEntSpanSelf];
         m.span_cpu_ns = ent[kEntSpanCpu];
         m.span_lock_wait_ns = ent[kEntSpanLockWait];
         m.span_rpc_wait_ns = ent[kEntSpanRpcWait];
@@ -477,8 +471,6 @@ std::vector<TelemetryMetric> MergeTelemetry(
       }
       dst.counter += m.counter;
       dst.gauge += m.gauge;
-      dst.span_total_ns += m.span_total_ns;
-      dst.span_self_ns += m.span_self_ns;
       dst.span_cpu_ns += m.span_cpu_ns;
       dst.span_lock_wait_ns += m.span_lock_wait_ns;
       dst.span_rpc_wait_ns += m.span_rpc_wait_ns;

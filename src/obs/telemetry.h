@@ -1,12 +1,12 @@
 // Live telemetry plane: shared-memory metrics export + cross-process reader.
 //
 // Every Aerie process (TFS, lock service, clients, benches) publishes its
-// obs registry — counters, gauges, histogram buckets, span self-times, and
-// their rolling-window views — into one per-process shared-memory segment
-// (`<dir>/aerie.obs.<pid>`, dir defaults to /dev/shm). Readers (aerie_top,
-// the CI smoke test) discover segments by prefix scan, merge same-named
-// metrics across processes, and compute interval rates and window tails
-// while the system runs. DESIGN.md §9.3 documents the layout and protocol.
+// obs registry — counters, gauges, histogram buckets, span times with
+// their sampled CPU and charged waits, and rolling-window views — into one
+// per-process shared-memory segment (`<dir>/aerie.obs.<pid>`, dir defaults
+// to /dev/shm). Readers (aerie_top, the CI smoke test) discover segments by
+// prefix scan, merge same-named metrics across processes, and compute
+// interval rates and window tails while the system runs. DESIGN.md §9.3 documents the layout and protocol.
 //
 // Concurrency: the segment is seqlock-versioned. The publisher bumps the
 // sequence word to odd, rewrites the payload, and bumps it to even; it
@@ -36,23 +36,26 @@
 namespace aerie {
 namespace obs {
 
-// --- Segment format (format_version 2) -------------------------------------
+// --- Segment format (format_version 3) -------------------------------------
 // The segment is an array of 64-bit words. Word 0..31 are the header,
 // followed by `entry_capacity` fixed-size entries and `hist_capacity`
 // bucket blobs (one blob = cumulative + window raw bucket arrays). Strings
 // (metric names, process name) are NUL-padded byte ranges inside words.
-// v2 widens span entries with the profiler plane's cpu/lock-wait/rpc-wait/
-// other-wait sums (readers reject mismatched versions, so mixed-version
-// processes simply don't merge).
+// v2 widened span entries with the profiler plane's cpu/lock-wait/rpc-wait/
+// other-wait sums. v3 drops span self time, so the sampled CPU and the
+// charged waits are a span's only time breakdown, and the separate span
+// total, which the cumulative histogram's sum already carries. Readers
+// reject mismatched versions, so mixed-version processes simply don't
+// merge.
 
 inline constexpr uint64_t kTelemetryMagic = 0x53424f4549524541ull;  // AERIEOBS
-inline constexpr uint64_t kTelemetryFormatVersion = 2;
+inline constexpr uint64_t kTelemetryFormatVersion = 3;
 inline constexpr int kTelemetryHeaderWords = 32;
 inline constexpr int kTelemetryNameBytes = 96;
-// name + kind + value + span_total + span_self + span cpu/lock/rpc/other +
-// 2x(count,sum,min,max) + bucket_slot.
+// name + kind + value + span cpu/lock/rpc/other + 2x(count,sum,min,max) +
+// bucket_slot.
 inline constexpr int kTelemetryEntryWords =
-    kTelemetryNameBytes / 8 + 4 + 4 + 8 + 1;
+    kTelemetryNameBytes / 8 + 2 + 4 + 8 + 1;
 inline constexpr int kTelemetryBucketWords = 2 * Histogram::kBuckets;
 inline constexpr uint64_t kTelemetryEntryCapacity = 768;
 inline constexpr uint64_t kTelemetryHistCapacity = 160;
@@ -144,9 +147,7 @@ struct TelemetryMetric {
   Metric::Kind kind = Metric::Kind::kCounter;
   uint64_t counter = 0;
   int64_t gauge = 0;
-  uint64_t span_total_ns = 0;
-  uint64_t span_self_ns = 0;
-  // Profiler plane (format v2): sampled CPU + attributed off-CPU waits.
+  // Profiler plane: sampled CPU + attributed off-CPU waits.
   uint64_t span_cpu_ns = 0;
   uint64_t span_lock_wait_ns = 0;
   uint64_t span_rpc_wait_ns = 0;

@@ -31,11 +31,9 @@ class InprocTransport final : public Transport {
       stats->bytes_out.Add(request.size());
     }
     obs::ScopedSpan span(stats != nullptr ? &stats->span : nullptr);
-    // Only the simulated wire halves count as RPC wait for this transport:
-    // dispatch runs the handler on the caller thread, which is real local
-    // CPU the profiler attributes to the handler's own spans.
+    // The simulated wire halves spin on the caller thread, so they are CPU
+    // the sampler charges to this rpc span, not an off-CPU wait.
     if (round_trip_ns_ != 0) {
-      obs::ScopedWait wire(obs::WaitKind::kRpc);
       SpinDelayNanos(round_trip_ns_ / 2);
     }
     Result<std::string> result = [&] {
@@ -47,7 +45,6 @@ class InprocTransport final : public Transport {
       return dispatcher_->Dispatch(client_id_, method, request);
     }();
     if (round_trip_ns_ != 0) {
-      obs::ScopedWait wire(obs::WaitKind::kRpc);
       SpinDelayNanos(round_trip_ns_ / 2);
     }
     if (stats != nullptr && result.ok()) {

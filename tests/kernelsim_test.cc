@@ -210,8 +210,8 @@ TEST_P(ExtSimTest, ManyFilesInOneDirectory) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Mapping, ExtSimTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "extents" : "indirect";
+                         [](const auto& param_info) {
+                           return param_info.param ? "extents" : "indirect";
                          });
 
 class VfsTest : public ::testing::Test {

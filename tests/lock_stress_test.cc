@@ -14,6 +14,14 @@
 namespace aerie {
 namespace {
 
+// Widens a race window: a short busy loop the compiler may not elide (the
+// signal fence is a compiler barrier).
+void RaceWindow(int iterations) {
+  for (int i = 0; i < iterations; ++i) {
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+  }
+}
+
 class DirectLockClient : public LockServiceClient {
  public:
   DirectLockClient(LockService* service, uint64_t client_id)
@@ -90,8 +98,7 @@ TEST(LockStressTest, CrossClientMutualExclusion) {
           }
           const uint64_t seen = cells[lock - 100];
           // A tiny window to let races manifest.
-          for (volatile int spin = 0; spin < 50; ++spin) {
-          }
+          RaceWindow(50);
           cells[lock - 100] = seen + 1;
           clerk->Release(lock);
         }
@@ -135,8 +142,7 @@ TEST(LockStressTest, HierarchicalGrantsPreserveExclusion) {
             continue;
           }
           const uint64_t seen = cell;
-          for (volatile int spin = 0; spin < 30; ++spin) {
-          }
+          RaceWindow(30);
           cell = seen + 1;
           clerk->Release(kParent);
         } else {
@@ -147,8 +153,7 @@ TEST(LockStressTest, HierarchicalGrantsPreserveExclusion) {
             continue;
           }
           const uint64_t seen = cell;
-          for (volatile int spin = 0; spin < 30; ++spin) {
-          }
+          RaceWindow(30);
           cell = seen + 1;
           clerk->Release(kChild);
         }
@@ -179,8 +184,7 @@ TEST(LockStressTest, ReadersSeeConsistentSnapshots) {
         continue;
       }
       a = a + 1;
-      for (volatile int spin = 0; spin < 40; ++spin) {
-      }
+      RaceWindow(40);
       b = b + 1;
       clerk->Release(kLock);
     }

@@ -3,6 +3,9 @@
 //   * handler async-signal-safety under a real SIGPROF storm with
 //     concurrent span traffic (the TSan job runs this via
 //     tools/check_tsan.sh, which is the actual safety oracle),
+//   * real CPU credit: a spin inside one span under the real timer is
+//     credited the thread's measured CPU time, whatever rate the timer
+//     achieves,
 //   * ring overflow accounting in manual mode (exact, no timer),
 //   * folded-stack export determinism with a synthetic span workload,
 //   * counters-mode attribution through the layer tag (sample rings, span
@@ -16,6 +19,8 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
@@ -90,6 +95,50 @@ TEST_F(ProfilerTest, HandlerSurvivesSignalStormUnderSpanLoad) {
       << folded;
 }
 
+uint64_t ThreadCpuNanos() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+// One thread spins ~300 ms of its own CPU inside one span under the real
+// timer. Each sample carries the thread CPU time since the previous one,
+// so the span's credit is the thread's CPU minus at most the tail after
+// the last sample — not samples x nominal period, which reads low when
+// the kernel delivers SIGPROF slower than requested.
+TEST_F(ProfilerTest, SpinInOneSpanIsCreditedThreadCpu) {
+  SetMode(Mode::kCounters);
+  ASSERT_TRUE(prof::Start());
+
+  SpanStat& span = Registry::Instance().GetSpan("profspin.burn");
+  uint64_t thread_cpu_ns = 0;
+  // A fresh thread: its ring is registered at the span's entry, so its
+  // first sample's CPU delta starts there.
+  std::thread t([&thread_cpu_ns] {
+    const uint64_t start = ThreadCpuNanos();
+    {
+      AERIE_SPAN("profspin", "burn");
+      volatile uint64_t acc = 0;
+      while (ThreadCpuNanos() - start < 300'000'000ull) {
+        for (int i = 0; i < 10000; ++i) {
+          acc = acc + static_cast<uint64_t>(i) * i;
+        }
+      }
+    }
+    thread_cpu_ns = ThreadCpuNanos() - start;
+  });
+  t.join();
+  prof::Stop();
+
+  EXPECT_GT(prof::GetStats().samples, 0u);
+  EXPECT_LE(span.cpu_ns(), thread_cpu_ns);
+  EXPECT_GE(static_cast<double>(span.cpu_ns()),
+            0.9 * static_cast<double>(thread_cpu_ns))
+      << "credited " << span.cpu_ns() << " ns of " << thread_cpu_ns
+      << " ns thread CPU over " << prof::GetStats().samples << " samples";
+}
+
 // Manual mode: a fresh thread gets a 64-slot ring; pushing 100 samples
 // must accept exactly 64, reject exactly 36, and count the rejects in
 // ProfileStats::dropped. After a drain the ring accepts samples again.
@@ -108,7 +157,7 @@ TEST_F(ProfilerTest, RingOverflowIsCountedExactly) {
   std::thread t([&] {
     const uintptr_t frames[2] = {0x1000, 0x2000};
     for (int i = 0; i < 100; ++i) {
-      if (prof::InjectSampleForTesting(&span, frames, 2)) {
+      if (prof::InjectSampleForTesting(&span, 1'000, frames, 2)) {
         ++accepted;
       } else {
         ++rejected;
@@ -116,7 +165,7 @@ TEST_F(ProfilerTest, RingOverflowIsCountedExactly) {
     }
     prof::DrainNow();
     // Post-drain the ring has room again.
-    EXPECT_TRUE(prof::InjectSampleForTesting(&span, frames, 2));
+    EXPECT_TRUE(prof::InjectSampleForTesting(&span, 1'000, frames, 2));
   });
   t.join();
 
@@ -143,12 +192,12 @@ TEST_F(ProfilerTest, FoldedStacksAreDeterministic) {
     const uintptr_t stack1[3] = {0x30, 0x20, 0x10};  // leaf-first capture
     const uintptr_t stack2[2] = {0x21, 0x11};
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(prof::InjectSampleForTesting(&alpha, stack1, 3));
+      ASSERT_TRUE(prof::InjectSampleForTesting(&alpha, 1'000'000, stack1, 3));
     }
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(prof::InjectSampleForTesting(&beta, stack2, 2));
+      ASSERT_TRUE(prof::InjectSampleForTesting(&beta, 200'000, stack2, 2));
     }
-    ASSERT_TRUE(prof::InjectSampleForTesting(nullptr, stack2, 2));
+    ASSERT_TRUE(prof::InjectSampleForTesting(nullptr, 50'000, stack2, 2));
   });
   t.join();
   prof::DrainNow();
@@ -164,24 +213,34 @@ TEST_F(ProfilerTest, FoldedStacksAreDeterministic) {
   EXPECT_NE(folded.find("(none);(no_span);0x11;0x21 1\n"), std::string::npos)
       << folded;
 
-  // Each drained sample credits one period of CPU to its span.
-  const prof::ProfileStats stats = prof::GetStats();
-  EXPECT_EQ(alpha.cpu_ns(), 5 * stats.period_ns);
-  EXPECT_EQ(beta.cpu_ns(), 3 * stats.period_ns);
+  // Each drained sample credits the CPU time it carries to its span.
+  EXPECT_EQ(alpha.cpu_ns(), 5'000'000u);
+  EXPECT_EQ(beta.cpu_ns(), 600'000u);
 
-  // The JSON view agrees with the folded view on totals and ranks the
-  // leaf of the hottest stack first.
+  // The JSON view agrees with the folded view on totals, carries each
+  // stack's credited CPU, and ranks the leaf of the hottest stack first.
   const std::string json = prof::ProfileJson();
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"frames\":[\"0x10\",\"0x20\",\"0x30\"]"),
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"count\":5,\"cpu_ns\":5000000,"
+                      "\"frames\":[\"0x10\",\"0x20\",\"0x30\"]"),
             std::string::npos)
       << json;
-  EXPECT_NE(prof::TopText(5).find("0x30"), std::string::npos);
+  EXPECT_NE(json.find("\"top\":[{\"frame\":\"0x30\",\"self_samples\":5,"
+                      "\"self_cpu_us\":5000.0}"),
+            std::string::npos)
+      << json;
+  // TopText ranks by credited CPU too: 5 ms of the 5.65 ms profiled.
+  const std::string top = prof::TopText(5);
+  const std::string first_row = top.substr(top.find('\n') + 1);
+  EXPECT_EQ(first_row.substr(0, first_row.find('\n')),
+            "1             5       5.00  88.5%  0x30")
+      << top;
 }
 
 // Counters mode does not time spans, but a span still tags its thread: a
 // sample taken inside it is credited to the span's cpu_ns, folds under the
-// span's layer, and appears in the layer tables although self time is 0.
+// span's layer, and appears in the layer tables, where a layer's wait
+// share is its waits over cpu + waits.
 TEST_F(ProfilerTest, CountersModeSampleIsCreditedToSpan) {
   SetMode(Mode::kCounters);
   prof::Options opt;
@@ -192,36 +251,40 @@ TEST_F(ProfilerTest, CountersModeSampleIsCreditedToSpan) {
   std::thread t([] {
     AERIE_SPAN("profcounters", "op");
     const uintptr_t frames[2] = {0x51, 0x41};
-    ASSERT_TRUE(prof::InjectSampleForTesting(CurrentSpanTag(), frames, 2));
+    ASSERT_TRUE(prof::InjectSampleForTesting(CurrentSpanTag(), 3'000'000,
+                                             frames, 2));
+    AddWaitNsToCurrentSpan(WaitKind::kLock, 1'000'000);
   });
   t.join();
   prof::DrainNow();
 
-  const uint64_t period = prof::GetStats().period_ns;
-  EXPECT_EQ(span.cpu_ns(), period);
+  EXPECT_EQ(span.cpu_ns(), 3'000'000u);
   EXPECT_EQ(span.count(), 0u);
-  EXPECT_EQ(span.self_ns(), 0u);
+  EXPECT_EQ(span.total_ns(), 0u);
   EXPECT_NE(prof::FoldedStacks().find(
                 "profcounters;profcounters.op;0x41;0x51 1\n"),
             std::string::npos)
       << prof::FoldedStacks();
 
-  char row[192];
-  std::snprintf(row, sizeof(row),
-                "\"profcounters\":{\"spans\":0,\"self_ns\":0,\"total_ns\":0,"
-                "\"cpu_ns\":%llu,",
-                static_cast<unsigned long long>(period));
   const std::string json = DumpJson();
-  EXPECT_NE(json.find(row), std::string::npos) << json;
+  EXPECT_NE(json.find("\"profcounters\":{\"spans\":0,\"total_ns\":0,"
+                      "\"cpu_ns\":3000000,\"lock_wait_ns\":1000000,"),
+            std::string::npos)
+      << json;
 
   const std::string table = LayerBreakdownText();
-  const size_t at = table.find("\nprofcounters ");
-  ASSERT_NE(at, std::string::npos) << table;
-  const std::string line = table.substr(at + 1, table.find('\n', at + 1) - at);
-  char cpu_ms[32];
-  std::snprintf(cpu_ms, sizeof(cpu_ms), " %.2f ",
-                static_cast<double>(period) / 1e6);
-  EXPECT_NE(line.find(cpu_ms), std::string::npos) << line;
+  const auto line_of = [&table](const std::string& prefix) {
+    const size_t at = table.find("\n" + prefix);
+    return at == std::string::npos
+               ? std::string()
+               : table.substr(at + 1, table.find('\n', at + 1) - at - 1);
+  };
+  const std::string line = line_of("profcounters ");
+  EXPECT_NE(line.find(" 3.00 "), std::string::npos) << table;
+  EXPECT_NE(line.find(" 1.00 "), std::string::npos) << table;
+  EXPECT_NE(line.find(" 25.0%"), std::string::npos) << table;
+  // The (sum) row totals sampled CPU; this is the only sampled layer.
+  EXPECT_NE(line_of("(sum) ").find(" 3.00"), std::string::npos) << table;
 }
 
 // A thread whose spans only ever run in counters mode gets its sample ring
@@ -245,7 +308,8 @@ TEST_F(ProfilerTest, CountersModeSpanRegistersSampleRing) {
   const prof::ProfileStats stats = prof::GetStats();
   EXPECT_EQ(stats.no_ring, 0u);
   EXPECT_EQ(stats.samples, 1u);
-  EXPECT_EQ(span.cpu_ns(), stats.period_ns);
+  // The sample carries the thread's CPU since its ring was registered.
+  EXPECT_GT(span.cpu_ns(), 0u);
   EXPECT_NE(prof::FoldedStacks().find("profring;profring.op;"),
             std::string::npos)
       << prof::FoldedStacks();

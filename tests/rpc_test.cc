@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/rpc/inproc.h"
 #include "src/rpc/socket.h"
@@ -125,6 +126,31 @@ TEST(InprocTest, CallsAndErrorsPropagate) {
   EXPECT_EQ(t.Call(5, "fail").code(), ErrorCode::kBusy);
   EXPECT_EQ(t.calls_made(), 2u);
   EXPECT_EQ(t.client_id(), 7u);
+}
+
+// The simulated round trip spins on the caller thread: it is CPU the
+// sampler charges to the rpc span, so no span may also carry it as an
+// off-CPU rpc wait.
+TEST(InprocTest, SimulatedRoundTripIsNotChargedAsWait) {
+  const obs::Mode prev_mode = obs::CurrentMode();
+  obs::SetMode(obs::Mode::kCounters);
+  constexpr uint32_t kMethod = 0x5a5a;
+  obs::SetRpcMethodName(kMethod, "test.spin_round_trip");
+  RpcDispatcher dispatcher;
+  dispatcher.Register(
+      kMethod, [](uint64_t, std::string_view req) -> Result<std::string> {
+        return std::string(req);
+      });
+  InprocTransport t(&dispatcher, 7, /*round_trip_ns=*/200'000);
+  obs::SpanStat& caller =
+      obs::Registry::Instance().GetSpan("rpctest.spin_caller");
+  {
+    obs::ScopedSpan span(&caller);
+    ASSERT_TRUE(t.Call(kMethod, "ping").ok());
+  }
+  EXPECT_EQ(caller.rpc_wait_ns(), 0u);
+  EXPECT_EQ(obs::RpcMethodStatsFor(kMethod).span.rpc_wait_ns(), 0u);
+  obs::SetMode(prev_mode);
 }
 
 class UdsTest : public ::testing::Test {

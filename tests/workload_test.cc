@@ -70,8 +70,8 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SutEquivalenceTest,
                          ::testing::Values(SutKind::kPxfs, SutKind::kPxfsNnc,
                                            SutKind::kRamFs, SutKind::kExt3,
                                            SutKind::kExt4),
-                         [](const auto& info) {
-                           std::string name(SutKindName(info.param));
+                         [](const auto& param_info) {
+                           std::string name(SutKindName(param_info.param));
                            for (char& ch : name) {
                              if (ch == '-') {
                                ch = '_';
@@ -108,9 +108,9 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair(SutKind::kExt3, FilebenchKind::kFileserver),
         std::make_pair(SutKind::kExt4, FilebenchKind::kWebproxy),
         std::make_pair(SutKind::kRamFs, FilebenchKind::kWebserver)),
-    [](const auto& info) {
-      return std::string(SutKindName(info.param.first)) + "_" +
-             std::string(FilebenchKindName(info.param.second));
+    [](const auto& param_info) {
+      return std::string(SutKindName(param_info.param.first)) + "_" +
+             std::string(FilebenchKindName(param_info.param.second));
     });
 
 TEST(FlatWebproxyTest, RunsOnFlatFs) {

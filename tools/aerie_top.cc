@@ -170,12 +170,11 @@ double RatePerSec(const Sample& prev, const Sample& cur,
   return c >= p ? static_cast<double>(c - p) / secs : 0.0;
 }
 
-// Per-layer aggregation of span metrics: exact self/total sums plus the
-// merged rolling-window self-time histogram and the profiler plane's
-// sampled-CPU / attributed-wait sums (format v2 span entries).
+// Per-layer aggregation of span metrics: exact call/inclusive-time sums,
+// the merged rolling-window latency histogram and the profiler plane's
+// sampled-CPU / attributed-wait sums.
 struct LayerRow {
   uint64_t spans = 0;
-  uint64_t self_ns = 0;
   uint64_t total_ns = 0;
   uint64_t cpu_ns = 0;
   uint64_t lock_wait_ns = 0;
@@ -192,8 +191,7 @@ std::map<std::string, LayerRow> LayerRows(const Sample& s) {
     }
     LayerRow& row = rows[std::string(obs::LayerOf(m.name))];
     row.spans += m.cumulative.count();
-    row.self_ns += m.span_self_ns;
-    row.total_ns += m.span_total_ns;
+    row.total_ns += m.cumulative.sum();
     row.cpu_ns += m.span_cpu_ns;
     row.lock_wait_ns += m.span_lock_wait_ns;
     row.rpc_wait_ns += m.span_rpc_wait_ns;
@@ -203,17 +201,15 @@ std::map<std::string, LayerRow> LayerRows(const Sample& s) {
   return rows;
 }
 
-// Share of a layer's wall-clock self time spent blocked (lock + rpc + other
-// wait). Waits can exceed self time when a wait spans child-span exits, so
-// clamp at 100 rather than confuse the reader.
+// Share of a layer's own time (sampled CPU + lock, rpc and other waits)
+// spent blocked.
 double WaitPct(const LayerRow& row) {
   const uint64_t wait =
       row.lock_wait_ns + row.rpc_wait_ns + row.other_wait_ns;
-  if (row.self_ns == 0) {
-    return wait != 0 ? 100.0 : 0.0;
-  }
-  return std::min(100.0, 100.0 * static_cast<double>(wait) /
-                             static_cast<double>(row.self_ns));
+  const uint64_t own = row.cpu_ns + wait;
+  return own != 0 ? 100.0 * static_cast<double>(wait) /
+                        static_cast<double>(own)
+                  : 0.0;
 }
 
 // Lock-plane view: the live waiter gauge plus the contention latency
@@ -341,9 +337,9 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
 
   const auto layers = LayerRows(cur);
   if (!layers.empty()) {
-    std::printf("\n%-12s  %10s  %10s  %10s  %8s  %6s  %8s  %8s  %8s\n",
-                "LAYER", "SPANS", "SPANS/S", "SELF", "CPU", "WAIT%",
-                "win p50", "win p95", "win p99");
+    std::printf("\n%-12s  %10s  %10s  %8s  %6s  %8s  %8s  %8s\n",
+                "LAYER", "SPANS", "SPANS/S", "CPU", "WAIT%", "win p50",
+                "win p95", "win p99");
     const auto prev_layers = LayerRows(prev);
     const double secs = interval_s > 0 ? interval_s : 1;
     for (const auto& [name, row] : layers) {
@@ -352,11 +348,11 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
       if (pit != prev_layers.end() && row.spans >= pit->second.spans) {
         rate = static_cast<double>(row.spans - pit->second.spans) / secs;
       }
-      std::printf("%-12.12s  %10s  %10s  %10s  %8s  %5.1f%%  %8s  %8s  %8s\n",
+      std::printf("%-12.12s  %10s  %10s  %8s  %5.1f%%  %8s  %8s  %8s\n",
                   name.c_str(),
                   PrettyCount(static_cast<double>(row.spans)).c_str(),
-                  PrettyCount(rate).c_str(), PrettyNanos(row.self_ns).c_str(),
-                  PrettyNanos(row.cpu_ns).c_str(), WaitPct(row),
+                  PrettyCount(rate).c_str(), PrettyNanos(row.cpu_ns).c_str(),
+                  WaitPct(row),
                   PrettyNanos(row.window.Percentile(50)).c_str(),
                   PrettyNanos(row.window.Percentile(95)).c_str(),
                   PrettyNanos(row.window.Percentile(99)).c_str());
@@ -530,10 +526,10 @@ void AppendHistJson(std::string* out, const Histogram& h) {
 std::string RenderJson(const Options& opt, const Sample& prev,
                        const Sample& cur) {
   char buf[320];
-  // schema_version 2: adds per-process dropped_hists, the top-level
-  // dropped/locks objects, and per-layer cpu/wait attribution (all
-  // REQUIRED in tools/telemetry_schema.json, hence the version bump).
-  std::string out = "{\n  \"schema_version\": 2,\n";
+  // schema_version 2 added per-process dropped_hists, the top-level
+  // dropped/locks objects, and per-layer cpu/wait attribution; 3 drops the
+  // per-layer self time (tools/telemetry_schema.json pins the shape).
+  std::string out = "{\n  \"schema_version\": 3,\n";
   std::snprintf(buf, sizeof(buf), "  \"interval_ms\": %" PRIu64 ",\n",
                 static_cast<uint64_t>(cur.mono_ns - prev.mono_ns) /
                     uint64_t{1000000});
@@ -583,12 +579,12 @@ std::string RenderJson(const Options& opt, const Sample& prev,
     }
     std::snprintf(buf, sizeof(buf),
                   "    \"%s\": {\"spans\": %" PRIu64 ", \"spans_per_sec\": "
-                  "%.1f, \"self_ns\": %" PRIu64 ", \"total_ns\": %" PRIu64
+                  "%.1f, \"total_ns\": %" PRIu64
                   ", \"cpu_ns\": %" PRIu64 ", \"lock_wait_ns\": %" PRIu64
                   ", \"rpc_wait_ns\": %" PRIu64 ", \"other_wait_ns\": %" PRIu64
                   ", \"wait_pct\": %.1f, \"window\": ",
-                  JsonEscape(name).c_str(), row.spans, rate, row.self_ns,
-                  row.total_ns, row.cpu_ns, row.lock_wait_ns, row.rpc_wait_ns,
+                  JsonEscape(name).c_str(), row.spans, rate, row.total_ns,
+                  row.cpu_ns, row.lock_wait_ns, row.rpc_wait_ns,
                   row.other_wait_ns, WaitPct(row));
     out += buf;
     AppendHistJson(&out, row.window);

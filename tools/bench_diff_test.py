@@ -235,14 +235,17 @@ class ValidateProfileGateTest(unittest.TestCase):
         self.assertIsNone(
             validate_profile.no_span_share(self.ENTRIES, "NoSuchFrame"))
 
-    def test_record_gap_counts_only_span_tagged_samples(self):
-        doc = {"period_ns": 1000000, "stacks": [
-            {"layer": "pxfs", "span": "pxfs.open", "count": 7},
-            {"layer": "(none)", "span": "(no_span)", "count": 50},
+    def test_record_gap_counts_only_span_tagged_cpu(self):
+        doc = {"stacks": [
+            {"layer": "pxfs", "span": "pxfs.open", "count": 7,
+             "cpu_ns": 7000000},
+            {"layer": "(none)", "span": "(no_span)", "count": 50,
+             "cpu_ns": 50000000},
         ]}
-        record = {"layers": [{"layer": "pxfs", "cpu_us": 6000.0},
+        record = {"layers": [{"layer": "pxfs", "cpu_us": 6000.001},
                              {"layer": "tfs", "cpu_us": 0.0}]}
-        self.assertEqual(validate_profile.record_cpu_gap(doc, record), (6, 7))
+        self.assertEqual(validate_profile.record_cpu_gap(doc, record),
+                         (6000001, 7000000))
 
     def test_span_names_are_not_frames(self):
         # "pxfs.open" is the span column, not a stack frame.

@@ -6,14 +6,16 @@ shared-memory publisher enabled in a private segment directory, attaches
 aerie_top --json MID-RUN (while the bench is still working), and validates
 the documents against tools/telemetry_schema.json — requiring at least one
 live process, at least one per-layer span row, a nonzero logical write
-byte count so the write-amplification pipeline is proven end to end, and
+byte count so the write-amplification pipeline is proven end to end,
 nonzero lock-wait attribution so the off-CPU wait plane is proven on a
-genuinely contended multi-client run. It samples repeatedly while the
-bench runs: every sample must conform to the schema, and the test passes
-on the first that also meets every requirement, or fails if the bench
-finishes (or the deadline passes) first. The sampling profiler is enabled
-(AERIE_PROF=1) so SIGPROF coexisting with the shm publisher is exercised
-here too.
+genuinely contended multi-client run, and a layer with nonzero sampled
+CPU. It samples repeatedly while the bench runs: every sample must conform
+to the schema, and the test passes on the first that also meets every
+requirement, or fails if the bench finishes (or the deadline passes)
+first. The bench runs in counters mode (AERIE_OBS=counters) with the
+sampling profiler on (AERIE_PROF=1): the live per-layer CPU/wait view
+needs no span timing, and SIGPROF coexisting with the shm publisher is
+exercised too.
 
 Stdlib only; wired as the `telemetry_smoke` ctest target.
 
@@ -50,7 +52,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="aerie_telemetry_smoke_") as shm:
         env = dict(os.environ)
         env.update({
-            "AERIE_OBS": "spans",
+            "AERIE_OBS": "counters",
             "AERIE_OBS_SHM_DIR": shm,
             "AERIE_OBS_SHM_INTERVAL_MS": "50",
             "AERIE_PROF": "1",
@@ -125,7 +127,7 @@ def main():
                 check = subprocess.run(validate + [
                     "--min-processes", "1", "--min-layers", "1",
                     "--require-logical-writes", "--require-lock-wait",
-                    doc_path], capture_output=True, text=True)
+                    "--require-cpu", doc_path], capture_output=True, text=True)
                 if check.returncode == 0 and live:
                     print(check.stdout, end="")
                     doc = sample

@@ -27,9 +27,9 @@ Semantic gates:
                     Fails when no stack contains FRAME.
   --record R        consistency gate (needs --json): the bench record R
                     (AERIE_BENCH_JSON) of the same process must attribute
-                    the profile's span-tagged CPU: its layers' summed cpu_us,
-                    in samples of period_ns, may not exceed the JSON's
-                    span-tagged count, nor fall short of it by more than
+                    the profile's span-tagged CPU: its layers' summed cpu_us
+                    may not exceed the CPU the JSON's span-tagged stacks
+                    carry (their cpu_ns), nor fall short of it by more than
                     RECORD_CPU_TOLERANCE. The record is snapshotted before
                     the profile's final drain at exit, so it can only miss
                     the last samples.
@@ -59,10 +59,11 @@ FOLDED_LINE = re.compile(r"^([^ ;]+(?:;[^ ;]+)+) (\d+)$")
 # Samples taken outside any span (no layer tag) fold under this prefix.
 NO_SPAN_PREFIX = ["(none)", "(no_span)"]
 # Largest share of the profile's span-tagged CPU a bench record may miss.
-# Measured: ablation_lock_modes at the ctest scale (0.02, 0.2 s) missed 0
-# of 109-116 samples in 10 of 10 runs, and every record of a --quick sweep
-# but fig1's missed 0 (fig1 resets the registry after building its tree).
-# 2% leaves room for a sample or two landing in the exit path.
+# Measured in samples: ablation_lock_modes at the ctest scale (0.02, 0.2 s)
+# missed 0 of 109-116 samples in 10 of 10 runs, and every record of a
+# --quick sweep but fig1's missed 0 (fig1 resets the registry after
+# building its tree). 2% leaves room for a sample or two landing in the
+# exit path.
 RECORD_CPU_TOLERANCE = 0.02
 
 
@@ -119,12 +120,11 @@ def no_span_share(entries, frame):
 
 
 def record_cpu_gap(doc, record):
-    """(record, profile) span-tagged CPU of one process, in samples."""
-    period_us = doc["period_ns"] / 1e3
+    """(record, profile) span-tagged CPU of one process, in nanoseconds."""
     record_us = sum(layer["cpu_us"] for layer in record.get("layers", []))
-    tagged = sum(s["count"] for s in doc.get("stacks", [])
+    tagged = sum(s["cpu_ns"] for s in doc.get("stacks", [])
                  if s["span"] != NO_SPAN_PREFIX[1])
-    return round(record_us / period_us), tagged
+    return round(record_us * 1e3), tagged
 
 
 def check_json(path, schema_path, errors):
@@ -210,8 +210,8 @@ def main():
                 if not tagged * (1 - RECORD_CPU_TOLERANCE) <= recorded \
                         <= tagged:
                     errors.append(
-                        "%s: layers' cpu_us sum to %d samples, profile %s "
-                        "has %d span-tagged samples (allowed: %.0f%% fewer, "
+                        "%s: layers' cpu_us sum to %d ns, profile %s has "
+                        "%d ns of span-tagged CPU (allowed: %.0f%% less, "
                         "none more)" % (args.record, recorded, args.json_path,
                                         tagged, 100 * RECORD_CPU_TOLERANCE))
 
@@ -237,7 +237,7 @@ def main():
     if args.json_path:
         parts.append("%s (%d samples)" % (args.json_path, json_total))
     if gap is not None:
-        parts.append("record holds %d of %d span-tagged samples" % gap)
+        parts.append("record holds %d of %d ns of span-tagged CPU" % gap)
     print("OK: " + ", ".join(parts))
     return 0
 

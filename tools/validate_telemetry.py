@@ -17,6 +17,8 @@ Beyond schema conformance, optional semantic gates for the CI smoke test:
                       lock_wait_ns > 0 or locks.wait_latency_us.count > 0
                       (proves the off-CPU wait plane end to end on a
                       contended multi-client run)
+  --require-cpu       require some layer's cpu_ns > 0 (proves the sampled
+                      per-layer CPU reaches the live view)
   --forbid-drops      fail when dropped.warning is true (segment capacity
                       was exhausted, so the sample is incomplete)
 
@@ -49,6 +51,7 @@ def main():
     parser.add_argument("--min-layers", type=int, default=0)
     parser.add_argument("--require-logical-writes", action="store_true")
     parser.add_argument("--require-lock-wait", action="store_true")
+    parser.add_argument("--require-cpu", action="store_true")
     parser.add_argument("--forbid-drops", action="store_true")
     args = parser.parse_args()
 
@@ -86,6 +89,11 @@ def main():
             errors.append(
                 "$.layers[*].lock_wait_ns / $.locks.wait_latency_us.count: "
                 "expected nonzero lock-wait attribution, got 0 / 0")
+    if args.require_cpu:
+        if not any(row.get("cpu_ns", 0) > 0
+                   for row in doc.get("layers", {}).values()):
+            errors.append("$.layers[*].cpu_ns: expected some layer with "
+                          "sampled CPU, got none")
     if args.forbid_drops:
         if doc.get("dropped", {}).get("warning", False):
             errors.append("$.dropped: warning is true (%r entries, %r hists "
