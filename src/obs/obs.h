@@ -318,10 +318,8 @@ class SpanStat final : public Metric {
     hist_.RecordAlways(total_ns, end_ns != 0 ? end_ns : NowNanos());
   }
 
+  // Calls (count) and inclusive wall time (sum, child spans included).
   Histogram Snapshot() const { return hist_.Snapshot(); }
-  uint64_t count() const { return Snapshot().count(); }
-  // Inclusive wall time (child spans included).
-  uint64_t total_ns() const { return Snapshot().sum(); }
   // Rolling-window view (same window semantics as
   // LatencyHistogram::WindowSnapshot).
   Histogram WindowSnapshot() const { return hist_.WindowSnapshot(); }

@@ -56,9 +56,10 @@ struct Ring {
   std::atomic<uint64_t> head{0};
   std::atomic<uint64_t> tail{0};
   std::atomic<uint64_t> dropped{0};  // overflow: handler found the ring full
-  // The owning thread's CPU clock at its previous sample (or at
-  // registration); only the owning thread touches it.
+  // The owning thread's CPU clock at its previous sample (or registration)
+  // and that reading's sampling generation; only the owner touches them.
   std::atomic<uint64_t> last_cpu_ns{0};
+  std::atomic<uint64_t> generation{0};
 };
 
 // The calling thread's CPU time. clock_gettime is async-signal-safe.
@@ -73,12 +74,10 @@ uint64_t ThreadCpuNanos() {
 // TLS: the handler must not touch mutexes, the heap, or guarded statics.
 std::atomic<bool> g_running{false};
 std::atomic<uint64_t> g_no_ring{0};
+// Bumped by Start and Reset: a ring's first sample in a newer generation
+// only re-baselines its CPU clock and credits nothing.
+std::atomic<uint64_t> g_generation{0};
 thread_local constinit std::atomic<Ring*> t_ring{nullptr};
-
-struct AggValue {
-  uint64_t count = 0;
-  uint64_t cpu_ns = 0;
-};
 
 struct AggKey {
   SpanStat* span;
@@ -106,7 +105,7 @@ struct GlobalState {
 
   std::mutex drain_mu;  // serializes collector passes vs DrainNow
   std::mutex agg_mu;
-  std::map<AggKey, AggValue> agg;
+  std::map<AggKey, uint64_t> agg;  // credited CPU ns per stack
   std::atomic<uint64_t> samples{0};
 };
 
@@ -123,43 +122,63 @@ uint64_t RoundUpPow2(uint64_t v) {
   return p;
 }
 
+// The owning thread's full check; counts the drop when the ring is full.
+bool RingHasRoom(Ring* ring) {
+  if (ring->head.load(std::memory_order_relaxed) -
+          ring->tail.load(std::memory_order_acquire) <
+      ring->size) {
+    return true;
+  }
+  ring->dropped.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+// Publishes one sample into a ring that RingHasRoom just checked; only the
+// owning thread (its signal handler or the test hook) produces.
+template <typename Frame>
+void Push(Ring* ring, SpanStat* span, uint64_t cpu_ns, const Frame* frames,
+          int num_frames) {
+  const uint64_t head = ring->head.load(std::memory_order_relaxed);
+  Slot& slot = ring->slots[head & ring->mask];
+  slot.span.store(reinterpret_cast<uint64_t>(span), std::memory_order_relaxed);
+  slot.cpu_ns.store(cpu_ns, std::memory_order_relaxed);
+  uint32_t out = 0;
+  for (int i = 0; i < num_frames && out < kMaxFrames; ++i, ++out) {
+    slot.frames[out].store(reinterpret_cast<uintptr_t>(frames[i]),
+                           std::memory_order_relaxed);
+  }
+  slot.nframes.store(out, std::memory_order_relaxed);
+  ring->head.store(head + 1, std::memory_order_release);
+}
+
 // SIGPROF handler. Constraints (DESIGN.md §9.4): relaxed atomics, errno
 // save/restore, clock_gettime, and backtrace() only — whose one unsafe act
 // (dlopening libgcc on first use) Start() triggers ahead of time from
 // normal context. A sample carries the thread CPU time since the thread's
-// previous sample; a dropped sample loses its share.
+// previous sample in this generation; a dropped sample loses its share.
 void SampleHandler(int /*sig*/) {
   const int saved_errno = errno;
   if (g_running.load(std::memory_order_relaxed)) {
     Ring* ring = t_ring.load(std::memory_order_relaxed);
+    const uint64_t generation = g_generation.load(std::memory_order_relaxed);
     if (ring == nullptr) {
       g_no_ring.fetch_add(1, std::memory_order_relaxed);
+    } else if (ring->generation.exchange(generation,
+                                         std::memory_order_relaxed) !=
+               generation) {
+      ring->last_cpu_ns.store(ThreadCpuNanos(), std::memory_order_relaxed);
     } else {
       const uint64_t now = ThreadCpuNanos();
       const uint64_t cpu_ns =
           now - ring->last_cpu_ns.exchange(now, std::memory_order_relaxed);
-      const uint64_t head = ring->head.load(std::memory_order_relaxed);
-      const uint64_t tail = ring->tail.load(std::memory_order_acquire);
-      if (head - tail >= ring->size) {
-        ring->dropped.fetch_add(1, std::memory_order_relaxed);
-      } else {
+      if (RingHasRoom(ring)) {
         void* raw[kMaxFrames + 2];
         int n = 0;
 #if defined(__GLIBC__)
         n = backtrace(raw, kMaxFrames + 2);
 #endif
         const int skip = n >= 3 ? 2 : 0;  // this handler + signal trampoline
-        Slot& slot = ring->slots[head & ring->mask];
-        slot.span.store(reinterpret_cast<uint64_t>(CurrentSpanTag()),
-                        std::memory_order_relaxed);
-        slot.cpu_ns.store(cpu_ns, std::memory_order_relaxed);
-        uint32_t out = 0;
-        for (int i = skip; i < n && out < kMaxFrames; ++i, ++out) {
-          slot.frames[out].store(reinterpret_cast<uintptr_t>(raw[i]),
-                                 std::memory_order_relaxed);
-        }
-        slot.nframes.store(out, std::memory_order_relaxed);
-        ring->head.store(head + 1, std::memory_order_release);
+        Push(ring, CurrentSpanTag(), cpu_ns, raw + skip, n - skip);
       }
     }
   }
@@ -197,9 +216,7 @@ void DrainPass() {
       if (key.span != nullptr) {
         key.span->AddCpuNs(cpu_ns);
       }
-      AggValue& value = g.agg[std::move(key)];
-      ++value.count;
-      value.cpu_ns += cpu_ns;
+      g.agg[std::move(key)] += cpu_ns;
       ++drained;
     }
     ring->tail.store(head, std::memory_order_release);
@@ -287,14 +304,15 @@ struct FoldedEntry {
   std::string layer;
   std::string span;
   std::vector<std::string> frames;  // root-first, symbolized
-  AggValue value;
+  uint64_t cpu_ns = 0;
 };
 
 // Snapshot of the aggregate map, symbolized, with one deterministic order:
 // sort by (layer, span, frames). Symbol names cache per pc across entries.
+// A stack credited no CPU carries no weight and is left out.
 std::vector<FoldedEntry> SnapshotFolded() {
   GlobalState& g = G();
-  std::map<AggKey, AggValue> agg;
+  std::map<AggKey, uint64_t> agg;
   {
     std::lock_guard lk(g.agg_mu);
     agg = g.agg;
@@ -302,11 +320,14 @@ std::vector<FoldedEntry> SnapshotFolded() {
   std::map<uintptr_t, std::string> symcache;
   std::vector<FoldedEntry> out;
   out.reserve(agg.size());
-  for (const auto& [key, value] : agg) {
+  for (const auto& [key, cpu_ns] : agg) {
+    if (cpu_ns == 0) {
+      continue;
+    }
     FoldedEntry e;
     e.span = key.span != nullptr ? key.span->name() : "(no_span)";
     e.layer = key.span != nullptr ? std::string(LayerOf(e.span)) : "(none)";
-    e.value = value;
+    e.cpu_ns = cpu_ns;
     e.frames.reserve(key.frames.size());
     // Captured leaf-first; folded stacks want root-first.
     for (auto it = key.frames.rbegin(); it != key.frames.rend(); ++it) {
@@ -332,13 +353,31 @@ std::vector<FoldedEntry> SnapshotFolded() {
   for (FoldedEntry& e : out) {
     if (!merged.empty() && merged.back().layer == e.layer &&
         merged.back().span == e.span && merged.back().frames == e.frames) {
-      merged.back().value.count += e.value.count;
-      merged.back().value.cpu_ns += e.value.cpu_ns;
+      merged.back().cpu_ns += e.cpu_ns;
     } else {
       merged.push_back(std::move(e));
     }
   }
   return merged;
+}
+
+// Self-CPU leaders: credited CPU whose *leaf* frame is each symbol,
+// hottest first, at most top_n.
+std::vector<std::pair<std::string, uint64_t>> LeafTop(
+    const std::vector<FoldedEntry>& entries, size_t top_n) {
+  std::map<std::string, uint64_t> leaf;
+  for (const FoldedEntry& e : entries) {
+    leaf[e.frames.empty() ? "(no_frames)" : e.frames.back()] += e.cpu_ns;
+  }
+  std::vector<std::pair<std::string, uint64_t>> top(leaf.begin(), leaf.end());
+  std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  if (top.size() > top_n) {
+    top.resize(top_n);
+  }
+  return top;
 }
 
 }  // namespace
@@ -373,6 +412,7 @@ bool Start(const Options& options) {
     }
     g.handler_installed.store(true, std::memory_order_relaxed);
   }
+  g_generation.fetch_add(1, std::memory_order_relaxed);
   g_running.store(true, std::memory_order_relaxed);
   RegisterCurrentThread();
   if (!g.manual) {
@@ -465,6 +505,8 @@ void RegisterCurrentThread() {
   GlobalState& g = G();
   auto ring = std::make_shared<Ring>(
       g.ring_slots.load(std::memory_order_relaxed));
+  ring->generation.store(g_generation.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
   ring->last_cpu_ns.store(ThreadCpuNanos(), std::memory_order_relaxed);
   {
     std::lock_guard lk(g.rings_mu);
@@ -500,38 +542,11 @@ std::string FoldedStacks() {
       out += frame;
     }
     std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(e.value.count));
+                  static_cast<unsigned long long>(e.cpu_ns));
     out += buf;
   }
   return out;
 }
-
-namespace {
-
-// Self-CPU leaders: samples and credited CPU whose *leaf* frame is each
-// symbol, hottest first, at most top_n.
-std::vector<std::pair<std::string, AggValue>> LeafTop(
-    const std::vector<FoldedEntry>& entries, size_t top_n) {
-  std::map<std::string, AggValue> leaf;
-  for (const FoldedEntry& e : entries) {
-    AggValue& v = leaf[e.frames.empty() ? "(no_frames)" : e.frames.back()];
-    v.count += e.value.count;
-    v.cpu_ns += e.value.cpu_ns;
-  }
-  std::vector<std::pair<std::string, AggValue>> top(leaf.begin(), leaf.end());
-  std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
-    if (a.second.cpu_ns != b.second.cpu_ns) {
-      return a.second.cpu_ns > b.second.cpu_ns;
-    }
-    return a.first < b.first;
-  });
-  if (top.size() > top_n) {
-    top.resize(top_n);
-  }
-  return top;
-}
-
-}  // namespace
 
 std::string ProfileJson() {
   const std::vector<FoldedEntry> entries = SnapshotFolded();
@@ -557,9 +572,8 @@ std::string ProfileJson() {
     first = false;
     out += "{\"layer\":\"" + JsonEscape(e.layer) + "\",\"span\":\"" +
            JsonEscape(e.span) + "\",";
-    std::snprintf(buf, sizeof(buf), "\"count\":%llu,\"cpu_ns\":%llu",
-                  static_cast<unsigned long long>(e.value.count),
-                  static_cast<unsigned long long>(e.value.cpu_ns));
+    std::snprintf(buf, sizeof(buf), "\"cpu_ns\":%llu",
+                  static_cast<unsigned long long>(e.cpu_ns));
     out += buf;
     out += ",\"frames\":[";
     for (size_t i = 0; i < e.frames.size(); ++i) {
@@ -574,15 +588,13 @@ std::string ProfileJson() {
 
   out += ",\"top\":[";
   first = true;
-  for (const auto& [frame, value] : LeafTop(entries, 32)) {
+  for (const auto& [frame, cpu_ns] : LeafTop(entries, 32)) {
     if (!first) {
       out += ',';
     }
     first = false;
-    std::snprintf(buf, sizeof(buf), "\"self_samples\":%llu,"
-                  "\"self_cpu_us\":%.1f}",
-                  static_cast<unsigned long long>(value.count),
-                  static_cast<double>(value.cpu_ns) / 1e3);
+    std::snprintf(buf, sizeof(buf), "\"self_cpu_us\":%.1f}",
+                  static_cast<double>(cpu_ns) / 1e3);
     out += "{\"frame\":\"" + JsonEscape(frame) + "\",";
     out += buf;
   }
@@ -594,20 +606,19 @@ std::string TopText(size_t top_n) {
   const std::vector<FoldedEntry> entries = SnapshotFolded();
   uint64_t total_cpu_ns = 0;
   for (const FoldedEntry& e : entries) {
-    total_cpu_ns += e.value.cpu_ns;
+    total_cpu_ns += e.cpu_ns;
   }
   std::string out;
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%-4s %10s %10s %6s  %s\n", "#",
-                "samples", "cpu(ms)", "%", "frame");
+  std::snprintf(buf, sizeof(buf), "%-4s %10s %6s  %s\n", "#", "cpu(ms)",
+                "%", "frame");
   out += buf;
   size_t rank = 1;
-  for (const auto& [frame, value] : LeafTop(entries, top_n)) {
+  for (const auto& [frame, cpu_ns] : LeafTop(entries, top_n)) {
     std::snprintf(
-        buf, sizeof(buf), "%-4zu %10llu %10.2f %5.1f%%  ", rank++,
-        static_cast<unsigned long long>(value.count),
-        static_cast<double>(value.cpu_ns) / 1e6,
-        total_cpu_ns > 0 ? 100.0 * static_cast<double>(value.cpu_ns) /
+        buf, sizeof(buf), "%-4zu %10.2f %5.1f%%  ", rank++,
+        static_cast<double>(cpu_ns) / 1e6,
+        total_cpu_ns > 0 ? 100.0 * static_cast<double>(cpu_ns) /
                                static_cast<double>(total_cpu_ns)
                          : 0.0);
     out += buf;
@@ -650,31 +661,18 @@ bool InjectSampleForTesting(SpanStat* span, uint64_t cpu_ns,
                             const uintptr_t* frames, int num_frames) {
   RegisterCurrentThread();
   Ring* ring = t_ring.load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    return false;  // profiler not running
+  if (ring == nullptr || !RingHasRoom(ring)) {
+    return false;  // profiler not running, or ring full
   }
-  const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  const uint64_t tail = ring->tail.load(std::memory_order_acquire);
-  if (head - tail >= ring->size) {
-    ring->dropped.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  Slot& slot = ring->slots[head & ring->mask];
-  slot.span.store(reinterpret_cast<uint64_t>(span),
-                  std::memory_order_relaxed);
-  slot.cpu_ns.store(cpu_ns, std::memory_order_relaxed);
-  uint32_t out = 0;
-  for (int i = 0; i < num_frames && out < kMaxFrames; ++i, ++out) {
-    slot.frames[out].store(frames[i], std::memory_order_relaxed);
-  }
-  slot.nframes.store(out, std::memory_order_relaxed);
-  ring->head.store(head + 1, std::memory_order_release);
+  Push(ring, span, cpu_ns, frames, num_frames);
   return true;
 }
 
 void Reset(const std::function<void()>& also) {
   GlobalState& g = G();
   std::lock_guard drain(g.drain_mu);
+  // First, so no sample pushed after the discard carries pre-reset CPU.
+  g_generation.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::shared_ptr<Ring>> rings;
   {
     std::lock_guard lk(g.rings_mu);

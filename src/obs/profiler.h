@@ -11,10 +11,8 @@
 // `counters` run is attributed as fully as a `spans` run) into a
 // per-thread single-producer/single-consumer ring of atomics. A collector
 // thread drains the rings every ~100 ms into folded-stack aggregates keyed
-// by (span, frames) and credits each sample's CPU time — the thread's
-// CLOCK_THREAD_CPUTIME_ID delta since its previous sample, read by the
-// handler, so the credit is real CPU whatever rate the timer achieves —
-// to the span's cpu_ns, so
+// by (span, frames) and credits each sample's CPU time (the thread's CPU
+// clock delta since its previous sample) to the span's cpu_ns, so
 // the span tables (DumpJson / LayerBreakdownText / telemetry / BenchReport)
 // decompose every layer into cpu vs. lock/rpc/other wait (the wait side is
 // obs::ScopedWait at the instrumented blocking sites).
@@ -60,7 +58,8 @@ struct Options {
 
 // Installs the SIGPROF handler, registers the calling thread, starts the
 // collector and the timer (unless manual). Idempotent while running;
-// returns false if a timer/handler could not be installed.
+// returns false if a timer/handler could not be installed. Starts a new
+// sampling generation (see Reset).
 bool Start(const Options& options = Options{});
 // Stops the timer and collector and performs a final drain. The SIGPROF
 // handler stays installed (late signals hit a running=false fast path).
@@ -83,6 +82,7 @@ void RegisterCurrentThread();
 // includes the final partial collector interval.
 void DrainNow();
 
+// Sampler health; every weight the profiler reports is credited CPU.
 struct ProfileStats {
   uint64_t samples = 0;      // drained into aggregates
   uint64_t dropped = 0;      // ring full (overflow accounting)
@@ -91,32 +91,34 @@ struct ProfileStats {
 };
 ProfileStats GetStats();
 
-// Collapsed stacks, one per line: `layer;span;root;..;leaf count\n`, sorted
-// lexically (deterministic for a fixed aggregate). Frames are symbolized
-// via dladdr with `0x...` fallback; samples outside any span fold under
-// `(none);(no_span)`.
+// Collapsed stacks weighted by credited CPU, one per line:
+// `layer;span;root;..;leaf cpu_ns\n`, sorted lexically (deterministic for a
+// fixed aggregate). Frames are symbolized via dladdr with `0x...` fallback;
+// samples outside any span fold under `(none);(no_span)`.
 std::string FoldedStacks();
 // JSON profile: {"schema_version":2,"hz":...,"samples":...,"dropped":...,
-// "no_ring":...,"stacks":[{layer,span,count,cpu_ns,frames[]}...],
-// "top":[{frame,self_samples,self_cpu_us}...]} — stacks sorted like
-// FoldedStacks, top ranked by leaf self CPU.
+// "no_ring":...,"stacks":[{layer,span,cpu_ns,frames[]}...],
+// "top":[{frame,self_cpu_us}...]} — stacks as in FoldedStacks, top ranked
+// by leaf self CPU.
 std::string ProfileJson();
-// Top-N self-CPU table (rank, samples, credited cpu ms, %, frame), the
-// profiler's analogue of the bench harness's hot-span table.
+// Top-N self-CPU table (rank, cpu ms, %, frame), the profiler's
+// analogue of the bench harness's hot-span table.
 std::string TopText(size_t top_n = 20);
 
 // Writes AERIE_PROF_FOLDED / AERIE_PROF_JSON artifacts if those variables
 // name files; drains first. Returns true if anything was written.
 bool WriteProfileFilesIfConfigured();
 
-// Discards pending samples and the folded aggregate, then runs `also`
-// while still holding the drain lock, so no drain lands between the two.
+// Discards pending samples and the folded aggregate and starts a new
+// sampling generation (a thread's next sample only re-baselines its CPU
+// clock, so CPU burned before the reset is never credited), then runs
+// `also` while still holding the drain lock, so no drain lands between.
 // obs::ResetAll passes the registry reset, which zeroes span cpu_ns: a
 // record and the profile of the same process then count the same samples.
 void Reset(const std::function<void()>& also = nullptr);
 
-// Test hook: appends one synthetic sample carrying `cpu_ns` of CPU time to
-// the calling thread's ring as the signal handler would (registering the
+// Test hook: appends one synthetic sample of `cpu_ns` to the calling
+// thread's ring exactly as the signal handler would (registering the
 // thread if needed); returns false on ring overflow, which it counts.
 bool InjectSampleForTesting(SpanStat* span, uint64_t cpu_ns,
                             const uintptr_t* frames, int num_frames);

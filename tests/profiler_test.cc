@@ -6,6 +6,8 @@
 //   * real CPU credit: a spin inside one span under the real timer is
 //     credited the thread's measured CPU time, whatever rate the timer
 //     achieves,
+//   * no stale credit: after Stop/Start or Reset a thread's first sample
+//     only re-baselines its CPU clock,
 //   * ring overflow accounting in manual mode (exact, no timer),
 //   * folded-stack export determinism with a synthetic span workload,
 //   * counters-mode attribution through the layer tag (sample rings, span
@@ -25,8 +27,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/lock/lock_service.h"
@@ -178,9 +182,9 @@ TEST_F(ProfilerTest, RingOverflowIsCountedExactly) {
 
 // Synthetic samples with fake frame addresses (dladdr cannot resolve them,
 // so they symbolize to deterministic hex): identical stacks must aggregate
-// into one folded line, frames must come out root-first, spanless samples
-// fold under (none);(no_span), and the export must be byte-identical when
-// nothing new is drained.
+// into one folded line weighted by their summed CPU, frames must come out
+// root-first, spanless samples fold under (none);(no_span), and the export
+// must be byte-identical when nothing new is drained.
 TEST_F(ProfilerTest, FoldedStacksAreDeterministic) {
   prof::Options opt;
   opt.manual = true;
@@ -204,28 +208,30 @@ TEST_F(ProfilerTest, FoldedStacksAreDeterministic) {
 
   const std::string folded = prof::FoldedStacks();
   EXPECT_EQ(folded, prof::FoldedStacks());  // stable across exports
-  EXPECT_NE(folded.find("layera;layera.alpha;0x10;0x20;0x30 5\n"),
+  EXPECT_NE(folded.find("layera;layera.alpha;0x10;0x20;0x30 5000000\n"),
             std::string::npos)
       << folded;
-  EXPECT_NE(folded.find("layerb;layerb.beta;0x11;0x21 3\n"),
+  EXPECT_NE(folded.find("layerb;layerb.beta;0x11;0x21 600000\n"),
             std::string::npos)
       << folded;
-  EXPECT_NE(folded.find("(none);(no_span);0x11;0x21 1\n"), std::string::npos)
+  EXPECT_NE(folded.find("(none);(no_span);0x11;0x21 50000\n"),
+            std::string::npos)
       << folded;
 
   // Each drained sample credits the CPU time it carries to its span.
   EXPECT_EQ(alpha.cpu_ns(), 5'000'000u);
   EXPECT_EQ(beta.cpu_ns(), 600'000u);
 
-  // The JSON view agrees with the folded view on totals, carries each
-  // stack's credited CPU, and ranks the leaf of the hottest stack first.
+  // The JSON view carries the same per-stack CPU and ranks the leaf of
+  // the hottest stack first.
   const std::string json = prof::ProfileJson();
   EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"count\":5,\"cpu_ns\":5000000,"
+  EXPECT_NE(json.find("\"samples\":9,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"cpu_ns\":5000000,"
                       "\"frames\":[\"0x10\",\"0x20\",\"0x30\"]"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"top\":[{\"frame\":\"0x30\",\"self_samples\":5,"
+  EXPECT_NE(json.find("\"top\":[{\"frame\":\"0x30\","
                       "\"self_cpu_us\":5000.0}"),
             std::string::npos)
       << json;
@@ -233,7 +239,7 @@ TEST_F(ProfilerTest, FoldedStacksAreDeterministic) {
   const std::string top = prof::TopText(5);
   const std::string first_row = top.substr(top.find('\n') + 1);
   EXPECT_EQ(first_row.substr(0, first_row.find('\n')),
-            "1             5       5.00  88.5%  0x30")
+            "1          5.00  88.5%  0x30")
       << top;
 }
 
@@ -259,10 +265,10 @@ TEST_F(ProfilerTest, CountersModeSampleIsCreditedToSpan) {
   prof::DrainNow();
 
   EXPECT_EQ(span.cpu_ns(), 3'000'000u);
-  EXPECT_EQ(span.count(), 0u);
-  EXPECT_EQ(span.total_ns(), 0u);
+  EXPECT_EQ(span.Snapshot().count(), 0u);
+  EXPECT_EQ(span.Snapshot().sum(), 0u);
   EXPECT_NE(prof::FoldedStacks().find(
-                "profcounters;profcounters.op;0x41;0x51 1\n"),
+                "profcounters;profcounters.op;0x41;0x51 3000000\n"),
             std::string::npos)
       << prof::FoldedStacks();
 
@@ -313,6 +319,81 @@ TEST_F(ProfilerTest, CountersModeSpanRegistersSampleRing) {
   EXPECT_NE(prof::FoldedStacks().find("profring;profring.op;"),
             std::string::npos)
       << prof::FoldedStacks();
+}
+
+// A thread that registered its ring in one profiling session and burns
+// CPU while the profiler is stopped (or before a Reset) must not credit
+// that CPU to the span live at its first sample afterwards: that sample
+// only re-baselines the thread's CPU clock. The sample after it credits
+// CPU again.
+void BurnThreadCpu(uint64_t ns) {
+  const uint64_t start = ThreadCpuNanos();
+  volatile uint64_t acc = 0;
+  while (ThreadCpuNanos() - start < ns) {
+    for (int i = 0; i < 10000; ++i) {
+      acc = acc + static_cast<uint64_t>(i) * i;
+    }
+  }
+}
+
+// Runs `between` on the main thread after a worker has registered its
+// ring and then burned 50 ms of CPU, and returns the CPU credited to
+// "profstale.op" by the worker's first and second samples after it.
+std::pair<uint64_t, uint64_t> CreditAfter(
+    const std::function<void()>& between) {
+  prof::Options opt;
+  opt.manual = true;
+  EXPECT_TRUE(prof::Start(opt));
+  SpanStat& span = Registry::Instance().GetSpan("profstale.op");
+  std::atomic<int> phase{0};
+  std::thread t([&phase] {
+    prof::RegisterCurrentThread();
+    BurnThreadCpu(50'000'000);
+    phase.store(1);
+    while (phase.load() != 2) {
+      std::this_thread::yield();
+    }
+    AERIE_SPAN("profstale", "op");
+    raise(SIGPROF);
+    phase.store(3);
+    while (phase.load() != 4) {
+      std::this_thread::yield();
+    }
+    raise(SIGPROF);
+  });
+  while (phase.load() != 1) {
+    std::this_thread::yield();
+  }
+  between();
+  phase.store(2);
+  while (phase.load() != 3) {
+    std::this_thread::yield();
+  }
+  prof::DrainNow();
+  const uint64_t first = span.cpu_ns();
+  phase.store(4);
+  t.join();
+  prof::DrainNow();
+  return {first, span.cpu_ns() - first};
+}
+
+TEST_F(ProfilerTest, FirstSampleAfterRestartCreditsNoStoppedCpu) {
+  const auto [first, second] = CreditAfter([] {
+    prof::Stop();
+    prof::Options opt;
+    opt.manual = true;
+    ASSERT_TRUE(prof::Start(opt));
+  });
+  EXPECT_EQ(first, 0u);
+  EXPECT_GT(second, 0u);
+  EXPECT_LT(second, 50'000'000u);
+}
+
+TEST_F(ProfilerTest, FirstSampleAfterResetCreditsNoEarlierCpu) {
+  const auto [first, second] = CreditAfter([] { ResetAll(); });
+  EXPECT_EQ(first, 0u);
+  EXPECT_GT(second, 0u);
+  EXPECT_LT(second, 50'000'000u);
 }
 
 class NullSink : public RevocationSink {

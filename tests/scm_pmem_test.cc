@@ -385,6 +385,7 @@ TEST_F(ScmLayerChargeTest, CountersModeChargesWithoutSpanMode) {
   EXPECT_EQ(Delta("osd", osd).lines, 1u);
   EXPECT_EQ(obs::Registry::Instance()
                 .GetSpan("osd.charge_counters_only")
+                .Snapshot()
                 .count(),
             0u);
 }

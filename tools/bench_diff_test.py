@@ -221,15 +221,16 @@ class ValidateProfileGateTest(unittest.TestCase):
     """The --max-no-span-share and --record gates of
     tools/validate_profile.py."""
 
+    # Folded weights are credited CPU in nanoseconds.
     ENTRIES = [
-        (["(none)", "(no_span)", "main", "RunForSeconds", "Loop"], 3),
-        (["pxfs", "pxfs.open", "main", "RunForSeconds", "Open"], 7),
-        (["(none)", "(no_span)", "main", "Setup"], 50),  # outside FRAME
+        (["(none)", "(no_span)", "main", "RunForSeconds", "Loop"], 3000),
+        (["pxfs", "pxfs.open", "main", "RunForSeconds", "Open"], 7000),
+        (["(none)", "(no_span)", "main", "Setup"], 50000),  # outside FRAME
     ]
 
     def test_share_counts_only_stacks_within_frame(self):
         share = validate_profile.no_span_share(self.ENTRIES, "RunForSeconds")
-        self.assertEqual(share, (0.3, 3, 10))
+        self.assertEqual(share, (0.3, 3000, 10000))
 
     def test_frame_absent_yields_none(self):
         self.assertIsNone(
@@ -237,15 +238,30 @@ class ValidateProfileGateTest(unittest.TestCase):
 
     def test_record_gap_counts_only_span_tagged_cpu(self):
         doc = {"stacks": [
-            {"layer": "pxfs", "span": "pxfs.open", "count": 7,
-             "cpu_ns": 7000000},
-            {"layer": "(none)", "span": "(no_span)", "count": 50,
-             "cpu_ns": 50000000},
+            {"layer": "pxfs", "span": "pxfs.open", "cpu_ns": 7000000},
+            {"layer": "(none)", "span": "(no_span)", "cpu_ns": 50000000},
         ]}
         record = {"layers": [{"layer": "pxfs", "cpu_us": 6000.001},
                              {"layer": "tfs", "cpu_us": 0.0}]}
         self.assertEqual(validate_profile.record_cpu_gap(doc, record),
                          (6000001, 7000000))
+
+    def test_top_cpu_may_not_exceed_stack_cpu(self):
+        doc = {"schema_version": 2, "hz": 997, "samples": 2, "dropped": 0,
+               "no_ring": 0,
+               "stacks": [{"layer": "pxfs", "span": "pxfs.open",
+                           "cpu_ns": 7000000, "frames": ["main", "Open"]}],
+               "top": [{"frame": "Open", "self_cpu_us": 7000.0}]}
+        schema = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "profile_schema.json")
+        with tempfile.TemporaryDirectory() as tmp:
+            errors = []
+            validate_profile.check_json(write_tmp(doc, tmp), schema, errors)
+            self.assertEqual(errors, [])
+            doc["top"][0]["self_cpu_us"] = 7000.2
+            validate_profile.check_json(write_tmp(doc, tmp), schema, errors)
+            self.assertEqual(len(errors), 1)
+            self.assertIn("top self_cpu_us", errors[0])
 
     def test_span_names_are_not_frames(self):
         # "pxfs.open" is the span column, not a stack frame.

@@ -4,11 +4,11 @@
 Two artifact kinds, either or both:
 
   --folded F   collapsed-stack file (AERIE_PROF_FOLDED): every line must be
-               `layer;span[;frame...] <count>` — the flamegraph.pl /
-               speedscope collapsed format — with a positive integer count,
-               no empty stack components, and lines in sorted order (the
-               exporter sorts for determinism, so out-of-order lines mean a
-               writer bug or artifact corruption).
+               `layer;span[;frame...] <cpu_ns>` — the flamegraph.pl /
+               speedscope collapsed format, weighted by credited CPU — with
+               a positive weight, no empty stack components, and lines in
+               sorted order (the exporter sorts for determinism, so
+               out-of-order lines mean a writer bug or artifact corruption).
   --json J     profile JSON (AERIE_PROF_JSON), checked against
                tools/profile_schema.json with the dependency-free Validator
                from tools/validate_bench.py (stdlib only, like the other
@@ -16,15 +16,15 @@ Two artifact kinds, either or both:
 
 Semantic gates:
 
-  --min-samples N   require at least N recorded samples: folded counts must
-                    sum to >= N and/or json "samples" >= N. Use in CI to
-                    prove a profiled bench actually sampled (a silent
-                    always-empty profile would otherwise pass).
+  --min-samples N   (needs --json) require json "samples" >= N and, with
+                    --folded, at least one folded stack. Use in CI to prove
+                    a profiled bench actually sampled (a silent always-empty
+                    profile would otherwise pass).
   --max-no-span-share F --within FRAME
-                    attribution gate (needs --folded): of the samples whose
-                    stack has a frame containing FRAME, at most share F may
-                    fold under `(none);(no_span)`, i.e. carry no layer tag.
-                    Fails when no stack contains FRAME.
+                    attribution gate (needs --folded): of the CPU credited
+                    to stacks with a frame containing FRAME, at most share F
+                    may fold under `(none);(no_span)`, i.e. carry no layer
+                    tag. Fails when no stack contains FRAME.
   --record R        consistency gate (needs --json): the bench record R
                     (AERIE_BENCH_JSON) of the same process must attribute
                     the profile's span-tagged CPU: its layers' summed cpu_us
@@ -53,22 +53,21 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from validate_bench import Validator  # noqa: E402
 
-# layer;span[;frame...] <count> — components may not be empty; the exporter
+# layer;span[;frame...] <cpu_ns> — components may not be empty; the exporter
 # rewrites ';' and ' ' inside symbols, so the split is unambiguous.
 FOLDED_LINE = re.compile(r"^([^ ;]+(?:;[^ ;]+)+) (\d+)$")
 # Samples taken outside any span (no layer tag) fold under this prefix.
 NO_SPAN_PREFIX = ["(none)", "(no_span)"]
 # Largest share of the profile's span-tagged CPU a bench record may miss.
-# Measured in samples: ablation_lock_modes at the ctest scale (0.02, 0.2 s)
-# missed 0 of 109-116 samples in 10 of 10 runs, and every record of a
-# --quick sweep but fig1's missed 0 (fig1 resets the registry after
-# building its tree). 2% leaves room for a sample or two landing in the
-# exit path.
+# Measured: ablation_lock_modes at the ctest scale (0.02, 0.2 s) missed 0
+# of 109-116 samples in 10 of 10 runs, and every record of a --quick sweep
+# but fig1's missed 0 (fig1 resets the registry after building its tree).
+# 2% leaves room for a sample or two landing in the exit path.
 RECORD_CPU_TOLERANCE = 0.02
 
 
 def read_folded(path, errors):
-    """Returns [(components, count)] for the well-formed folded lines."""
+    """Returns [(components, cpu_ns)] for the well-formed folded lines."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -79,19 +78,19 @@ def read_folded(path, errors):
     for i, line in enumerate(lines, 1):
         m = FOLDED_LINE.match(line)
         if not m:
-            errors.append("%s:%d: not `layer;span[;frame...] <count>`: %r"
+            errors.append("%s:%d: not `layer;span[;frame...] <cpu_ns>`: %r"
                           % (path, i, line[:120]))
             continue
-        count = int(m.group(2))
-        if count < 1:
-            errors.append("%s:%d: count must be >= 1" % (path, i))
-        entries.append((m.group(1).split(";"), count))
+        cpu_ns = int(m.group(2))
+        if cpu_ns < 1:
+            errors.append("%s:%d: cpu_ns must be >= 1" % (path, i))
+        entries.append((m.group(1).split(";"), cpu_ns))
     return entries
 
 
 def check_folded(path, entries, errors):
-    """Returns the total sample count across all folded lines."""
-    total = sum(count for _, count in entries)
+    """Returns the total CPU (ns) across all folded lines."""
+    total = sum(cpu_ns for _, cpu_ns in entries)
     stacks = [";".join(parts) for parts, _ in entries]
     # The exporter sorts element-wise by (layer, span, frames...), which is
     # not the same as sorting the joined line (';' is not the lowest byte),
@@ -107,15 +106,15 @@ def check_folded(path, entries, errors):
 
 
 def no_span_share(entries, frame):
-    """Share of the samples with a frame containing `frame` that carry no
-    span tag; None when no stack contains `frame`."""
+    """Share of the CPU in stacks with a frame containing `frame` that
+    carries no span tag; None when no stack contains `frame`."""
     within = untagged = 0
-    for parts, count in entries:
+    for parts, cpu_ns in entries:
         if not any(frame in f for f in parts[2:]):
             continue
-        within += count
+        within += cpu_ns
         if parts[:2] == NO_SPAN_PREFIX:
-            untagged += count
+            untagged += cpu_ns
     return None if within == 0 else (untagged / within, untagged, within)
 
 
@@ -143,12 +142,15 @@ def check_json(path, schema_path, errors):
     validator = Validator(schema)
     validator.check(doc, schema, "")
     errors.extend("%s: %s" % (path, e) for e in validator.errors)
-    # Cross-field sanity the schema subset cannot express: stack counts
-    # cannot exceed total samples (stacks only cover spanned samples).
-    stack_total = sum(s.get("count", 0) for s in doc.get("stacks", []))
-    if stack_total > doc.get("samples", 0):
-        errors.append("%s: stack counts sum to %d > samples %d"
-                      % (path, stack_total, doc.get("samples", 0)))
+    # Cross-field sanity the schema subset cannot express: the top table
+    # ranks the stacks' leaves, so its CPU (0.1 us rounding) cannot exceed
+    # theirs.
+    top = doc.get("top", [])
+    top_ns = sum(t.get("self_cpu_us", 0) for t in top) * 1e3
+    stack_ns = sum(s.get("cpu_ns", 0) for s in doc.get("stacks", []))
+    if top_ns > stack_ns + 50 * len(top):
+        errors.append("%s: top self_cpu_us sums to %.0f ns > stacks' "
+                      "cpu_ns %d" % (path, top_ns, stack_ns))
     return doc
 
 
@@ -178,6 +180,8 @@ def main():
         parser.error("--max-no-span-share needs --folded")
     if args.record and not args.json_path:
         parser.error("--record needs --json")
+    if args.min_samples > 0 and not args.json_path:
+        parser.error("--min-samples needs --json")
 
     errors = []
     folded_total = json_total = 0
@@ -191,8 +195,8 @@ def main():
                 errors.append("%s: no stack has a frame containing %r"
                               % (args.folded, args.within))
             elif share[0] > args.max_no_span_share:
-                errors.append("%s: %d of %d samples within %r (%.3f) fold "
-                              "under (none);(no_span), expected <= %.3f"
+                errors.append("%s: %d of %d ns of CPU within %r (%.3f) "
+                              "fold under (none);(no_span), expected <= %.3f"
                               % (args.folded, share[1], share[2],
                                  args.within, share[0],
                                  args.max_no_span_share))
@@ -216,10 +220,10 @@ def main():
                                         tagged, 100 * RECORD_CPU_TOLERANCE))
 
     if args.min_samples > 0:
-        if args.folded and folded_total < args.min_samples:
-            errors.append("%s: folded counts sum to %d, expected >= %d"
-                          % (args.folded, folded_total, args.min_samples))
-        if args.json_path and json_total < args.min_samples:
+        if args.folded and folded_total == 0:
+            errors.append("%s: no folded stacks, expected some"
+                          % args.folded)
+        if json_total < args.min_samples:
             errors.append("%s: samples %d, expected >= %d"
                           % (args.json_path, json_total, args.min_samples))
 
@@ -230,9 +234,9 @@ def main():
         return 1
     parts = []
     if args.folded:
-        parts.append("%s (%d folded samples)" % (args.folded, folded_total))
+        parts.append("%s (%d ns folded)" % (args.folded, folded_total))
     if share is not None:
-        parts.append("no-span share within %r %.3f (%d/%d)"
+        parts.append("no-span CPU share within %r %.3f (%d/%d ns)"
                      % (args.within, share[0], share[1], share[2]))
     if args.json_path:
         parts.append("%s (%d samples)" % (args.json_path, json_total))
